@@ -79,18 +79,15 @@ def path_loss_proposition(model: CapModel) -> tuple[float, float]:
 
 
 def scattering_function(model: CapModel, spec: JointGridSpec | None = None,
-                        fading_mean_power: float = 1.0,
-                        n_theta: int = 1024, n_nodes: int = 384) -> ScatteringGrid:
+                        fading_mean_power: float = 1.0) -> ScatteringGrid:
     """Binned scattering function over the delay-Doppler support.
 
     Fading with the given mean power multiplies the whole surface but is
     otherwise invisible to second-order statistics, so unit-mean fading
     (the Rayleigh extension) reproduces the unfaded grid exactly.
     """
-    spec, pdf_up = joint_pdf_grid(model, spec, mark=1,
-                                  n_theta=n_theta, n_nodes=n_nodes)
-    _, pdf_down = joint_pdf_grid(model, spec, mark=-1,
-                                 n_theta=n_theta, n_nodes=n_nodes)
+    spec, pdf_up = joint_pdf_grid(model, spec, mark=1)
+    _, pdf_down = joint_pdf_grid(model, spec, mark=-1)
     p_a = model.availability
     c = model.shell.light_speed_mps
     tau_c = spec.tau_centers()

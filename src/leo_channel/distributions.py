@@ -3,18 +3,14 @@
 Gain and delay depend on the central angle alone, so their CDFs are
 reparameterisations of the cap probability and their PDFs follow from its
 cos-sigma derivative. The Doppler shift also depends on azimuth, so its
-CDF is a double integral: per polar angle, the sublevel set of the Doppler
-function along the cap slice is located by a bracketing scan plus
-bisection, and the outer integral runs adaptively in argument-of-latitude
-space.
-
-Dense grids (Doppler PDF, joint delay-Doppler PDF) would need tens of
-thousands of such CDF evaluations, so they use a fixed-rule evaluator
-instead: sine-mapped Gauss-Legendre nodes for the outer integral and a
-piecewise-linear sublevel measure in azimuth whose contribution to every
-grid point is accumulated at once (each azimuth cell is a linear ramp in
-nu; sorting ramp endpoints turns the whole grid into two cumulative sums).
-The two routes are cross-checked in the test suite.
+CDF is a double integral over the cap. One fixed-rule kernel evaluates it
+on a whole set of nu values at once: sine-mapped Gauss-Legendre nodes in
+argument-of-latitude space for the polar integral, and per node a uniform
+azimuth sampling of the cap slice whose cells are uniform laws in nu, each
+deposited exactly onto the nu values it lies below or straddles. The
+scalar Doppler and joint CDFs, the Doppler PDF grid and the joint
+delay-Doppler PDF grid all go through it; the test suite checks it against
+an adaptive scan-plus-bisection route and a brute-force Riemann sum.
 """
 
 from __future__ import annotations
@@ -26,16 +22,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.integrate import quad
 
-from .geometry import ShellConfig, UserGeometry
-from .nbpp import phi_pdf
 from .propagation import delay_inverse, doppler_hz_arrays, gain_inverse
-from .quadrature import density_integral, density_nodes
+from .quadrature import _gauss_rule, density_nodes
 from .visibility import CapModel, _active_band, arc_halfwidth_clamped
 
 log = logging.getLogger(__name__)
 
-_DOPPLER_SCAN = 512
-_BISECT_ITERS = 48
+# fixed rule of the Doppler kernel: Gauss-Legendre nodes per polar panel,
+# azimuth samples per cap slice
+_N_NODES = 384
+_N_THETA = 1024
+# bound on the (polar nodes x nu values) shares one kernel block holds
+_WORKSPACE = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -161,61 +159,91 @@ def delay_pdf(model: CapModel, tau: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Doppler: adaptive scalar route
+# Doppler
 
-def _sublevel_measure(shell: ShellConfig, user: UserGeometry, phi: float,
-                      mark: int, half: float, nu_hz: float,
-                      n_scan: int = _DOPPLER_SCAN) -> float:
-    """Length of {theta in the cap slice: doppler(theta) <= nu_hz}.
+def _cell_shares(v: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Per row of v, the share of its cells between consecutive sorted edges.
 
-    Bracketing scan followed by vectorised bisection on each sign change.
+    Row r of v holds Doppler values at uniform azimuth samples of one cap
+    slice; each pair of neighbours bounds a cell, a uniform law between its
+    two values. Column i of the result covers (e[i-1], e[i]], the last
+    column everything above e[-1]. Every share is non-negative.
     """
-    if half <= 0.0:
-        return 0.0
-    tu = user.user_azimuth_rad
-    t = np.linspace(tu - half, tu + half, n_scan)
-    g = doppler_hz_arrays(shell, user, t, phi, mark) - nu_hz
-    below = g <= 0.0
-    flips = np.nonzero(below[:-1] != below[1:])[0]
-    if flips.size == 0:
-        return 2.0 * half if below[0] else 0.0
-    lo, hi = t[flips], t[flips + 1]
-    lo_below = below[flips]
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        mid_below = (doppler_hz_arrays(shell, user, mid, phi, mark) - nu_hz) <= 0.0
-        same = mid_below == lo_below
-        lo = np.where(same, mid, lo)
-        hi = np.where(same, hi, mid)
-    roots = 0.5 * (lo + hi)
-    bounds = np.concatenate(([t[0]], roots, [t[-1]]))
-    seg = np.diff(bounds)
-    idx = np.arange(seg.size)
-    inside = (idx % 2 == 0) if below[0] else (idx % 2 == 1)
-    return float(seg[inside].sum())
+    lo = np.minimum(v[:, :-1], v[:, 1:]).ravel()
+    hi = np.maximum(v[:, :-1], v[:, 1:]).ravel()
+    first = np.searchsorted(e, lo, side="right")  # first edge above lo
+    last = np.searchsorted(e, hi, side="left")    # first edge at or above hi
+    # the edges strictly inside (lo, hi), ascending per cell; none if lo == hi
+    n_cut = np.maximum(last - first, 0)
+    ends = np.cumsum(n_cut)
+    starts = ends - n_cut
+    cell = np.repeat(np.arange(lo.size), n_cut)
+    edge = first[cell] + np.arange(cell.size) - starts[cell]
+    frac = (e[edge] - lo[cell]) / (hi[cell] - lo[cell])
+    # a straddled edge takes the share since the previous straddled edge,
+    # the first edge at or above hi takes the rest
+    step = np.diff(frac, prepend=0.0)
+    cut = n_cut > 0
+    step[starts[cut]] = frac[starts[cut]]
+    top = np.zeros_like(lo)
+    top[cut] = frac[ends[cut] - 1]
+    width = e.size + 1
+    row = np.arange(lo.size) // (v.shape[1] - 1) * width
+    share = np.bincount(row + last, weights=1.0 - top,
+                        minlength=v.shape[0] * width)
+    share += np.bincount(row[cell] + edge, weights=step,
+                         minlength=v.shape[0] * width)
+    return share.reshape(v.shape[0], width)
 
 
-def doppler_cdf(model: CapModel, nu_hz: float, mark: int,
-                cap_sigma: float | None = None) -> float:
-    """CDF of the Doppler shift of a visible satellite on the given mark.
+def doppler_cdf_grid(model: CapModel, nu_edges, mark: int,
+                     cap_sigma: float | None = None) -> np.ndarray:
+    """Doppler CDF at every value of nu_edges (any order, any shape).
 
     With cap_sigma set, conditions on the sub-cap of that central angle
     while keeping the full-cap normalisation (the joint-CDF convention).
+
+    The (sub-)cap is cut into cells by Gauss-Legendre nodes in polar angle
+    and a uniform azimuth sampling of each slice. Doppler is taken linear in
+    azimuth across a cell, so a cell is a uniform law on [lo, hi] between
+    its end values: its mass counts in full at every edge at or above hi,
+    and by the covered fraction (e - lo) / (hi - lo) at an edge it straddles.
+    Masses are summed per slice before they are summed over slices, and the
+    result never decreases along ascending nu, not even by rounding.
     """
     shell, user = model.shell, model.user
     if cap_sigma is None:
         cap_sigma = user.sigma_max_rad
-    lo, hi, breaks = _active_band(shell, user, cap_sigma)
-    if lo >= hi:
-        return 0.0
+    nu = np.asarray(nu_edges, dtype=float)
+    phi_lo, phi_hi, breaks = _active_band(shell, user, cap_sigma)
+    if phi_lo >= phi_hi:
+        return np.zeros_like(nu)
+    phi_k, w_k = density_nodes(phi_lo, phi_hi, shell, breakpoints=breaks,
+                               n_nodes=_N_NODES)
+    half = arc_halfwidth_clamped(user, phi_k, cap_sigma)
+    cell_mass = (w_k * half * (2.0 / (_N_THETA - 1))
+                 / (2.0 * math.pi * model.p_sat))
+    t = np.linspace(-1.0, 1.0, _N_THETA)
 
-    def measure(phi: float) -> float:
-        half = float(arc_halfwidth_clamped(user, phi, cap_sigma))
-        return _sublevel_measure(shell, user, phi, mark, half, nu_hz)
+    order = np.argsort(nu.ravel(), kind="stable")
+    e = nu.ravel()[order]
+    mass = np.zeros(e.size + 1)
+    block = max(1, _WORKSPACE // (e.size + 1))
+    for k in range(0, phi_k.size, block):
+        rows = slice(k, k + block)
+        theta = user.user_azimuth_rad + half[rows, None] * t
+        v = doppler_hz_arrays(shell, user, theta, phi_k[rows, None], mark)
+        mass += (cell_mass[rows, None] * _cell_shares(v, e)).sum(axis=0)
+    out = np.empty(e.size)
+    out[order] = np.cumsum(mass[:-1])
+    return out.reshape(nu.shape)
 
-    val = density_integral(measure, lo, hi, shell, breakpoints=breaks,
-                           rel_tol=1e-8, limit=300)
-    return val / (2.0 * math.pi * model.p_sat)
+
+def doppler_cdf(model: CapModel, nu_hz: float, mark: int,
+                cap_sigma: float | None = None) -> float:
+    """CDF of the Doppler shift of a visible satellite on the given mark
+    (doppler_cdf_grid at the single value nu_hz)."""
+    return float(doppler_cdf_grid(model, nu_hz, mark, cap_sigma))
 
 
 def doppler_cdf_mixed(model: CapModel, nu_hz: float) -> float:
@@ -232,87 +260,22 @@ def joint_cdf(model: CapModel, nu_hz: float, tau: float, mark: int) -> float:
                        cap_sigma=delay_inverse(model.shell, tau))
 
 
-# ---------------------------------------------------------------------------
-# Doppler: vectorised grid route
-
-def doppler_cdf_grid(model: CapModel, nu_edges: np.ndarray, mark: int,
-                     cap_sigma: float | None = None, n_theta: int = 1024,
-                     n_nodes: int = 384) -> np.ndarray:
-    """Doppler CDF on a whole nu grid in one pass (fixed-rule evaluator)."""
-    shell, user = model.shell, model.user
-    if cap_sigma is None:
-        cap_sigma = user.sigma_max_rad
-    nu_edges = np.asarray(nu_edges, dtype=float)
-    lo, hi, breaks = _active_band(shell, user, cap_sigma)
-    if lo >= hi:
-        return np.zeros_like(nu_edges)
-    phi_k, w_k = density_nodes(lo, hi, shell, breakpoints=breaks,
-                               n_nodes=n_nodes)
-    half = arc_halfwidth_clamped(user, phi_k, cap_sigma)
-    t = np.linspace(-1.0, 1.0, n_theta)
-    theta = user.user_azimuth_rad + half[:, None] * t[None, :]
-    v = doppler_hz_arrays(shell, user, theta, phi_k[:, None], mark)
-
-    cell_lo = np.minimum(v[:, :-1], v[:, 1:]).ravel()
-    cell_hi = np.maximum(v[:, :-1], v[:, 1:]).ravel()
-    cell_mass = np.broadcast_to(
-        (w_k * half * (2.0 / (n_theta - 1)))[:, None] /
-        (2.0 * math.pi * model.p_sat),
-        (phi_k.size, n_theta - 1),
-    ).ravel()
-
-    span = cell_hi - cell_lo
-    scale = float(np.max(np.abs(v))) or 1.0
-    is_atom = span < 1e-9 * scale
-
-    out = np.zeros_like(nu_edges)
-    # linear ramps: each cell adds slope at lo and removes it at hi
-    if np.any(~is_atom):
-        slope = cell_mass[~is_atom] / span[~is_atom]
-        xs = np.concatenate([cell_lo[~is_atom], cell_hi[~is_atom]])
-        ss = np.concatenate([slope, -slope])
-        order = np.argsort(xs, kind="stable")
-        xs, ss = xs[order], ss[order]
-        cum_s = np.cumsum(ss)
-        cum_sx = np.cumsum(ss * xs)
-        idx = np.searchsorted(xs, nu_edges, side="right")
-        pos = idx > 0
-        out[pos] += cum_s[idx[pos] - 1] * nu_edges[pos] - cum_sx[idx[pos] - 1]
-    if np.any(is_atom):
-        xa = 0.5 * (cell_lo[is_atom] + cell_hi[is_atom])
-        ma = cell_mass[is_atom]
-        order = np.argsort(xa, kind="stable")
-        xa, ma = xa[order], ma[order]
-        cum_m = np.cumsum(ma)
-        idx = np.searchsorted(xa, nu_edges, side="right")
-        pos = idx > 0
-        out[pos] += cum_m[idx[pos] - 1]
-    return out
-
-
-def doppler_pdf_grid(model: CapModel, spec: DopplerGridSpec | None = None,
-                     n_theta: int = 1024, n_nodes: int = 384) -> tuple[np.ndarray, np.ndarray]:
+def doppler_pdf_grid(model: CapModel, spec: DopplerGridSpec | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """Mark-mixed Doppler PDF by forward differences of the grid CDF.
 
-    Returns (nu_centers, pdf). Tiny negatives from numerical noise are
-    clamped to zero and counted.
+    Returns (nu_centers, pdf); the pdf is non-negative because the grid
+    CDF never decreases.
     """
     spec = (spec or DopplerGridSpec()).resolve(model)
     edges = spec.nu_edges()
-    f = 0.5 * (doppler_cdf_grid(model, edges, 1, n_theta=n_theta, n_nodes=n_nodes)
-               + doppler_cdf_grid(model, edges, -1, n_theta=n_theta, n_nodes=n_nodes))
-    pdf = np.diff(f) / spec.nu_step_hz
-    negative = (pdf < 0.0) & (pdf > -1e-9)
-    if np.any(negative):
-        log.info("doppler_pdf_grid clamped %d tiny negative bins",
-                 int(np.count_nonzero(negative)))
-        pdf = np.where(negative, 0.0, pdf)
-    return spec.nu_centers(), pdf
+    f = 0.5 * (doppler_cdf_grid(model, edges, 1)
+               + doppler_cdf_grid(model, edges, -1))
+    return spec.nu_centers(), np.diff(f) / spec.nu_step_hz
 
 
 def joint_pdf_grid(model: CapModel, spec: JointGridSpec | None = None,
-                   mark: int = 1, n_theta: int = 1024,
-                   n_nodes: int = 384) -> tuple[JointGridSpec, np.ndarray]:
+                   mark: int = 1) -> tuple[JointGridSpec, np.ndarray]:
     """Joint delay-Doppler PDF for one mark: mixed second-order forward
     differences of the joint CDF over the (tau, nu) edge grid.
 
@@ -327,12 +290,12 @@ def joint_pdf_grid(model: CapModel, spec: JointGridSpec | None = None,
     sigmas = delay_inverse(model.shell, tau_edges)
 
     rows = ordered_map(
-        lambda s: doppler_cdf_grid(model, nu_edges, mark, cap_sigma=float(s),
-                                   n_theta=n_theta, n_nodes=n_nodes),
+        lambda s: doppler_cdf_grid(model, nu_edges, mark, cap_sigma=float(s)),
         sigmas,
     )
-    f = np.vstack(rows)
-    pdf = ((f[1:, 1:] - f[1:, :-1] - f[:-1, 1:] + f[:-1, :-1])
+    # delay first: the clipped padding rows repeat a sigma, so their
+    # difference is exactly zero before the Doppler difference is taken
+    pdf = (np.diff(np.diff(np.vstack(rows), axis=0), axis=1)
            / (spec.nu_step_hz * spec.tau_step_s))
     floor = -1e-6 * float(pdf.max(initial=0.0))
     negative = (pdf < 0.0) & (pdf > floor)
@@ -384,14 +347,13 @@ def delay_cdf_batch(model: CapModel, tau, pcap=None) -> np.ndarray:
                    0.0, 1.0)
 
 
-def doppler_cdf_mixed_batch(model: CapModel, nu, n_grid: int = 2001,
-                            n_theta: int = 1024, n_nodes: int = 384) -> np.ndarray:
+def doppler_cdf_mixed_batch(model: CapModel, nu, n_grid: int = 2001) -> np.ndarray:
     """Mark-mixed Doppler CDF at arbitrary nu values via a dense grid pass."""
     nu = np.asarray(nu, dtype=float)
     bound = 1.0001 * model.nu_max_hz
     edges = np.linspace(-bound, bound, n_grid)
-    f = 0.5 * (doppler_cdf_grid(model, edges, 1, n_theta=n_theta, n_nodes=n_nodes)
-               + doppler_cdf_grid(model, edges, -1, n_theta=n_theta, n_nodes=n_nodes))
+    f = 0.5 * (doppler_cdf_grid(model, edges, 1)
+               + doppler_cdf_grid(model, edges, -1))
     return np.interp(nu, edges, f, left=0.0, right=1.0)
 
 
@@ -427,7 +389,7 @@ def rayleigh_gain_cdf_grid(model: CapModel, y: np.ndarray,
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     g_min, g_max = model.gain_bounds
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = _gauss_rule(n_nodes)
     g = 0.5 * (g_min + g_max) + 0.5 * (g_max - g_min) * x
     w = 0.5 * (g_max - g_min) * w
     pcap = np.array([model.p_cap(gain_inverse(model.shell, float(gg)))

@@ -1,7 +1,8 @@
 """Worker-count control for embarrassingly parallel grid loops.
 
-LEO_CHANNEL_THREADS caps the number of worker threads; results are
-collected in submission order, so parallel runs are deterministic.
+LEO_CHANNEL_THREADS caps the number of worker threads; unset, the count is
+the number of CPUs the process may run on. Results are collected in
+submission order, so parallel runs are deterministic.
 """
 
 from __future__ import annotations
@@ -17,7 +18,10 @@ def worker_count() -> int:
     except ValueError:
         n = 0
     if n <= 0:
-        n = os.cpu_count() or 1
+        if hasattr(os, "sched_getaffinity"):
+            n = len(os.sched_getaffinity(0))
+        else:
+            n = os.cpu_count() or 1
     return max(1, n)
 
 

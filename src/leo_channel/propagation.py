@@ -21,6 +21,7 @@ from .geometry import (
     slant_range,
 )
 from .nbpp import SatellitePoint
+from .visibility import arc_halfwidth_clamped
 
 _GRACE = 1e-12
 
@@ -135,15 +136,6 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return max(xs, key=lambda p: p[1])
 
 
-def _arc_halfwidth(user: UserGeometry, phi, sigma: float):
-    """Half-width in theta of the cap slice at polar angle phi (clamped form)."""
-    phi_u = user.user_polar_rad
-    num = math.cos(phi_u) * np.cos(phi) - math.cos(sigma)
-    den = math.sin(phi_u) * np.sin(phi)
-    arg = np.clip(num / den, -1.0, 1.0)
-    return 0.5 * np.pi + np.arcsin(arg)
-
-
 def max_doppler(shell: ShellConfig, user: UserGeometry,
                 n_grid: int = 1001, refine_tol_hz: float = 1.0) -> float:
     """Largest Doppler magnitude over the visible cap.
@@ -160,7 +152,7 @@ def max_doppler(shell: ShellConfig, user: UserGeometry,
     theta_u = user.user_azimuth_rad
 
     phi = np.linspace(phi_lo, phi_hi, n_grid)
-    half = _arc_halfwidth(user, phi, sigma1)
+    half = arc_halfwidth_clamped(user, phi, sigma1)
     w_max = float(np.max(half))
     theta = np.linspace(theta_u - w_max, theta_u + w_max, n_grid)
     tt, pp = np.meshgrid(theta, phi)
@@ -184,7 +176,7 @@ def max_doppler(shell: ShellConfig, user: UserGeometry,
         tol_x = math.sqrt(refine_tol_hz / max(abs(grid_best), 1.0)) * 1e-2
 
         def best_over_theta(p: float) -> float:
-            h = float(_arc_halfwidth(user, p, sigma1))
+            h = float(arc_halfwidth_clamped(user, p, sigma1))
             if h <= 0.0:
                 return -math.inf
             f = lambda t: float(scale * _radial_speed(shell, user, t, p, mark))

@@ -9,6 +9,7 @@ substitution.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
@@ -76,8 +77,14 @@ def density_integral(g, phi_lo: float, phi_hi: float, shell: ShellConfig,
     return total / math.pi
 
 
+@functools.cache
 def _gauss_rule(n: int):
-    return np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only and cached:
+    leggauss solves an eigenproblem, too costly to repeat per grid row."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def sine_mapped_panels(a: float, b: float, breakpoints, n_nodes: int):

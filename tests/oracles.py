@@ -2,8 +2,9 @@
 
 Each oracle deliberately avoids the code path it checks: Doppler is
 rebuilt from Cartesian vectors, the cap arc length from a brute-force
-azimuth scan, and the Doppler CDF from a naive two-dimensional Riemann
-sum over the cap.
+azimuth scan, and the Doppler CDF both from a naive two-dimensional
+Riemann sum over the cap and from an adaptive route that locates each
+sublevel set by scan plus bisection.
 """
 
 import math
@@ -12,6 +13,12 @@ import numpy as np
 
 from leo_channel.geometry import ShellConfig, UserGeometry
 from leo_channel.nbpp import phi_pdf
+from leo_channel.propagation import doppler_hz_arrays
+from leo_channel.quadrature import density_integral
+from leo_channel.visibility import CapModel, _active_band, arc_halfwidth_clamped
+
+_DOPPLER_SCAN = 512
+_BISECT_ITERS = 48
 
 
 def doppler_cartesian(shell: ShellConfig, user: UserGeometry,
@@ -58,8 +65,6 @@ def doppler_cdf_riemann(shell: ShellConfig, user: UserGeometry, nu_hz: float,
                         mark: int, cap_sigma: float, p_sat: float,
                         n_phi: int = 1200, n_theta: int = 2400) -> float:
     """Naive 2-D Riemann sum of the Doppler CDF over the cap."""
-    from leo_channel.propagation import doppler_hz_arrays
-
     b_bar = shell.polar_inclination_rad
     pu = user.user_polar_rad
     lo = max(b_bar, pu - cap_sigma)
@@ -76,6 +81,59 @@ def doppler_cdf_riemann(shell: ShellConfig, user: UserGeometry, nu_hz: float,
     cell = (hi - lo) / n_phi * (2.0 * np.pi / n_theta)
     total = float(np.sum(w * (inside & (v <= nu_hz)))) * cell
     return total / p_sat
+
+
+def _sublevel_measure(shell: ShellConfig, user: UserGeometry, phi: float,
+                      mark: int, half: float, nu_hz: float,
+                      n_scan: int = _DOPPLER_SCAN) -> float:
+    """Length of {theta in the cap slice: doppler(theta) <= nu_hz}.
+
+    Bracketing scan followed by vectorised bisection on each sign change.
+    """
+    if half <= 0.0:
+        return 0.0
+    tu = user.user_azimuth_rad
+    t = np.linspace(tu - half, tu + half, n_scan)
+    g = doppler_hz_arrays(shell, user, t, phi, mark) - nu_hz
+    below = g <= 0.0
+    flips = np.nonzero(below[:-1] != below[1:])[0]
+    if flips.size == 0:
+        return 2.0 * half if below[0] else 0.0
+    lo, hi = t[flips], t[flips + 1]
+    lo_below = below[flips]
+    for _ in range(_BISECT_ITERS):
+        mid = 0.5 * (lo + hi)
+        mid_below = (doppler_hz_arrays(shell, user, mid, phi, mark) - nu_hz) <= 0.0
+        same = mid_below == lo_below
+        lo = np.where(same, mid, lo)
+        hi = np.where(same, hi, mid)
+    roots = 0.5 * (lo + hi)
+    bounds = np.concatenate(([t[0]], roots, [t[-1]]))
+    seg = np.diff(bounds)
+    idx = np.arange(seg.size)
+    inside = (idx % 2 == 0) if below[0] else (idx % 2 == 1)
+    return float(seg[inside].sum())
+
+
+def doppler_cdf_adaptive(model: CapModel, nu_hz: float, mark: int,
+                         cap_sigma: float | None = None) -> float:
+    """Doppler CDF by adaptive quadrature: per polar angle, the sublevel
+    set along the cap slice is located by scan plus bisection, and the
+    outer integral runs adaptively in argument-of-latitude space."""
+    shell, user = model.shell, model.user
+    if cap_sigma is None:
+        cap_sigma = user.sigma_max_rad
+    lo, hi, breaks = _active_band(shell, user, cap_sigma)
+    if lo >= hi:
+        return 0.0
+
+    def measure(phi: float) -> float:
+        half = float(arc_halfwidth_clamped(user, phi, cap_sigma))
+        return _sublevel_measure(shell, user, phi, mark, half, nu_hz)
+
+    val = density_integral(measure, lo, hi, shell, breakpoints=breaks,
+                           rel_tol=1e-8, limit=300)
+    return val / (2.0 * math.pi * model.p_sat)
 
 
 def central_diff(f, x: float, h: float) -> float:

@@ -1,10 +1,13 @@
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from oracles import doppler_cdf_riemann
+from oracles import doppler_cdf_adaptive, doppler_cdf_riemann
 
 from leo_channel import distributions as dist
 from leo_channel.nbpp import sample_visible
@@ -136,7 +139,7 @@ class TestDopplerCdf:
     def test_grid_route_matches_scalar(self, cap_equator):
         nus = np.linspace(-0.95, 0.95, 9) * cap_equator.nu_max_hz
         grid = dist.doppler_cdf_grid(cap_equator, nus, 1)
-        scalar = np.array([dist.doppler_cdf(cap_equator, float(n), 1) for n in nus])
+        scalar = np.array([doppler_cdf_adaptive(cap_equator, float(n), 1) for n in nus])
         assert np.max(np.abs(grid - scalar)) < 5e-5
 
     def test_mixed_median_at_equator(self, cap_equator):
@@ -153,6 +156,33 @@ class TestDopplerCdf:
         nu = doppler_hz_arrays(shell, cap_equator.user, th, ph, mk)
         d = ks_distance(nu, lambda x: dist.doppler_cdf_mixed_batch(cap_equator, x))
         assert d < 0.005
+
+    @given(data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_grid_kernel_properties(self, cap_equator, cap_midlat, data):
+        cap = data.draw(st.sampled_from([cap_equator, cap_midlat]))
+        user = cap.user
+        mark = data.draw(st.sampled_from([1, -1]))
+        cap_sigma = data.draw(st.floats(user.sigma_min_rad, user.sigma_max_rad))
+        fracs = data.draw(st.lists(st.floats(-1.1, 1.1), min_size=1, max_size=6))
+        nus = np.array(fracs) * cap.nu_max_hz
+        f = dist.doppler_cdf_grid(cap, nus, mark, cap_sigma=cap_sigma)
+        order = np.argsort(nus, kind="stable")
+        assert np.all(np.diff(f[order]) >= 0.0)
+        assert np.all((f >= 0.0) & (f <= 1.0 + 1e-12))
+        perm = np.array(data.draw(st.permutations(range(nus.size))))
+        shuffled = dist.doppler_cdf_grid(cap, nus[perm], mark, cap_sigma=cap_sigma)
+        assert np.array_equal(shuffled, f[perm])
+        single = [dist.doppler_cdf(cap, float(n), mark, cap_sigma=cap_sigma)
+                  for n in nus]
+        assert np.max(np.abs(f - single)) <= 1e-12
+
+    def test_blocked_kernel_matches_one_block(self, cap_midlat, monkeypatch):
+        nus = np.linspace(-1.05, 1.05, 50) * cap_midlat.nu_max_hz
+        whole = dist.doppler_cdf_grid(cap_midlat, nus, -1)
+        monkeypatch.setattr(dist, "_WORKSPACE", 1000)  # 19 slices per block
+        blocked = dist.doppler_cdf_grid(cap_midlat, nus, -1)
+        assert np.max(np.abs(blocked - whole)) <= 1e-14
 
 
 class TestDopplerPdfGrid:
@@ -219,6 +249,17 @@ class TestJointDistribution:
                          for t in tau_c[inner]])
         l1 = np.sum(np.abs(marg[inner] - want)) * spec.tau_step_s
         assert l1 < 0.02
+
+    @pytest.mark.parametrize("cap_name", ["cap_equator", "cap_midlat"])
+    def test_pdf_grid_needs_no_clamping(self, cap_name, request, caplog):
+        cap = request.getfixturevalue(cap_name)
+        spec = dist.JointGridSpec(tau_step_s=8.4e-5)
+        with caplog.at_level(logging.INFO, logger=dist.__name__):
+            for mark in (1, -1):
+                _, pdf = dist.joint_pdf_grid(cap, spec, mark=mark)
+                # the padding rows repeat the support-edge sub-caps
+                assert np.all(pdf[0] == 0.0) and np.all(pdf[-1] == 0.0)
+        assert not [r for r in caplog.records if "clamped" in r.getMessage()]
 
     def test_u_shaped_support(self, cap_equator):
         # no mass at (short delay, extreme Doppler): the near cap cannot
