@@ -33,8 +33,7 @@ def main() -> None:
     rng = np.random.default_rng(args.seed)
     con = osim.build(shell)
     times = osim.default_snapshot_times(args.snapshots, rng)
-    obs = osim.snapshot_sample(con, user, times, rng)
-    g, tau, nu, mark, counts = osim.observation_arrays(obs)
+    g, tau, nu, mark, counts = osim.snapshot_sample(con, user, times, rng)
 
     print(f"user lat {args.lat_deg} deg, mask {args.min_elev_deg} deg, "
           f"{args.snapshots} snapshots ({g.size} with a visible satellite)")

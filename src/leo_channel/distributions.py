@@ -287,15 +287,18 @@ def joint_pdf_grid(model: CapModel, spec: JointGridSpec | None = None,
     nu_edges = spec.nu_edges()
     tau_lo, tau_hi = model.delay_bounds
     tau_edges = np.clip(spec.tau_edges(), tau_lo, tau_hi)
-    sigmas = delay_inverse(model.shell, tau_edges)
+    # the clipped padding edges repeat a sigma: one kernel row per distinct one
+    sigmas, row_of_edge = np.unique(delay_inverse(model.shell, tau_edges),
+                                    return_inverse=True)
 
     rows = ordered_map(
         lambda s: doppler_cdf_grid(model, nu_edges, mark, cap_sigma=float(s)),
         sigmas,
     )
-    # delay first: the clipped padding rows repeat a sigma, so their
-    # difference is exactly zero before the Doppler difference is taken
-    pdf = (np.diff(np.diff(np.vstack(rows), axis=0), axis=1)
+    # delay first: the padding rows repeat a row, so their difference is
+    # exactly zero before the Doppler difference is taken
+    cdf = np.vstack(rows)[row_of_edge.ravel()]
+    pdf = (np.diff(np.diff(cdf, axis=0), axis=1)
            / (spec.nu_step_hz * spec.tau_step_s))
     floor = -1e-6 * float(pdf.max(initial=0.0))
     negative = (pdf < 0.0) & (pdf > floor)

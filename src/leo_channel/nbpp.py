@@ -4,6 +4,9 @@ Each of the N satellites is i.i.d.: azimuth uniform on [0, 2pi), polar
 angle following the inclination-band density, and an ascending/descending
 mark. Sampling goes through a uniform argument of latitude, which both
 realises the polar density exactly and avoids its edge singularities.
+The law is uniform in (azimuth, argument of latitude), so satellites in
+a user's visible cap are drawn from the cap's bounding box in those
+coordinates.
 """
 
 from __future__ import annotations
@@ -13,7 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError, NoVisibleSatellites
 from .geometry import ShellConfig
+from .visibility import _POLE_EPS, arc_halfwidth_clamped
+
+# sample_visible: points per draw block, and draws allowed per requested
+# sample (the box keeps 0.6-0.8 of its draws at the reference users)
+_BLOCK = 1 << 16
+_DRAWS_PER_SAMPLE = 64
+# widening of the visible-cap box against rounding, radians
+_BOX_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -60,15 +72,31 @@ def phi_cdf(shell: ShellConfig, phi):
     return float(out) if out.ndim == 0 else out
 
 
+@dataclass(frozen=True)
+class SampleBox:
+    """Azimuth interval [theta_lo, theta_hi) times the argument-of-latitude
+    interval [omega_lo, omega_hi] (northbound, inside [-pi/2, pi/2]) joined
+    by its southbound mirror image pi - omega. The default is the whole
+    shell."""
+
+    theta_lo: float = 0.0
+    theta_hi: float = 2.0 * math.pi
+    omega_lo: float = -math.pi / 2
+    omega_hi: float = math.pi / 2
+
+
 def sample_arrays(model: NbppModel, count: int, rng: np.random.Generator,
-                  physical_marks: bool = False):
-    """Vectorised i.i.d. draw: returns (theta, phi, mark) arrays.
+                  physical_marks: bool = False, box: SampleBox = SampleBox()):
+    """Vectorised i.i.d. draw, uniform in (theta, omega) over the box:
+    returns (theta, phi, mark) arrays.
 
     physical_marks ties the mark to the drawn argument of latitude
     (+1 on the northbound half) instead of an independent coin flip.
     """
-    theta = rng.uniform(0.0, 2.0 * np.pi, size=count)
-    omega = rng.uniform(0.0, 2.0 * np.pi, size=count)
+    theta = rng.uniform(box.theta_lo, box.theta_hi, size=count)
+    width = box.omega_hi - box.omega_lo
+    omega = box.omega_lo + rng.uniform(0.0, 2.0 * width, size=count)
+    omega = np.where(omega < box.omega_hi, omega, np.pi - (omega - width))
     phi = np.pi / 2 - np.arcsin(math.sin(model.shell.inclination_rad) * np.sin(omega))
     if physical_marks:
         mark = np.where(np.cos(omega) > 0.0, 1, -1)
@@ -77,42 +105,76 @@ def sample_arrays(model: NbppModel, count: int, rng: np.random.Generator,
     return theta, phi, mark
 
 
-def sample(model: NbppModel, count: int, rng: np.random.Generator,
-           physical_marks: bool = False) -> list[SatellitePoint]:
-    """i.i.d. marked points; empty list for count = 0."""
-    if count == 0:
-        return []
-    theta, phi, mark = sample_arrays(model, count, rng, physical_marks)
-    return [SatellitePoint(float(t), float(p), int(m))
-            for t, p, m in zip(theta, phi, mark)]
+def visible_box(shell: ShellConfig, user) -> SampleBox:
+    """Smallest (theta, omega) box holding the user's visible cap.
+
+    Polar angles run over the cap's range clipped to the band; omega over
+    the one or two intervals mapping into it (sin omega = cos phi / sin i,
+    with the northbound interval and its southbound mirror). Azimuths run
+    over theta_u +- the largest cap half-width on those polar angles: the
+    half-width is unimodal in phi with its peak where cos phi =
+    cos phi_u / cos sigma_1, so it is taken there, clipped to the range.
+    The box is widened by _BOX_SLACK so rounding never cuts the cap.
+    Raises NoVisibleSatellites when the clipped range is empty.
+    """
+    phi_u, s1 = user.user_polar_rad, user.sigma_max_rad
+    b_bar = shell.polar_inclination_rad
+    phi_lo = max(b_bar, phi_u - s1)
+    phi_hi = min(math.pi - b_bar, phi_u + s1)
+    if phi_lo >= phi_hi:
+        raise NoVisibleSatellites(
+            f"the visible cap of the user at polar angle {phi_u:.6g} rad "
+            "does not reach into the inclination band")
+    if phi_u < _POLE_EPS:
+        half = math.pi
+    else:
+        peak = math.acos(min(1.0, math.cos(phi_u) / math.cos(s1)))
+        half = float(arc_halfwidth_clamped(user, min(max(peak, phi_lo), phi_hi), s1))
+    half += _BOX_SLACK
+    if half >= math.pi:
+        theta_lo, theta_hi = 0.0, 2.0 * math.pi
+    else:
+        theta_lo = user.user_azimuth_rad - half
+        theta_hi = user.user_azimuth_rad + half
+    sin_i = math.sin(shell.inclination_rad)
+    omega_lo = math.asin(max(-1.0, math.cos(phi_hi) / sin_i)) - _BOX_SLACK
+    omega_hi = math.asin(min(1.0, math.cos(phi_lo) / sin_i)) + _BOX_SLACK
+    return SampleBox(theta_lo, theta_hi, max(-math.pi / 2, omega_lo),
+                     min(math.pi / 2, omega_hi))
 
 
 def sample_visible(shell: ShellConfig, user, count: int,
-                   rng: np.random.Generator, physical_marks: bool = False,
-                   chunk: int = 4_000_000):
-    """Rejection-sample `count` satellites that fall inside the user's
-    visible cap; returns (sigma, theta, phi, mark) arrays.
+                   rng: np.random.Generator, physical_marks: bool = False):
+    """`count` i.i.d. satellites conditioned on the user's visible cap;
+    returns (sigma, theta, phi, mark) arrays, theta in [0, 2pi).
 
-    Draws whole-shell batches and keeps hits, so the cost scales with
-    1/p_sat; batches keep peak memory bounded.
+    Draws blocks of _BLOCK points uniformly in the cap's (theta, omega)
+    box and keeps those inside the cap. The shell law is uniform in
+    (theta, omega), so it stays uniform on the box and the kept points
+    follow it exactly. Raises NoVisibleSatellites for an empty box and
+    DomainError when _DRAWS_PER_SAMPLE * count draws (at least one block)
+    do not yield `count` samples.
     """
     model = NbppModel(shell)
+    box = visible_box(shell, user)
+    if count == 0:
+        return tuple(np.empty(0, dtype=d) for d in (float, float, float, int))
     phi_u = user.user_polar_rad
     cos_s1 = math.cos(user.sigma_max_rad)
-    keep_sig, keep_th, keep_ph, keep_mk = [], [], [], []
-    got = 0
+    budget = max(_BLOCK, _DRAWS_PER_SAMPLE * count)
+    kept = []
+    got = drawn = 0
     while got < count:
-        theta, phi, mark = sample_arrays(model, chunk, rng, physical_marks)
+        if drawn >= budget:
+            raise DomainError(
+                f"{drawn} draws in the visible-cap box gave {got} of {count} "
+                "samples: the cap is too thin to sample")
+        theta, phi, mark = sample_arrays(model, _BLOCK, rng, physical_marks, box)
+        drawn += _BLOCK
         cos_sig = (math.cos(phi_u) * np.cos(phi)
                    + math.sin(phi_u) * np.sin(phi) * np.sin(theta))
         sel = cos_sig >= cos_s1
-        keep_sig.append(np.arccos(np.clip(cos_sig[sel], -1.0, 1.0)))
-        keep_th.append(theta[sel])
-        keep_ph.append(phi[sel])
-        keep_mk.append(mark[sel])
+        kept.append((np.arccos(np.clip(cos_sig[sel], -1.0, 1.0)),
+                     theta[sel] % (2.0 * np.pi), phi[sel], mark[sel]))
         got += int(np.count_nonzero(sel))
-    sig = np.concatenate(keep_sig)[:count]
-    th = np.concatenate(keep_th)[:count]
-    ph = np.concatenate(keep_ph)[:count]
-    mk = np.concatenate(keep_mk)[:count]
-    return sig, th, ph, mk
+    return tuple(np.concatenate(cols)[:count] for cols in zip(*kept))

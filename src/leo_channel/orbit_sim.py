@@ -19,10 +19,13 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .geometry import ShellConfig, UserGeometry, slant_range
-from .nbpp import SatellitePoint
 from .propagation import doppler_hz_arrays
 
 _TWO_PI = 2.0 * math.pi
+# snapshots per array block of snapshot_sample; margin of its visibility
+# windows in cos sigma
+_TIME_BLOCK = 256
+_WINDOW_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -35,16 +38,6 @@ class WalkerConstellation:
     @property
     def n_total(self) -> int:
         return self.phase_offsets.size
-
-
-@dataclass(frozen=True)
-class SnapshotObservation:
-    time_s: float
-    gain: float
-    delay_s: float
-    doppler_hz: float
-    mark: int
-    visible_count: int
 
 
 def build(shell: ShellConfig, inter_orbit_phase: float = 0.0) -> WalkerConstellation:
@@ -67,28 +60,34 @@ def build(shell: ShellConfig, inter_orbit_phase: float = 0.0) -> WalkerConstella
     )
 
 
-def propagate_arrays(constellation: WalkerConstellation, t: float):
-    """(theta, phi, mark) arrays of every satellite at time t.
+def _arg_of_latitude(shell: ShellConfig, offsets, t):
+    """Argument of latitude in [0, 2pi) at time t of satellites starting
+    at `offsets` (broadcast)."""
+    rate = shell.sat_speed_mps / shell.shell_radius_m
+    return (offsets + rate * t) % _TWO_PI
+
+
+def _positions(shell: ShellConfig, nodes, omega):
+    """(theta, phi, mark) of satellites with ascending nodes `nodes` at
+    arguments of latitude `omega` (broadcast).
 
     Latitude comes from sin(lat) = sin(b) sin(omega); longitude from the
     node plus atan2(cos(b) sin(omega), cos(omega)); the mark is the sign
     of the latitude rate, i.e. of cos(omega).
     """
-    shell = constellation.shell
     b = shell.inclination_rad
-    rate = shell.sat_speed_mps / shell.shell_radius_m
-    omega = (constellation.phase_offsets + rate * t) % _TWO_PI
-    nodes = constellation.ascending_nodes[:, None]
     phi = np.pi / 2 - np.arcsin(math.sin(b) * np.sin(omega))
     theta = (nodes + np.arctan2(math.cos(b) * np.sin(omega), np.cos(omega))) % _TWO_PI
     mark = np.where(np.cos(omega) > 0.0, 1, -1)
+    return theta, phi, mark
+
+
+def propagate_arrays(constellation: WalkerConstellation, t: float):
+    """(theta, phi, mark) arrays of every satellite at time t."""
+    omega = _arg_of_latitude(constellation.shell, constellation.phase_offsets, t)
+    theta, phi, mark = _positions(constellation.shell,
+                                  constellation.ascending_nodes[:, None], omega)
     return theta.ravel(), phi.ravel(), mark.ravel()
-
-
-def propagate(constellation: WalkerConstellation, t: float) -> list[SatellitePoint]:
-    theta, phi, mark = propagate_arrays(constellation, t)
-    return [SatellitePoint(float(a), float(b_), int(m))
-            for a, b_, m in zip(theta, phi, mark)]
 
 
 def positions_cartesian(constellation: WalkerConstellation, t: float) -> np.ndarray:
@@ -104,44 +103,66 @@ def positions_cartesian(constellation: WalkerConstellation, t: float) -> np.ndar
 
 
 def snapshot_sample(constellation: WalkerConstellation, user: UserGeometry,
-                    times, rng: np.random.Generator) -> list[SnapshotObservation]:
-    """One observation per snapshot: a uniformly chosen visible satellite's
-    gain, delay, Doppler and mark. Empty snapshots record visible_count=0."""
+                    times, rng: np.random.Generator):
+    """One observation per snapshot: a uniformly chosen visible satellite.
+
+    Returns (gain, delay, doppler, mark, visible_count) arrays; the first
+    four hold one entry per snapshot with a visible satellite, the counts
+    one per snapshot. The rng draws one integer per such snapshot, in
+    time order.
+
+    On a plane with node Omega, cos sigma = A cos omega + B sin omega =
+    R cos(omega - omega_0), with A = sin phi_u sin Omega, B = cos phi_u
+    sin i + sin phi_u cos i cos Omega and R = hypot(A, B). Planes with
+    R < cos sigma_1 never enter the cap and are dropped; on the others a
+    satellite can be visible only inside an omega window around omega_0.
+    Both bounds are widened by _WINDOW_SLACK, so rounding never drops a
+    visible satellite. Arguments of latitude are computed in (time block x
+    satellite) arrays, the visibility test only on satellites in their
+    window.
+    """
     shell = constellation.shell
     phi_u = user.user_polar_rad
     cos_s1 = math.cos(user.sigma_max_rad)
-    out: list[SnapshotObservation] = []
-    for t in np.asarray(times, dtype=float):
-        theta, phi, mark = propagate_arrays(constellation, float(t))
+    b = shell.inclination_rad
+    nodes = constellation.ascending_nodes
+    a_coef = math.sin(phi_u) * np.sin(nodes)
+    b_coef = (math.cos(phi_u) * math.sin(b)
+              + math.sin(phi_u) * math.cos(b) * np.cos(nodes))
+    reach = np.hypot(a_coef, b_coef)
+    planes = reach >= cos_s1 - _WINDOW_SLACK
+    half = np.arccos((cos_s1 - _WINDOW_SLACK) / reach[planes])
+    n_slots = constellation.phase_offsets.shape[1]
+    node = np.repeat(nodes[planes], n_slots)
+    offset = constellation.phase_offsets[planes].ravel()
+    # _arg_of_latitude(lag, t) is omega(t) less the window start, mod 2pi
+    lag = offset - np.repeat(np.arctan2(b_coef, a_coef)[planes] - half, n_slots)
+    width = np.repeat(2.0 * half, n_slots)
+
+    times = np.asarray(times, dtype=float)
+    counts = np.zeros(times.size, dtype=np.int64)
+    picked = []
+    for k in range(0, max(times.size, 1), _TIME_BLOCK):
+        t = times[k:k + _TIME_BLOCK]
+        row, col = np.nonzero(_arg_of_latitude(shell, lag, t[:, None]) <= width)
+        theta, phi, mark = _positions(
+            shell, node[col], _arg_of_latitude(shell, offset[col], t[row]))
         cos_sig = (math.cos(phi_u) * np.cos(phi)
                    + math.sin(phi_u) * np.sin(phi) * np.sin(theta))
-        vis = np.nonzero(cos_sig >= cos_s1)[0]
-        if vis.size == 0:
-            out.append(SnapshotObservation(float(t), math.nan, math.nan,
-                                           math.nan, 0, 0))
-            continue
-        pick = int(vis[rng.integers(vis.size)])
-        sigma = math.acos(min(1.0, max(-1.0, float(cos_sig[pick]))))
-        dist = float(slant_range(shell, sigma))
-        g = 1.0 / (dist * dist)
-        tau = dist / shell.light_speed_mps
-        nu = float(doppler_hz_arrays(shell, user, theta[pick], phi[pick],
-                                     int(mark[pick])))
-        out.append(SnapshotObservation(float(t), g, tau, nu,
-                                       int(mark[pick]), int(vis.size)))
-    return out
-
-
-def observation_arrays(observations: list[SnapshotObservation]):
-    """(gain, delay, doppler, mark, visible_count) arrays, empty snapshots
-    dropped from the first four."""
-    counts = np.array([o.visible_count for o in observations])
-    kept = [o for o in observations if o.visible_count > 0]
-    return (np.array([o.gain for o in kept]),
-            np.array([o.delay_s for o in kept]),
-            np.array([o.doppler_hz for o in kept]),
-            np.array([o.mark for o in kept]),
-            counts)
+        vis = cos_sig >= cos_s1
+        n_vis = np.bincount(row[vis], minlength=t.size)
+        counts[k:k + t.size] = n_vis
+        # visible satellites run snapshot by snapshot, in satellite order
+        rows = np.nonzero(n_vis)[0]
+        first = np.cumsum(n_vis) - n_vis
+        pick = first[rows] + rng.integers(n_vis[rows])
+        picked.append([x[vis][pick] for x in (theta, phi, mark, cos_sig)])
+    theta, phi, mark, cos_sig = (np.concatenate(x) for x in zip(*picked))
+    dist = slant_range(shell, np.arccos(np.clip(cos_sig, -1.0, 1.0)))
+    gain = 1.0 / (dist * dist)
+    delay = dist / shell.light_speed_mps
+    doppler = doppler_hz_arrays(shell, user, theta, phi, mark)
+    return gain, delay, doppler, mark, counts
 
 
 def default_snapshot_times(n: int, rng: np.random.Generator,

@@ -4,15 +4,18 @@ Each oracle deliberately avoids the code path it checks: Doppler is
 rebuilt from Cartesian vectors, the cap arc length from a brute-force
 azimuth scan, and the Doppler CDF both from a naive two-dimensional
 Riemann sum over the cap and from an adaptive route that locates each
-sublevel set by scan plus bisection.
+sublevel set by scan plus bisection. The visible-cap sampler is checked
+against whole-shell rejection, and the Walker snapshot sampler against a
+loop over every satellite at every snapshot.
 """
 
 import math
 
 import numpy as np
 
-from leo_channel.geometry import ShellConfig, UserGeometry
+from leo_channel.geometry import ShellConfig, UserGeometry, slant_range
 from leo_channel.nbpp import phi_pdf
+from leo_channel.orbit_sim import propagate_arrays
 from leo_channel.propagation import doppler_hz_arrays
 from leo_channel.quadrature import density_integral
 from leo_channel.visibility import CapModel, _active_band, arc_halfwidth_clamped
@@ -138,3 +141,64 @@ def doppler_cdf_adaptive(model: CapModel, nu_hz: float, mark: int,
 
 def central_diff(f, x: float, h: float) -> float:
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+def sample_visible_rejection(shell: ShellConfig, user: UserGeometry,
+                             count: int, rng: np.random.Generator,
+                             physical_marks: bool = False,
+                             chunk: int = 1_000_000):
+    """Whole-shell rejection sampler of the visible cap: draws (theta,
+    omega) uniformly over the shell and keeps the points inside the cap.
+    Returns (sigma, theta, phi, mark) arrays; costs 1/p_sat draws a sample.
+    """
+    sin_i = math.sin(shell.inclination_rad)
+    phi_u = user.user_polar_rad
+    cos_s1 = math.cos(user.sigma_max_rad)
+    kept = []
+    got = 0
+    while got < count:
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=chunk)
+        omega = rng.uniform(0.0, 2.0 * np.pi, size=chunk)
+        phi = np.pi / 2 - np.arcsin(sin_i * np.sin(omega))
+        if physical_marks:
+            mark = np.where(np.cos(omega) > 0.0, 1, -1)
+        else:
+            mark = rng.choice(np.array([1, -1]), size=chunk)
+        cos_sig = (math.cos(phi_u) * np.cos(phi)
+                   + math.sin(phi_u) * np.sin(phi) * np.sin(theta))
+        sel = cos_sig >= cos_s1
+        kept.append((np.arccos(np.clip(cos_sig[sel], -1.0, 1.0)),
+                     theta[sel], phi[sel], mark[sel]))
+        got += int(np.count_nonzero(sel))
+    return tuple(np.concatenate(cols)[:count] for cols in zip(*kept))
+
+
+def snapshot_sample_loop(constellation, user: UserGeometry, times,
+                         rng: np.random.Generator):
+    """Walker snapshots one time at a time over every satellite: per
+    snapshot, propagate the whole constellation, find the visible
+    satellites and pick one with rng.integers. Returns the arrays of
+    orbit_sim.snapshot_sample."""
+    shell = constellation.shell
+    phi_u = user.user_polar_rad
+    cos_s1 = math.cos(user.sigma_max_rad)
+    gain, delay, doppler, marks, counts = [], [], [], [], []
+    for t in np.asarray(times, dtype=float):
+        theta, phi, mark = propagate_arrays(constellation, float(t))
+        cos_sig = (math.cos(phi_u) * np.cos(phi)
+                   + math.sin(phi_u) * np.sin(phi) * np.sin(theta))
+        vis = np.nonzero(cos_sig >= cos_s1)[0]
+        counts.append(vis.size)
+        if vis.size == 0:
+            continue
+        pick = int(vis[rng.integers(vis.size)])
+        sigma = math.acos(min(1.0, max(-1.0, float(cos_sig[pick]))))
+        dist = float(slant_range(shell, sigma))
+        gain.append(1.0 / (dist * dist))
+        delay.append(dist / shell.light_speed_mps)
+        doppler.append(float(doppler_hz_arrays(shell, user, theta[pick],
+                                               phi[pick], int(mark[pick]))))
+        marks.append(int(mark[pick]))
+    return (np.array(gain, dtype=float), np.array(delay, dtype=float),
+            np.array(doppler, dtype=float), np.array(marks, dtype=np.int64),
+            np.array(counts, dtype=np.int64))

@@ -63,8 +63,7 @@ def snapshots(shell, equator_user, midlat_user):
     for name, user in (("equator", equator_user), ("midlat", midlat_user)):
         rng = np.random.default_rng(202)
         times = osim.default_snapshot_times(50_000, rng)
-        obs = osim.snapshot_sample(con, user, times, rng)
-        out[name] = osim.observation_arrays(obs)
+        out[name] = osim.snapshot_sample(con, user, times, rng)
     return out
 
 

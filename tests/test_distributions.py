@@ -261,6 +261,31 @@ class TestJointDistribution:
                 assert np.all(pdf[0] == 0.0) and np.all(pdf[-1] == 0.0)
         assert not [r for r in caplog.records if "clamped" in r.getMessage()]
 
+    def test_one_kernel_row_per_distinct_sigma(self, cap_equator, monkeypatch):
+        # the clipped padding edges repeat the support-edge sigmas; each
+        # distinct sigma costs one kernel row, and the grid equals the one
+        # built from a row for every delay edge
+        spec = dist.JointGridSpec(tau_step_s=8.4e-5).resolve(cap_equator)
+        tau_lo, tau_hi = cap_equator.delay_bounds
+        sigmas = delay_inverse(cap_equator.shell,
+                               np.clip(spec.tau_edges(), tau_lo, tau_hi))
+        inner = dist.doppler_cdf_grid
+        calls = []
+
+        def counted(model, nu_edges, mark, cap_sigma=None):
+            calls.append(cap_sigma)
+            return inner(model, nu_edges, mark, cap_sigma)
+
+        monkeypatch.setattr(dist, "doppler_cdf_grid", counted)
+        _, pdf = dist.joint_pdf_grid(cap_equator, spec, mark=1)
+        assert sorted(calls) == np.unique(sigmas).tolist()
+        assert len(calls) < sigmas.size
+        rows = np.vstack([inner(cap_equator, spec.nu_edges(), 1, float(s))
+                          for s in sigmas])
+        want = (np.diff(np.diff(rows, axis=0), axis=1)
+                / (spec.nu_step_hz * spec.tau_step_s))
+        assert np.array_equal(pdf, want)
+
     def test_u_shaped_support(self, cap_equator):
         # no mass at (short delay, extreme Doppler): the near cap cannot
         # produce large radial speeds

@@ -3,9 +3,25 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.stats import chisquare
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.stats import chisquare, ks_2samp
 
-from leo_channel.nbpp import NbppModel, phi_cdf, phi_pdf, sample, sample_arrays
+from oracles import sample_visible_rejection
+
+from leo_channel import nbpp
+from leo_channel.errors import DomainError, NoVisibleSatellites
+from leo_channel.geometry import UserGeometry, sigma_from_elevation
+from leo_channel.nbpp import (
+    NbppModel,
+    phi_cdf,
+    phi_pdf,
+    sample_arrays,
+    sample_visible,
+    visible_box,
+)
+from leo_channel.orbit_sim import ks_distance
+from leo_channel.propagation import doppler_hz_arrays
 
 
 @pytest.fixture(scope="module")
@@ -66,16 +82,15 @@ class TestPhiCdf:
 
 class TestSampling:
     def test_reproducible(self, model):
-        a = sample(model, 100, np.random.default_rng(11))
-        b = sample(model, 100, np.random.default_rng(11))
-        assert a == b
+        a = sample_arrays(model, 100, np.random.default_rng(11))
+        b = sample_arrays(model, 100, np.random.default_rng(11))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_empty(self, model):
-        assert sample(model, 0, np.random.default_rng(0)) == []
+        out = sample_arrays(model, 0, np.random.default_rng(0))
+        assert [x.size for x in out] == [0, 0, 0]
 
     def test_ks_against_cdf(self, model, shell):
-        from leo_channel.orbit_sim import ks_distance
-
         _, phi, _ = sample_arrays(model, 1_000_000, np.random.default_rng(12))
         d = ks_distance(phi, lambda x: phi_cdf(shell, x))
         assert d < 0.002
@@ -116,3 +131,120 @@ class TestSampling:
         b_bar = shell.polar_inclination_rad
         assert phi.min() >= b_bar - 1e-12
         assert phi.max() <= math.pi - b_bar + 1e-12
+
+
+def _in_box(box, theta, omega):
+    """Membership of (theta, omega) points in a SampleBox, both angles
+    taken modulo 2pi."""
+    two_pi = 2.0 * math.pi
+
+    def in_omega(w):
+        return (w - box.omega_lo) % two_pi <= box.omega_hi - box.omega_lo
+
+    in_theta = (theta - box.theta_lo) % two_pi <= box.theta_hi - box.theta_lo
+    return in_theta & (in_omega(omega) | in_omega(np.pi - omega))
+
+
+def _cos_sigma(user, theta, phi):
+    pu = user.user_polar_rad
+    return math.cos(pu) * np.cos(phi) + math.sin(pu) * np.sin(phi) * np.sin(theta)
+
+
+class TestVisibleBox:
+    @settings(max_examples=60, deadline=None)
+    @given(lat=st.floats(0.0, 89.9), mask=st.floats(0.0, 60.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_cap_points_lie_in_box(self, shell, lat, mask, seed):
+        try:
+            user = UserGeometry.for_shell(shell, math.radians(90.0 - lat),
+                                          math.radians(mask))
+            box = visible_box(shell, user)
+        except NoVisibleSatellites:
+            assume(False)
+        sin_i = math.sin(shell.inclination_rad)
+        rng = np.random.default_rng(seed)
+        # whole-shell draws
+        theta = rng.uniform(0.0, 2 * math.pi, 200_000)
+        omega = rng.uniform(0.0, 2 * math.pi, 200_000)
+        # and the cap's rim, just inside sigma_1, on both omega branches
+        pu, tu = user.user_polar_rad, user.user_azimuth_rad
+        s = user.sigma_max_rad * (1.0 - 1e-12)
+        alpha = np.linspace(0.0, 2 * math.pi, 4096, endpoint=False)
+        cos_phi = math.cos(pu) * math.cos(s) + math.sin(pu) * math.sin(s) * np.cos(alpha)
+        rim_theta = tu + np.arctan2(np.sin(alpha) * math.sin(s) * math.sin(pu),
+                                    math.cos(s) - math.cos(pu) * cos_phi)
+        rim_omega = np.arcsin(np.clip(cos_phi / sin_i, -1.0, 1.0))
+        theta = np.concatenate([theta, rim_theta, rim_theta])
+        omega = np.concatenate([omega, rim_omega, np.pi - rim_omega])
+        phi = np.pi / 2 - np.arcsin(sin_i * np.sin(omega))
+        inside = _cos_sigma(user, theta, phi) >= math.cos(user.sigma_max_rad)
+        assert np.all(_in_box(box, theta[inside], omega[inside]))
+
+    def test_box_is_tight_at_reference_users(self, shell, equator_user, midlat_user):
+        # the box keeps most draws: at least 0.6 land in the cap
+        model = NbppModel(shell)
+        for user in (equator_user, midlat_user):
+            theta, phi, _ = sample_arrays(model, 100_000, np.random.default_rng(19),
+                                          box=visible_box(shell, user))
+            inside = _cos_sigma(user, theta, phi) >= math.cos(user.sigma_max_rad)
+            assert inside.mean() > 0.6
+
+
+@pytest.fixture(scope="module")
+def clipped_user(shell):
+    """Latitude 50 with a 10 degree mask: the cap crosses the band edge."""
+    return UserGeometry.for_shell(shell, math.radians(40.0), math.radians(10.0))
+
+
+class TestSampleVisible:
+    @pytest.mark.parametrize("physical_marks", [False, True])
+    @pytest.mark.parametrize("user_name", ["equator_user", "midlat_user",
+                                           "clipped_user"])
+    def test_matches_rejection_oracle(self, request, shell, user_name,
+                                      physical_marks):
+        user = request.getfixturevalue(user_name)
+        n = 20_000
+        rng = np.random.default_rng(21)
+        got = sample_visible(shell, user, n, rng, physical_marks)
+        ref = sample_visible_rejection(shell, user, n, rng, physical_marks)
+        for sig, th, _, _ in (got, ref):
+            assert sig.size == n
+            assert np.all(sig <= user.sigma_max_rad + 1e-12)
+            assert th.min() >= 0.0 and th.max() < 2 * math.pi
+        assert ks_2samp(got[0], ref[0]).pvalue > 1e-3
+        nu = [doppler_hz_arrays(shell, user, th, ph, mk) for _, th, ph, mk in (got, ref)]
+        assert ks_2samp(*nu).pvalue > 1e-3
+        up = [np.mean(mk == 1) for *_, mk in (got, ref)]
+        p = 0.5 * (up[0] + up[1])
+        assert abs(up[0] - up[1]) < 4.0 * math.sqrt(p * (1 - p) * 2 / n)
+
+    def test_empty_request(self, shell, equator_user):
+        out = sample_visible(shell, equator_user, 0, np.random.default_rng(23))
+        assert [x.size for x in out] == [0, 0, 0, 0]
+
+    def test_band_grazing_user(self, shell, monkeypatch):
+        # the cap of this user touches the band in a single polar angle
+        mask = math.radians(10.0)
+        phi_u = shell.polar_inclination_rad - sigma_from_elevation(shell, mask)
+        user = UserGeometry.for_shell(shell, phi_u, mask)
+        assert user.user_polar_rad + user.sigma_max_rad == shell.polar_inclination_rad
+        with pytest.raises(NoVisibleSatellites):
+            sample_visible(shell, user, 10, np.random.default_rng(24))
+        # overlapping by 1e-12 rad its cap is still sampled well ...
+        user = UserGeometry.for_shell(shell, phi_u + 1e-12, mask)
+        sig, *_ = sample_visible(shell, user, 10, np.random.default_rng(24))
+        assert sig.size == 10
+        # ... but in a box far wider than the cap the draw budget runs out
+        # after one block instead of looping on
+        monkeypatch.setattr(nbpp, "_BOX_SLACK", 0.1)
+        draws = []
+        inner = nbpp.sample_arrays
+
+        def counted(model, count, *args):
+            draws.append(count)
+            return inner(model, count, *args)
+
+        monkeypatch.setattr(nbpp, "sample_arrays", counted)
+        with pytest.raises(DomainError):
+            sample_visible(shell, user, 10, np.random.default_rng(24))
+        assert sum(draws) == nbpp._BLOCK
