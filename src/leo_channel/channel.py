@@ -15,11 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ResolutionError
-from .distributions import JointGridSpec, joint_pdf_grid
-from .propagation import gain_inverse
+from .distributions import JointGridSpec, gain_nodes, joint_pdf_grid
 from .visibility import CapModel
 
 
@@ -68,13 +66,9 @@ def path_loss_proposition(model: CapModel) -> tuple[float, float]:
     support (the CDF is identically zero below g_min, so the identity
     E[X] = integral of (1 - F) picks up the full g_min mass).
     """
-    g_min, g_max = model.gain_bounds
-    shell = model.shell
-    integral, _ = quad(
-        lambda g: model.p_cap(gain_inverse(shell, g)),
-        g_min, g_max, epsabs=1e-15, epsrel=1e-10, limit=200,
-    )
-    rho2 = model.availability * (g_min + integral / model.p_sat)
+    _, w, p = gain_nodes(model)
+    rho2 = model.availability * (model.gain_bounds[0]
+                                 + float(w @ p) / model.p_sat)
     return rho2, -10.0 * math.log10(rho2)
 
 

@@ -24,7 +24,7 @@ from . import channel as ch
 from . import distributions as dist
 from . import orbit_sim as osim
 from .config import RunConfig, load_config, resolved_items
-from .errors import ConfigError, NoVisibleSatellites, ResolutionError
+from .errors import ConfigError, DomainError, NoVisibleSatellites, ResolutionError
 from .geometry import UserGeometry
 from .nbpp import sample_visible
 from .propagation import gain as gain_fn, delay as delay_fn
@@ -186,6 +186,7 @@ def _validation_checks(cfg: RunConfig) -> list[dict]:
     user = cfg.user(shell)
     cap = CapModel(shell, user)
     pcap = dist.pcap_interpolator(cap)
+    doppler_mixed = dist.doppler_mixed_interpolator(cap)
     checks: list[dict] = []
 
     def add(name: str, value: float, threshold: float, detail: str = "") -> None:
@@ -214,9 +215,7 @@ def _validation_checks(cfg: RunConfig) -> list[dict]:
     from .propagation import doppler_hz_arrays
 
     nu_samples = doppler_hz_arrays(shell, user, th2, ph2, mk2)
-    add("mc_doppler_mixed_ks",
-        osim.ks_distance(nu_samples,
-                         lambda x: dist.doppler_cdf_mixed_batch(cap, x)),
+    add("mc_doppler_mixed_ks", osim.ks_distance(nu_samples, doppler_mixed),
         ks_tol, f"n={n}")
 
     # derivative consistency
@@ -294,8 +293,7 @@ def _validation_checks(cfg: RunConfig) -> list[dict]:
         osim.ks_distance(tau_obs, lambda x: dist.delay_cdf_batch(cap, x, pcap)),
         range_tol + noise, f"n={n_obs}")
     doppler_tol = 0.10 if low_lat else 0.05
-    add("orbit_doppler_ks",
-        osim.ks_distance(nu_obs, lambda x: dist.doppler_cdf_mixed_batch(cap, x)),
+    add("orbit_doppler_ks", osim.ks_distance(nu_obs, doppler_mixed),
         doppler_tol + noise, f"n={n_obs}")
     return checks
 
@@ -375,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
             for p in paths:
                 print(p)
             return 0 if ok else 1
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NoVisibleSatellites as exc:

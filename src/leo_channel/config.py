@@ -135,7 +135,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     if cfg.out_format not in ("csv", "json"):
         raise ConfigError(f"out.format must be csv or json, got {cfg.out_format!r}")
     for name in ("nu_step_hz", "tau_step_s", "doppler_nu_step_hz",
-                 "snapshot_spacing_s"):
+                 "snapshot_spacing_s", "lat_step_deg"):
         if getattr(cfg, name) <= 0:
             raise ConfigError(f"{name} must be positive")
     if cfg.mc_samples <= 0 or cfg.snapshots <= 0 or cfg.cdf_points < 2:

@@ -20,20 +20,23 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
 
-from .propagation import delay_inverse, doppler_hz_arrays, gain_inverse
-from .quadrature import _gauss_rule, density_nodes
+from .propagation import (
+    delay_inverse, doppler_hz_arrays, gain as gain_fn, gain_inverse)
+from .quadrature import density_nodes, sine_mapped_panels
 from .visibility import CapModel, _active_band, arc_halfwidth_clamped
 
 log = logging.getLogger(__name__)
 
-# fixed rule of the Doppler kernel: Gauss-Legendre nodes per polar panel,
-# azimuth samples per cap slice
-_N_NODES = 384
+# azimuth samples per cap slice of the Doppler kernel
 _N_THETA = 1024
 # bound on the (polar nodes x nu values) shares one kernel block holds
 _WORKSPACE = 1 << 20
+# Gauss-Legendre nodes per panel of the gain-support rule
+_N_GAIN_NODES = 64
+# sizes of the tables behind the batch CDFs
+_PCAP_TABLE = 2001
+_DOPPLER_TABLE = 2001
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +137,10 @@ def gain_pdf(model: CapModel, g: float) -> float:
     g_min, g_max = model.gain_bounds
     g = min(max(g, g_min), g_max)
     r, big_r = model.shell.earth_radius_m, model.shell.shell_radius_m
-    sigma = gain_inverse(model.shell, g)
+    # the support end is sigma_min exactly; gain_inverse would round it to
+    # ~1e-8 rad, where the zenith-edge derivative loses digits
+    sigma = (model.user.sigma_min_rad if g == g_max
+             else gain_inverse(model.shell, g))
     return -model.p_cap_prime(sigma) / (2.0 * g * g * r * big_r * model.p_sat)
 
 
@@ -152,7 +158,8 @@ def delay_pdf(model: CapModel, tau: float) -> float:
     tau_lo, tau_hi = model.delay_bounds
     tau = min(max(tau, tau_lo), tau_hi)
     shell = model.shell
-    sigma = delay_inverse(shell, tau)
+    sigma = (model.user.sigma_min_rad if tau == tau_lo
+             else delay_inverse(shell, tau))
     c = shell.light_speed_mps
     return (-model.p_cap_prime(sigma) * c * c * tau
             / (shell.earth_radius_m * shell.shell_radius_m * model.p_sat))
@@ -218,8 +225,7 @@ def doppler_cdf_grid(model: CapModel, nu_edges, mark: int,
     phi_lo, phi_hi, breaks = _active_band(shell, user, cap_sigma)
     if phi_lo >= phi_hi:
         return np.zeros_like(nu)
-    phi_k, w_k = density_nodes(phi_lo, phi_hi, shell, breakpoints=breaks,
-                               n_nodes=_N_NODES)
+    phi_k, w_k = density_nodes(phi_lo, phi_hi, shell, breakpoints=breaks)
     half = arc_halfwidth_clamped(user, phi_k, cap_sigma)
     cell_mass = (w_k * half * (2.0 / (_N_THETA - 1))
                  / (2.0 * math.pi * model.p_sat))
@@ -312,15 +318,15 @@ def joint_pdf_grid(model: CapModel, spec: JointGridSpec | None = None,
 # ---------------------------------------------------------------------------
 # batch evaluation for large sample sets (KS tests, CSV sweeps)
 
-def pcap_interpolator(model: CapModel, n: int = 2001):
+def pcap_interpolator(model: CapModel):
     """Vectorised sigma -> p_cap via a dense precomputed table.
 
     p_cap is smooth on the support, so linear interpolation at this
-    density is accurate to ~1e-9 of p_sat; callers needing the adaptive
-    route evaluate model.p_cap directly.
+    density is accurate to ~1e-9 of p_sat; callers needing more evaluate
+    model.p_cap directly.
     """
     lo, hi = model.user.sigma_min_rad, model.user.sigma_max_rad
-    grid = np.linspace(lo, hi, n)
+    grid = np.linspace(lo, hi, _PCAP_TABLE)
     table = np.array([model.p_cap(float(s)) for s in grid])
 
     def interp(sigma):
@@ -350,53 +356,61 @@ def delay_cdf_batch(model: CapModel, tau, pcap=None) -> np.ndarray:
                    0.0, 1.0)
 
 
-def doppler_cdf_mixed_batch(model: CapModel, nu, n_grid: int = 2001) -> np.ndarray:
-    """Mark-mixed Doppler CDF at arbitrary nu values via a dense grid pass."""
-    nu = np.asarray(nu, dtype=float)
+def doppler_mixed_interpolator(model: CapModel):
+    """Vectorised nu -> mark-mixed Doppler CDF via a dense grid pass."""
     bound = 1.0001 * model.nu_max_hz
-    edges = np.linspace(-bound, bound, n_grid)
+    edges = np.linspace(-bound, bound, _DOPPLER_TABLE)
     f = 0.5 * (doppler_cdf_grid(model, edges, 1)
                + doppler_cdf_grid(model, edges, -1))
-    return np.interp(nu, edges, f, left=0.0, right=1.0)
+
+    def interp(nu):
+        return np.interp(np.asarray(nu, dtype=float), edges, f,
+                         left=0.0, right=1.0)
+
+    return interp
+
+
+def doppler_cdf_mixed_batch(model: CapModel, nu) -> np.ndarray:
+    """Mark-mixed Doppler CDF at arbitrary nu values via a dense grid pass."""
+    return doppler_mixed_interpolator(model)(nu)
 
 
 # ---------------------------------------------------------------------------
-# Rayleigh-faded gain
+# integrals over the gain support
 
-def rayleigh_gain_cdf(model: CapModel, y: float) -> float:
-    """CDF of the gain with unit-mean-power Rayleigh fading on top.
+def gain_nodes(model: CapModel):
+    """Fixed rule for integrals over the gain support [g_min, g_max]:
+    nodes g_k, weights w_k and the cap probabilities p_cap(G^-1(g_k)).
+
+    p_cap(G^-1(g)) has a kink wherever the cap boundary crosses a band
+    edge, at sigma = phi_u - b, b - phi_u, pi - b - phi_u and phi_u + b
+    (b the polar inclination); the support is split there into
+    sine-mapped panels.
+    """
+    shell, user = model.shell, model.user
+    phi_u, b_bar = user.user_polar_rad, shell.polar_inclination_rad
+    kinks = [gain_fn(shell, s)
+             for s in (phi_u - b_bar, b_bar - phi_u, math.pi - b_bar - phi_u,
+                       phi_u + b_bar)
+             if user.sigma_min_rad < s < user.sigma_max_rad]
+    g_min, g_max = model.gain_bounds
+    g, w = sine_mapped_panels(g_min, g_max, kinks, _N_GAIN_NODES)
+    p = np.array([model.p_cap(s) for s in gain_inverse(shell, g)])
+    return g, w, p
+
+
+def rayleigh_gain_cdf_grid(model: CapModel, y: np.ndarray) -> np.ndarray:
+    """CDF of the gain with unit-mean-power Rayleigh fading on top, over
+    an array of y values.
 
     The fading power is exponential with mean one; conditioning on it
-    reduces to a single integral against the cap probability.
-    """
-    if y <= 0.0:
-        return 0.0
-    g_min, g_max = model.gain_bounds
-    z_lo, z_hi = y / g_max, y / g_min
-
-    def integrand(z: float) -> float:
-        g = min(max(y / z, g_min), g_max)
-        return math.exp(-z) * model.p_cap(gain_inverse(model.shell, g))
-
-    val, _ = quad(integrand, z_lo, z_hi, epsabs=1e-14, epsrel=1e-9, limit=200)
-    return 1.0 - math.exp(-z_hi) - val / model.p_sat
-
-
-def rayleigh_gain_cdf_grid(model: CapModel, y: np.ndarray,
-                           n_nodes: int = 384) -> np.ndarray:
-    """Vectorised Rayleigh gain CDF over an array of y values.
-
-    Uses a fixed Gauss-Legendre rule in gain space with the cap
-    probability precomputed at the nodes; cross-checked against the
-    adaptive scalar route in the tests.
+    reduces to a single integral against the cap probability, taken with
+    the gain-support rule; cross-checked against an adaptive scalar route
+    in the tests.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    g_min, g_max = model.gain_bounds
-    x, w = _gauss_rule(n_nodes)
-    g = 0.5 * (g_min + g_max) + 0.5 * (g_max - g_min) * x
-    w = 0.5 * (g_max - g_min) * w
-    pcap = np.array([model.p_cap(gain_inverse(model.shell, float(gg)))
-                     for gg in g])
+    g_min = model.gain_bounds[0]
+    g, w, pcap = gain_nodes(model)
     out = np.empty_like(y)
     for lo in range(0, y.size, 65536):  # bound the (chunk, nodes) workspace
         yy = y[lo:lo + 65536, None]

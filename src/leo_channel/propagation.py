@@ -24,6 +24,8 @@ from .nbpp import SatellitePoint
 from .visibility import arc_halfwidth_clamped
 
 _GRACE = 1e-12
+# points per axis of the dense grid that seeds the max_doppler search
+_MAX_DOPPLER_GRID = 1001
 
 
 def gain(shell: ShellConfig, sigma):
@@ -137,7 +139,7 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
 
 
 def max_doppler(shell: ShellConfig, user: UserGeometry,
-                n_grid: int = 1001, refine_tol_hz: float = 1.0) -> float:
+                refine_tol_hz: float = 1.0) -> float:
     """Largest Doppler magnitude over the visible cap.
 
     Dense grid over the cap bounding box (infeasible points masked),
@@ -151,15 +153,15 @@ def max_doppler(shell: ShellConfig, user: UserGeometry,
     phi_hi = min(math.pi - b_bar, user.user_polar_rad + sigma1)
     theta_u = user.user_azimuth_rad
 
-    phi = np.linspace(phi_lo, phi_hi, n_grid)
+    phi = np.linspace(phi_lo, phi_hi, _MAX_DOPPLER_GRID)
     half = arc_halfwidth_clamped(user, phi, sigma1)
     w_max = float(np.max(half))
-    theta = np.linspace(theta_u - w_max, theta_u + w_max, n_grid)
+    theta = np.linspace(theta_u - w_max, theta_u + w_max, _MAX_DOPPLER_GRID)
     tt, pp = np.meshgrid(theta, phi)
     feasible = np.abs(tt - theta_u) <= half[:, None]
 
     scale = shell.carrier_hz / shell.light_speed_mps
-    d_phi = 2.0 * (phi_hi - phi_lo) / (n_grid - 1)
+    d_phi = 2.0 * (phi_hi - phi_lo) / (_MAX_DOPPLER_GRID - 1)
     best = -math.inf
     for mark in (1, -1):
         v = scale * _radial_speed(shell, user, tt, pp, mark)

@@ -1,22 +1,24 @@
-"""Quadrature helpers for integrals against the orbital polar density.
+"""The package's one quadrature rule, for integrals against the orbital
+polar density and over the gain support.
 
 The polar density diverges like an inverse square root at the band edges.
 Substituting the argument of latitude w (phi = pi/2 - arcsin(sin b sin w))
 turns f(phi) dphi into dw/pi on a half-period, removing the singularity;
 every integral against the density in this package goes through that
-substitution.
+substitution, then through fixed sine-mapped Gauss-Legendre panels.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 
 import numpy as np
-from scipy.integrate import quad
 
 from .geometry import ShellConfig
+
+# Gauss-Legendre nodes per panel of the fixed rule
+_N_NODES = 384
 
 
 def omega_of_phi(phi, shell: ShellConfig):
@@ -28,53 +30,6 @@ def omega_of_phi(phi, shell: ShellConfig):
 def phi_of_omega(omega, shell: ShellConfig):
     """Polar angle reached at argument of latitude omega."""
     return np.pi / 2 - np.arcsin(math.sin(shell.inclination_rad) * np.sin(omega))
-
-
-def density_integral(g, phi_lo: float, phi_hi: float, shell: ShellConfig,
-                     breakpoints=(), rel_tol: float = 1e-9,
-                     abs_tol: float = 1e-15, limit: int = 200) -> float:
-    """Adaptive integral of f(phi) * g(phi) over [phi_lo, phi_hi].
-
-    g is called with scalar phi. The interval is split at the given
-    breakpoints (in phi) and each panel is integrated under a sine map,
-    whose vanishing endpoint Jacobian absorbs both the square-root kinks
-    of arc-length integrands and the inverse-square-root endpoints of
-    their derivatives.
-    """
-    b_bar = shell.polar_inclination_rad
-    lo = max(phi_lo, b_bar)
-    hi = min(phi_hi, math.pi - b_bar)
-    if lo >= hi:
-        return 0.0
-    # phi -> w is decreasing, so the w interval is [w(hi), w(lo)]
-    w_lo = float(omega_of_phi(hi, shell))
-    w_hi = float(omega_of_phi(lo, shell))
-    edges = [w_lo] + sorted(
-        float(omega_of_phi(p, shell)) for p in breakpoints if lo < p < hi
-    ) + [w_hi]
-
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-
-        def integrand(t):
-            w = mid + half * math.sin(t)
-            jac = half * math.cos(t)
-            return g(float(phi_of_omega(w, shell))) * jac
-
-        # full_output suppresses QUADPACK's roundoff advisories (raised for
-        # vanishing panels, where the returned value is still exact to
-        # ~1e-10); the explicit error-estimate gate below replaces them
-        out = quad(integrand, -math.pi / 2, math.pi / 2,
-                   epsrel=rel_tol, epsabs=abs_tol, limit=limit,
-                   full_output=1)
-        val, abserr = out[0], out[1]
-        if abserr > max(1e3 * abs_tol, 1e-6 * abs(val), 1e-10):
-            warnings.warn(
-                f"panel integral error estimate {abserr:.2e} exceeds budget "
-                f"(value {val:.3e})", stacklevel=2)
-        total += val
-    return total / math.pi
 
 
 @functools.cache
@@ -107,9 +62,13 @@ def sine_mapped_panels(a: float, b: float, breakpoints, n_nodes: int):
 
 
 def density_nodes(phi_lo: float, phi_hi: float, shell: ShellConfig,
-                  breakpoints=(), n_nodes: int = 96):
-    """Fixed-rule nodes for integrals of f(phi)*g(phi): returns (phi_k, w_k)
-    with sum_k w_k * g(phi_k) approximating the integral."""
+                  breakpoints=()):
+    """Fixed-rule nodes for integrals of f(phi)*g(phi) over [phi_lo, phi_hi]:
+    returns (phi_k, w_k) with sum_k w_k * g(phi_k) approximating the integral.
+
+    The interval is clipped to the band and split at the breakpoints (in
+    phi); each panel gets _N_NODES sine-mapped nodes in argument of latitude.
+    """
     b_bar = shell.polar_inclination_rad
     lo = max(phi_lo, b_bar)
     hi = min(phi_hi, math.pi - b_bar)
@@ -118,5 +77,15 @@ def density_nodes(phi_lo: float, phi_hi: float, shell: ShellConfig,
     w_lo = float(omega_of_phi(hi, shell))
     w_hi = float(omega_of_phi(lo, shell))
     pts = [float(omega_of_phi(p, shell)) for p in breakpoints if lo < p < hi]
-    w_nodes, w_weights = sine_mapped_panels(w_lo, w_hi, pts, n_nodes)
+    w_nodes, w_weights = sine_mapped_panels(w_lo, w_hi, pts, _N_NODES)
     return phi_of_omega(w_nodes, shell), w_weights / math.pi
+
+
+def density_integral(g, phi_lo: float, phi_hi: float, shell: ShellConfig,
+                     breakpoints=()) -> float:
+    """Integral of f(phi) * g(phi) over [phi_lo, phi_hi] by the fixed rule
+    of density_nodes; g is called once, with the array of nodes."""
+    phi, w = density_nodes(phi_lo, phi_hi, shell, breakpoints)
+    if phi.size == 0:
+        return 0.0
+    return float(w @ g(phi))

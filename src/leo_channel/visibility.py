@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.stats import binom
 
 from .errors import DomainError
 from .geometry import ShellConfig, UserGeometry
@@ -85,7 +84,6 @@ class CapModel:
 
     shell: ShellConfig
     user: UserGeometry
-    quadrature_tol: float = 1e-9
     p_sat: float = None
 
     def __post_init__(self):
@@ -105,52 +103,55 @@ class CapModel:
         if lo >= hi:
             return 0.0
         user = self.user
-        val = density_integral(
-            lambda phi: arc_length(user, phi, sigma),
-            lo, hi, self.shell, breakpoints=breaks,
-            rel_tol=self.quadrature_tol,
-        )
+        val = density_integral(lambda phi: arc_length(user, phi, sigma),
+                               lo, hi, self.shell, breaks)
         return val / (2.0 * math.pi)
 
     def p_cap_prime(self, sigma: float) -> float:
         """d p_cap / d cos(sigma); negative on the open support.
 
-        The integrand has inverse-square-root endpoints where the cap
-        boundary grazes a latitude line; the argument-of-latitude
-        substitution plus the adaptive integrator's endpoint handling
-        keep the quadrature accurate there.
+        Per latitude line, d(arc length)/d cos(sigma) is
+        -2 / sqrt([cos(phi - phi_u) - cos sigma][cos sigma - cos(phi + phi_u)]),
+        evaluated as a product of four sines so that it keeps its relative
+        accuracy in small caps. Its inverse-square-root endpoints are the
+        ends of the integration interval, where the sine map absorbs them.
+        At sigma = 0 an in-band user gets the limit, the density per unit
+        area times d(cap area)/d cos(sigma) = -2pi.
         """
-        user = self.user
-        phi_u = user.user_polar_rad
-        lo = max(self.shell.polar_inclination_rad, abs(phi_u - sigma))
-        hi = min(math.pi - self.shell.polar_inclination_rad, phi_u + sigma)
+        shell = self.shell
+        phi_u = self.user.user_polar_rad
+        if sigma <= 0.0:
+            q = math.sin(shell.inclination_rad) ** 2 - math.cos(phi_u) ** 2
+            return -1.0 / (math.pi * math.sqrt(q)) if q > 0.0 else 0.0
+        lo = max(shell.polar_inclination_rad, abs(phi_u - sigma))
+        hi = min(math.pi - shell.polar_inclination_rad, phi_u + sigma)
         if lo >= hi:
             return 0.0
-        cos_sigma = math.cos(sigma)
-        csc_u = 1.0 / math.sin(phi_u)
 
-        def dlen(phi: float) -> float:
-            csc_p = 1.0 / math.sin(phi)
-            u = (math.cos(phi_u) * math.cos(phi) - cos_sigma) * csc_u * csc_p
-            if abs(u) >= 1.0:
-                return 0.0
-            return -2.0 * csc_u * csc_p / math.sqrt(1.0 - u * u)
+        def dlen(phi):
+            prod = (np.sin(0.5 * (sigma + phi - phi_u))
+                    * np.sin(0.5 * (sigma - phi + phi_u))
+                    * np.sin(0.5 * (phi + phi_u + sigma))
+                    * np.sin(0.5 * (phi + phi_u - sigma)))
+            # a node within rounding of an endpoint can land outside it
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.where(prod > 0.0, -1.0 / np.sqrt(prod), 0.0)
 
-        val = density_integral(dlen, lo, hi, self.shell,
-                               rel_tol=self.quadrature_tol, abs_tol=1e-12,
-                               limit=400)
-        return val / (2.0 * math.pi)
+        return density_integral(dlen, lo, hi, shell) / (2.0 * math.pi)
 
     def visible_count_pmf(self, n: int) -> float:
-        """Binomial probability of n visible satellites.
-
-        Delegates to scipy's overflow-safe implementation; a naive
-        factorial would overflow at this satellite count.
-        """
+        """Binomial probability of n visible satellites, through log-gamma
+        so that the factorials of this satellite count cannot overflow."""
         n_tot = self.shell.n_sats
         if n < 0 or n > n_tot:
             raise DomainError(f"count {n} outside [0, {n_tot}]")
-        return float(binom.pmf(n, n_tot, self.p_sat))
+        p = self.p_sat
+        if p == 0.0:
+            return 1.0 if n == 0 else 0.0
+        log_choose = (math.lgamma(n_tot + 1) - math.lgamma(n + 1)
+                      - math.lgamma(n_tot - n + 1))
+        return math.exp(log_choose + n * math.log(p)
+                        + (n_tot - n) * math.log1p(-p))
 
     def avg_visible(self) -> float:
         return self.shell.n_sats * self.p_sat

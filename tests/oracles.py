@@ -4,21 +4,27 @@ Each oracle deliberately avoids the code path it checks: Doppler is
 rebuilt from Cartesian vectors, the cap arc length from a brute-force
 azimuth scan, and the Doppler CDF both from a naive two-dimensional
 Riemann sum over the cap and from an adaptive route that locates each
-sublevel set by scan plus bisection. The visible-cap sampler is checked
-against whole-shell rejection, and the Walker snapshot sampler against a
-loop over every satellite at every snapshot.
+sublevel set by scan plus bisection. The cap probability, its
+derivative, the path-loss integral and the Rayleigh-faded gain CDF are
+recomputed by adaptive QUADPACK quadrature in place of the package's
+fixed rule. The visible-cap sampler is checked against whole-shell
+rejection, and the Walker snapshot sampler against a loop over every
+satellite at every snapshot.
 """
 
 import math
+import warnings
 
 import numpy as np
+from scipy.integrate import quad
 
 from leo_channel.geometry import ShellConfig, UserGeometry, slant_range
 from leo_channel.nbpp import phi_pdf
 from leo_channel.orbit_sim import propagate_arrays
-from leo_channel.propagation import doppler_hz_arrays
-from leo_channel.quadrature import density_integral
-from leo_channel.visibility import CapModel, _active_band, arc_halfwidth_clamped
+from leo_channel.propagation import doppler_hz_arrays, gain_inverse
+from leo_channel.quadrature import omega_of_phi, phi_of_omega
+from leo_channel.visibility import (
+    CapModel, _active_band, arc_halfwidth_clamped, arc_length)
 
 _DOPPLER_SCAN = 512
 _BISECT_ITERS = 48
@@ -86,6 +92,132 @@ def doppler_cdf_riemann(shell: ShellConfig, user: UserGeometry, nu_hz: float,
     return total / p_sat
 
 
+def density_integral_adaptive(g, phi_lo: float, phi_hi: float,
+                              shell: ShellConfig, breakpoints=(),
+                              rel_tol: float = 1e-9, abs_tol: float = 1e-15,
+                              limit: int = 200) -> float:
+    """Adaptive integral of f(phi) * g(phi) over [phi_lo, phi_hi].
+
+    g is called with scalar phi. The interval is split at the given
+    breakpoints (in phi) and each panel is integrated under a sine map,
+    whose vanishing endpoint Jacobian absorbs both the square-root kinks
+    of arc-length integrands and the inverse-square-root endpoints of
+    their derivatives.
+    """
+    b_bar = shell.polar_inclination_rad
+    lo = max(phi_lo, b_bar)
+    hi = min(phi_hi, math.pi - b_bar)
+    if lo >= hi:
+        return 0.0
+    # phi -> w is decreasing, so the w interval is [w(hi), w(lo)]
+    w_lo = float(omega_of_phi(hi, shell))
+    w_hi = float(omega_of_phi(lo, shell))
+    edges = [w_lo] + sorted(
+        float(omega_of_phi(p, shell)) for p in breakpoints if lo < p < hi
+    ) + [w_hi]
+
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+
+        def integrand(t):
+            w = mid + half * math.sin(t)
+            jac = half * math.cos(t)
+            return g(float(phi_of_omega(w, shell))) * jac
+
+        # full_output suppresses QUADPACK's roundoff advisories (raised for
+        # vanishing panels, where the returned value is still exact to
+        # ~1e-10); the explicit error-estimate gate below replaces them
+        out = quad(integrand, -math.pi / 2, math.pi / 2,
+                   epsrel=rel_tol, epsabs=abs_tol, limit=limit,
+                   full_output=1)
+        val, abserr = out[0], out[1]
+        if abserr > max(1e3 * abs_tol, 1e-6 * abs(val), 1e-10):
+            warnings.warn(
+                f"panel integral error estimate {abserr:.2e} exceeds budget "
+                f"(value {val:.3e})", stacklevel=2)
+        total += val
+    return total / math.pi
+
+
+def p_cap_adaptive(model: CapModel, sigma: float) -> float:
+    """Cap probability by adaptive quadrature of the arc length (relative
+    tolerance 1e-12: where the cap boundary crosses a band edge, 1e-9
+    leaves errors of 2e-11 of p_sat)."""
+    if sigma <= model.user.sigma_min_rad:
+        return 0.0
+    sigma = min(sigma, math.pi)
+    lo, hi, breaks = _active_band(model.shell, model.user, sigma)
+    if lo >= hi:
+        return 0.0
+    val = density_integral_adaptive(
+        lambda phi: arc_length(model.user, phi, sigma),
+        lo, hi, model.shell, breakpoints=breaks, rel_tol=1e-12)
+    return val / (2.0 * math.pi)
+
+
+def p_cap_prime_adaptive(model: CapModel, sigma: float) -> float:
+    """d p_cap / d cos(sigma) by adaptive quadrature of the scalar
+    derivative of the arc length, -2 / sqrt(D) with
+    D = [cos(phi - phi_u) - cos sigma][cos sigma - cos(phi + phi_u)].
+
+    D is taken as a product of four sines: as differences of cosines it
+    loses a factor 1/sigma in relative accuracy next to the endpoints,
+    which moves small-cap results by up to 3e-6. The formula itself is
+    checked by the central-difference and zenith-limit tests; this route
+    checks the quadrature.
+    """
+    phi_u = model.user.user_polar_rad
+    b_bar = model.shell.polar_inclination_rad
+    lo = max(b_bar, abs(phi_u - sigma))
+    hi = min(math.pi - b_bar, phi_u + sigma)
+    if lo >= hi:
+        return 0.0
+
+    def dlen(phi: float) -> float:
+        d = 4.0 * (math.sin(0.5 * (sigma + phi - phi_u))
+                   * math.sin(0.5 * (sigma - phi + phi_u))
+                   * math.sin(0.5 * (phi + phi_u + sigma))
+                   * math.sin(0.5 * (phi + phi_u - sigma)))
+        return -2.0 / math.sqrt(d) if d > 0.0 else 0.0
+
+    val = density_integral_adaptive(dlen, lo, hi, model.shell,
+                                    abs_tol=1e-12, limit=400)
+    return val / (2.0 * math.pi)
+
+
+def path_loss_rho2_adaptive(model: CapModel) -> float:
+    """rho^2 = p_a * (g_min + integral of p_cap(G^-1(g)) / p_sat over the
+    gain support), by adaptive quadrature of the adaptive p_cap over the
+    whole support; accurate only where the cap boundary crosses no band
+    edge inside the support."""
+    g_min, g_max = model.gain_bounds
+    integral, _ = quad(
+        lambda g: p_cap_adaptive(model, gain_inverse(model.shell, g)),
+        g_min, g_max, epsabs=1e-15, epsrel=1e-10, limit=200)
+    return model.availability * (g_min + integral / model.p_sat)
+
+
+def rayleigh_gain_cdf(model: CapModel, y: float) -> float:
+    """CDF of the gain with unit-mean-power Rayleigh fading on top.
+
+    The fading power is exponential with mean one; conditioning on it
+    reduces to a single integral against the cap probability, taken here
+    by adaptive quadrature of the adaptive p_cap.
+    """
+    if y <= 0.0:
+        return 0.0
+    g_min, g_max = model.gain_bounds
+    z_lo, z_hi = y / g_max, y / g_min
+
+    def integrand(z: float) -> float:
+        g = min(max(y / z, g_min), g_max)
+        return math.exp(-z) * p_cap_adaptive(model, gain_inverse(model.shell, g))
+
+    val, _ = quad(integrand, z_lo, z_hi, epsabs=1e-14, epsrel=1e-9, limit=200)
+    return 1.0 - math.exp(-z_hi) - val / model.p_sat
+
+
 def _sublevel_measure(shell: ShellConfig, user: UserGeometry, phi: float,
                       mark: int, half: float, nu_hz: float,
                       n_scan: int = _DOPPLER_SCAN) -> float:
@@ -134,8 +266,9 @@ def doppler_cdf_adaptive(model: CapModel, nu_hz: float, mark: int,
         half = float(arc_halfwidth_clamped(user, phi, cap_sigma))
         return _sublevel_measure(shell, user, phi, mark, half, nu_hz)
 
-    val = density_integral(measure, lo, hi, shell, breakpoints=breaks,
-                           rel_tol=1e-8, limit=300)
+    val = density_integral_adaptive(measure, lo, hi, shell,
+                                    breakpoints=breaks, rel_tol=1e-8,
+                                    limit=300)
     return val / (2.0 * math.pi * model.p_sat)
 
 

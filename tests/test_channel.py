@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from oracles import path_loss_rho2_adaptive
+
 from leo_channel import channel as ch
+from leo_channel import distributions as dist
 from leo_channel.distributions import JointGridSpec
 from leo_channel.errors import ResolutionError
 from leo_channel.geometry import ShellConfig, UserGeometry
@@ -26,6 +29,24 @@ class TestPathLoss:
     def test_midlat_reference_value(self, cap_midlat):
         _, pl = ch.path_loss_proposition(cap_midlat)
         assert pl == pytest.approx(122.6, abs=0.2)
+
+    @pytest.mark.parametrize("cap_name", ["cap_equator", "cap_midlat"])
+    def test_matches_adaptive_oracle(self, cap_name, request):
+        cap = request.getfixturevalue(cap_name)
+        rho2, _ = ch.path_loss_proposition(cap)
+        assert rho2 == pytest.approx(path_loss_rho2_adaptive(cap), rel=1e-12)
+
+    @pytest.mark.parametrize("lat,mask", [(45.0, 25.0), (50.0, 10.0)])
+    def test_converged_across_band_edge_kinks(self, shell, monkeypatch,
+                                              lat, mask):
+        # the cap boundary crosses a band edge inside the gain support:
+        # quadrupling the nodes per panel leaves rho^2 unchanged
+        cap = CapModel(shell, UserGeometry.for_shell(
+            shell, math.pi / 2 - math.radians(lat), math.radians(mask)))
+        rho2, _ = ch.path_loss_proposition(cap)
+        monkeypatch.setattr(dist, "_N_GAIN_NODES", 4 * dist._N_GAIN_NODES)
+        fine, _ = ch.path_loss_proposition(cap)
+        assert rho2 == pytest.approx(fine, rel=1e-12)
 
     def test_against_monte_carlo(self, shell, cap_equator):
         rng = np.random.default_rng(40)

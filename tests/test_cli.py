@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -181,3 +184,31 @@ class TestExitCodes:
         p.write_text("nope.key = 1\n")
         assert main(["coverage", "--config", str(p),
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("flags", [["--lat-deg", "100"],
+                                       ["--min-elev-deg", "95"]])
+    def test_out_of_domain_flag_is_2(self, tmp_path, capsys, flags):
+        assert main(["distributions", "--out", str(tmp_path / "o")]
+                    + flags) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("line", ["shell.inclination_deg = 95",
+                                      "sweep.lat_step_deg = 0",
+                                      "sweep.lat_step_deg = -1"])
+    def test_out_of_domain_key_is_2(self, tmp_path, capsys, line):
+        p = tmp_path / "bad.cfg"
+        p.write_text(line + "\n")
+        assert main(["coverage", "--config", str(p),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "o").exists()
+
+
+def test_cli_imports_without_scipy():
+    # SciPy is a test dependency only
+    code = ("import sys, leo_channel.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"

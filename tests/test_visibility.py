@@ -1,14 +1,34 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.stats import binom
 
-from oracles import arc_fraction_scan
+from oracles import arc_fraction_scan, p_cap_adaptive, p_cap_prime_adaptive
 
+from leo_channel import distributions as dist
 from leo_channel.errors import DomainError, NoVisibleSatellites
-from leo_channel.geometry import UserGeometry
+from leo_channel.geometry import UserGeometry, sigma_from_elevation
 from leo_channel.nbpp import NbppModel, sample_arrays
 from leo_channel.visibility import CapModel, arc_length
+
+# (latitude, mask) in degrees: the two reference users, and two whose cap
+# boundary crosses a band edge inside the support
+ORACLE_USERS = [(0.0, 30.0), (60.0, 10.0), (45.0, 25.0), (50.0, 10.0)]
+
+
+def _cap(shell, lat_deg, mask_deg):
+    return CapModel(shell, UserGeometry.for_shell(
+        shell, math.pi / 2 - math.radians(lat_deg), math.radians(mask_deg)))
+
+
+def _interior(cap, n):
+    lo, hi = cap.user.sigma_min_rad, cap.user.sigma_max_rad
+    return np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), n)
 
 
 class TestArcLength:
@@ -80,6 +100,14 @@ class TestPCap:
             se = math.sqrt(max(p * (1 - p), 1e-12) / n)
             assert abs(p - emp) < 3.0 * se + 1e-9
 
+    @pytest.mark.parametrize("lat,mask", ORACLE_USERS)
+    def test_matches_adaptive_oracle(self, shell, lat, mask):
+        cap = _cap(shell, lat, mask)
+        sig = np.linspace(cap.user.sigma_min_rad, cap.user.sigma_max_rad, 300)
+        got = np.array([cap.p_cap(float(s)) for s in sig])
+        want = np.array([p_cap_adaptive(cap, float(s)) for s in sig])
+        assert np.max(np.abs(got - want)) < 1e-12 * cap.p_sat
+
     def test_symmetric_in_hemisphere(self, shell):
         north = CapModel(shell, UserGeometry.for_shell(shell, 0.8, 0.2))
         south = CapModel(shell, UserGeometry.for_shell(shell, math.pi - 0.8, 0.2))
@@ -104,6 +132,59 @@ class TestPCapPrime:
             an = cap.p_cap_prime(float(s))
             assert an == pytest.approx(fd, rel=1e-4)
 
+    @pytest.mark.parametrize("lat,mask", ORACLE_USERS)
+    def test_matches_adaptive_oracle(self, shell, lat, mask):
+        cap = _cap(shell, lat, mask)
+        sig = _interior(cap, 200)
+        got = np.array([cap.p_cap_prime(float(s)) for s in sig])
+        want = np.array([p_cap_prime_adaptive(cap, float(s)) for s in sig])
+        assert np.max(np.abs(got / want - 1.0)) < 1e-7
+
+    def test_zenith_limit(self, cap_equator):
+        # an in-band user: d p_cap / d cos(sigma) -> -2pi times the density
+        # per unit area, 1 / (2 pi^2 sqrt(sin^2 i - cos^2 phi_u))
+        shell, phi_u = cap_equator.shell, cap_equator.user.user_polar_rad
+        limit = -1.0 / (math.pi * math.sqrt(
+            math.sin(shell.inclination_rad) ** 2 - math.cos(phi_u) ** 2))
+        assert cap_equator.p_cap_prime(0.0) == limit
+        assert cap_equator.p_cap_prime(1e-4) == pytest.approx(limit, rel=1e-7)
+
+    def test_zenith_edge_pdfs(self, cap_equator):
+        # both zenith ends of the equator user's support take the limit
+        shell, cap = cap_equator.shell, cap_equator
+        r, big_r = shell.earth_radius_m, shell.shell_radius_m
+        c = shell.light_speed_mps
+        limit = cap.p_cap_prime(0.0)
+        g_max = cap.gain_bounds[1]
+        tau_lo = cap.delay_bounds[0]
+        assert dist.gain_pdf(cap, g_max) == pytest.approx(
+            -limit / (2.0 * g_max ** 2 * r * big_r * cap.p_sat), rel=1e-12)
+        assert dist.delay_pdf(cap, tau_lo) == pytest.approx(
+            -limit * c * c * tau_lo / (r * big_r * cap.p_sat), rel=1e-12)
+        assert dist.delay_pdf(cap, tau_lo) == pytest.approx(481.28, abs=0.01)
+
+    @settings(max_examples=40, deadline=None)
+    @given(mask=st.floats(0.0, 60.0), reach=st.floats(0.0, 0.999))
+    @example(mask=10.0, reach=0.999)
+    @example(mask=30.0, reach=0.999)
+    def test_property_matches_adaptive_oracle(self, shell, mask, reach):
+        # reach runs the latitude from the equator to the coverage cutoff,
+        # past band-crossing caps to caps that barely touch the band
+        sigma1 = sigma_from_elevation(shell, math.radians(mask))
+        cutoff = math.pi / 2 - shell.polar_inclination_rad + sigma1
+        cap = _cap(shell, math.degrees(reach * cutoff), mask)
+        sig = _interior(cap, 12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for s in sig:
+                s = float(s)
+                assert abs(cap.p_cap(s) - p_cap_adaptive(cap, s)) < 1e-12 * cap.p_sat
+                # caps that barely reach the band put the derivative's
+                # endpoint singularity on a panel of ~1e-3 rad, where
+                # rounding of the outermost nodes costs up to 2e-7
+                assert cap.p_cap_prime(s) == pytest.approx(
+                    p_cap_prime_adaptive(cap, s), rel=1e-6)
+
     def test_fundamental_theorem(self, cap_equator):
         from scipy.integrate import quad
 
@@ -126,6 +207,21 @@ class TestVisibleCounts:
     def test_availability_is_one_minus_void(self, cap_equator):
         assert cap_equator.availability == pytest.approx(
             1.0 - cap_equator.visible_count_pmf(0), rel=1e-12)
+
+    @pytest.mark.parametrize("cap_name", ["cap_equator", "cap_midlat"])
+    def test_pmf_matches_scipy(self, cap_name, request):
+        cap = request.getfixturevalue(cap_name)
+        n = np.arange(0, 80)
+        want = binom.pmf(n, cap.shell.n_sats, cap.p_sat)
+        got = np.array([cap.visible_count_pmf(int(k)) for k in n])
+        # log-gamma of ~3169 carries ~4e-12 absolute rounding into the exponent
+        assert np.allclose(got, want, rtol=1e-10, atol=0.0)
+
+    def test_pmf_without_coverage(self, cap_equator):
+        void = dataclasses.replace(cap_equator)
+        object.__setattr__(void, "p_sat", 0.0)
+        assert void.visible_count_pmf(0) == 1.0
+        assert void.visible_count_pmf(3) == 0.0
 
     def test_count_out_of_range(self, cap_equator):
         with pytest.raises(DomainError):
