@@ -1,106 +1,22 @@
-"""Stochastic delay-Doppler channel model for LEO mega-constellations."""
+"""Stochastic delay-Doppler channel model for LEO mega-constellations.
 
-from .channel import (
-    ChannelSummary,
-    ScatteringGrid,
-    global_params,
-    path_loss_proposition,
-    scattering_function,
-)
-from .distributions import (
-    DopplerGridSpec,
-    JointGridSpec,
-    delay_cdf,
-    delay_pdf,
-    doppler_cdf,
-    doppler_cdf_mixed,
-    doppler_pdf_grid,
-    gain_cdf,
-    gain_pdf,
-    joint_cdf,
-    joint_pdf_grid,
-    rayleigh_gain_cdf_grid,
-)
-from .errors import (
-    ConfigError,
-    DomainError,
-    LeoChannelError,
-    NoVisibleSatellites,
-    ResolutionError,
-)
-from .geometry import (
-    ShellConfig,
-    UserGeometry,
-    central_angle,
-    central_angle_bounds,
-    elevation_from_sigma,
-    sigma_from_elevation,
-    slant_range,
-    starlink_shell,
-)
-from .nbpp import NbppModel, SatellitePoint, phi_cdf, phi_pdf
-from .orbit_sim import WalkerConstellation, build, ks_distance, snapshot_sample
-from .propagation import (
-    delay,
-    delay_inverse,
-    direction_angle,
-    doppler,
-    doppler_normalized,
-    gain,
-    gain_inverse,
-    max_doppler,
-)
-from .visibility import CapModel, arc_length
+The top level holds the names of the README's library sketch and the
+package's exceptions; everything else is imported from its module:
+geometry, propagation, nbpp, visibility, distributions, channel and
+orbit_sim.
+"""
+
+from .channel import global_params, path_loss_proposition, scattering_function
+from .errors import (ConfigError, DomainError, LeoChannelError,
+                     NoVisibleSatellites, ResolutionError)
+from .geometry import ShellConfig, UserGeometry, starlink_shell
+from .visibility import CapModel
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapModel",
-    "ChannelSummary",
-    "ConfigError",
-    "DomainError",
-    "DopplerGridSpec",
-    "JointGridSpec",
-    "LeoChannelError",
-    "NbppModel",
-    "NoVisibleSatellites",
-    "ResolutionError",
-    "SatellitePoint",
-    "ScatteringGrid",
-    "ShellConfig",
-    "UserGeometry",
-    "WalkerConstellation",
-    "arc_length",
-    "build",
-    "central_angle",
-    "central_angle_bounds",
-    "delay",
-    "delay_cdf",
-    "delay_inverse",
-    "delay_pdf",
-    "direction_angle",
-    "doppler",
-    "doppler_cdf",
-    "doppler_cdf_mixed",
-    "doppler_normalized",
-    "doppler_pdf_grid",
-    "elevation_from_sigma",
-    "gain",
-    "gain_cdf",
-    "gain_inverse",
-    "gain_pdf",
-    "global_params",
-    "joint_cdf",
-    "joint_pdf_grid",
-    "ks_distance",
-    "max_doppler",
-    "path_loss_proposition",
-    "phi_cdf",
-    "phi_pdf",
-    "rayleigh_gain_cdf_grid",
-    "scattering_function",
-    "sigma_from_elevation",
-    "slant_range",
-    "snapshot_sample",
+    "CapModel", "ConfigError", "DomainError", "LeoChannelError",
+    "NoVisibleSatellites", "ResolutionError", "ShellConfig", "UserGeometry",
+    "global_params", "path_loss_proposition", "scattering_function",
     "starlink_shell",
 ]

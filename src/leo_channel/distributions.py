@@ -3,19 +3,25 @@
 Gain and delay depend on the central angle alone, so their CDFs are
 reparameterisations of the cap probability and their PDFs follow from its
 cos-sigma derivative. The Doppler shift also depends on azimuth, so its
-CDF is a double integral over the cap. One fixed-rule kernel evaluates it
-on a whole set of nu values at once: sine-mapped Gauss-Legendre nodes in
-argument-of-latitude space for the polar integral, and per node a uniform
-azimuth sampling of the cap slice whose cells are uniform laws in nu, each
-deposited exactly onto the nu values it lies below or straddles. The
-scalar Doppler and joint CDFs, the Doppler PDF grid and the joint
-delay-Doppler PDF grid all go through it; the test suite checks it against
-an adaptive scan-plus-bisection route and a brute-force Riemann sum.
+CDF is a double integral over the cap, taken by a fixed rule: sine-mapped
+Gauss-Legendre nodes in argument-of-latitude space for the polar integral,
+and per node an azimuth sampling of the cap slice whose cells are uniform
+laws in nu, each deposited exactly onto the nu values it lies below or
+straddles.
+
+Two passes share that deposit. doppler_cdf_grid covers one (sub-)cap on
+a whole set of nu values at once; the scalar Doppler and joint CDFs and
+the Doppler PDF grid go through it. The joint delay-Doppler PDF grid is
+one pass over the full cap: delay is a function of the central angle, so
+each delay cell is an annulus, and cutting every slice at the rings'
+closed-form boundaries puts each azimuth cell in exactly one annulus.
+The test suite checks the first against an adaptive scan-plus-bisection
+route and a brute-force Riemann sum, the second against one nested
+sub-cap row per delay edge with four times the polar nodes.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, replace
 
@@ -23,15 +29,16 @@ import numpy as np
 
 from .propagation import (
     delay_inverse, doppler_hz_arrays, gain as gain_fn, gain_inverse)
+from . import parallel
 from .quadrature import density_nodes, sine_mapped_panels
 from .visibility import CapModel, _active_band, arc_halfwidth_clamped
-
-log = logging.getLogger(__name__)
 
 # azimuth samples per cap slice of the Doppler kernel
 _N_THETA = 1024
 # bound on the (polar nodes x nu values) shares one kernel block holds
 _WORKSPACE = 1 << 20
+# sine-mapped polar nodes per panel of the annulus pass, and per block
+_N_ANNULUS_NODES = 64
 # Gauss-Legendre nodes per panel of the gain-support rule
 _N_GAIN_NODES = 64
 # sizes of the tables behind the batch CDFs
@@ -168,39 +175,43 @@ def delay_pdf(model: CapModel, tau: float) -> float:
 # ---------------------------------------------------------------------------
 # Doppler
 
-def _cell_shares(v: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Per row of v, the share of its cells between consecutive sorted edges.
+def _cell_shares(v: np.ndarray, e: np.ndarray, row, n_rows: int,
+                 weight=1.0) -> np.ndarray:
+    """Deposit the cells of v onto sorted edges, summed per output row.
 
-    Row r of v holds Doppler values at uniform azimuth samples of one cap
-    slice; each pair of neighbours bounds a cell, a uniform law between its
-    two values. Column i of the result covers (e[i-1], e[i]], the last
-    column everything above e[-1]. Every share is non-negative.
+    Row i of v holds Doppler values along one cap slice; each pair of
+    neighbours bounds a cell, a uniform law between its two values that
+    carries weight (a scalar or one value per cell). row gives the output
+    row of each cell (broadcast to the cells' shape). Column k of the
+    result covers (e[k-1], e[k]], the last column everything above e[-1].
+    Every share is non-negative when the weights are.
     """
     lo = np.minimum(v[:, :-1], v[:, 1:]).ravel()
     hi = np.maximum(v[:, :-1], v[:, 1:]).ravel()
+    weight = np.broadcast_to(weight, v[:, 1:].shape).ravel()
     first = np.searchsorted(e, lo, side="right")  # first edge above lo
     last = np.searchsorted(e, hi, side="left")    # first edge at or above hi
-    # the edges strictly inside (lo, hi), ascending per cell; none if lo == hi
-    n_cut = np.maximum(last - first, 0)
+    # the cells that straddle edges, and those edges, ascending per cell
+    cut = np.flatnonzero(last > first)
+    n_cut = last[cut] - first[cut]
     ends = np.cumsum(n_cut)
     starts = ends - n_cut
-    cell = np.repeat(np.arange(lo.size), n_cut)
-    edge = first[cell] + np.arange(cell.size) - starts[cell]
+    cell = np.repeat(cut, n_cut)
+    edge = np.repeat(first[cut] - starts, n_cut) + np.arange(cell.size)
     frac = (e[edge] - lo[cell]) / (hi[cell] - lo[cell])
     # a straddled edge takes the share since the previous straddled edge,
     # the first edge at or above hi takes the rest
     step = np.diff(frac, prepend=0.0)
-    cut = n_cut > 0
-    step[starts[cut]] = frac[starts[cut]]
+    step[starts] = frac[starts]
     top = np.zeros_like(lo)
-    top[cut] = frac[ends[cut] - 1]
+    top[cut] = frac[ends - 1]
     width = e.size + 1
-    row = np.arange(lo.size) // (v.shape[1] - 1) * width
-    share = np.bincount(row + last, weights=1.0 - top,
-                        minlength=v.shape[0] * width)
-    share += np.bincount(row[cell] + edge, weights=step,
-                         minlength=v.shape[0] * width)
-    return share.reshape(v.shape[0], width)
+    row = np.broadcast_to(row, v[:, 1:].shape).ravel() * width
+    share = np.bincount(row + last, weights=(1.0 - top) * weight,
+                        minlength=n_rows * width)
+    share += np.bincount(row[cell] + edge, weights=step * weight[cell],
+                         minlength=n_rows * width)
+    return share.reshape(n_rows, width)
 
 
 def doppler_cdf_grid(model: CapModel, nu_edges, mark: int,
@@ -239,7 +250,8 @@ def doppler_cdf_grid(model: CapModel, nu_edges, mark: int,
         rows = slice(k, k + block)
         theta = user.user_azimuth_rad + half[rows, None] * t
         v = doppler_hz_arrays(shell, user, theta, phi_k[rows, None], mark)
-        mass += (cell_mass[rows, None] * _cell_shares(v, e)).sum(axis=0)
+        shares = _cell_shares(v, e, np.arange(v.shape[0])[:, None], v.shape[0])
+        mass += (cell_mass[rows, None] * shares).sum(axis=0)
     out = np.empty(e.size)
     out[order] = np.cumsum(mass[:-1])
     return out.reshape(nu.shape)
@@ -282,37 +294,57 @@ def doppler_pdf_grid(model: CapModel, spec: DopplerGridSpec | None = None
 
 def joint_pdf_grid(model: CapModel, spec: JointGridSpec | None = None,
                    mark: int = 1) -> tuple[JointGridSpec, np.ndarray]:
-    """Joint delay-Doppler PDF for one mark: mixed second-order forward
-    differences of the joint CDF over the (tau, nu) edge grid.
+    """Joint delay-Doppler PDF for one mark, in one pass over the cap.
+
+    Delay is a function of the central angle, so the delay cell between
+    two (clipped) edges is the annulus sigma_j < sigma <= sigma_j+1. The
+    polar panels break where a ring meets a latitude line tangentially or
+    closes it (phi_u +- sigma_j, sigma_j - phi_u), _N_ANNULUS_NODES
+    sine-mapped nodes each. Each slice's azimuth range is cut at the
+    uniform samples and at the ring boundaries +-arc_halfwidth_clamped,
+    so every cell lies in one annulus, found from its midpoint, and its
+    mass is deposited on the nu edges exactly, as in doppler_cdf_grid.
+    A pdf cell is a deposited mass: none is negative, the padding rows
+    outside the delay support are exactly zero, and the joint CDF, the
+    cumulative sum of the cells, rises in tau and nu by construction.
 
     Returns (resolved spec, pdf matrix with shape (n_tau_cells, n_nu_cells)).
     """
-    from .parallel import ordered_map
-
     spec = (spec or JointGridSpec()).resolve(model)
-    nu_edges = spec.nu_edges()
-    tau_lo, tau_hi = model.delay_bounds
-    tau_edges = np.clip(spec.tau_edges(), tau_lo, tau_hi)
-    # the clipped padding edges repeat a sigma: one kernel row per distinct one
-    sigmas, row_of_edge = np.unique(delay_inverse(model.shell, tau_edges),
-                                    return_inverse=True)
+    shell, user = model.shell, model.user
+    phi_u = user.user_polar_rad
+    sigmas = delay_inverse(shell, np.clip(spec.tau_edges(), *model.delay_bounds))
+    e = spec.nu_edges()
+    n_rows = sigmas.size + 1  # row j: sigma_j-1 < sigma <= sigma_j
+    phi_lo, phi_hi, _ = _active_band(shell, user, float(sigmas[-1]))
+    breaks = np.unique(np.concatenate((phi_u - sigmas, phi_u + sigmas,
+                                       sigmas - phi_u)))
+    phi_k, w_k = density_nodes(phi_lo, phi_hi, shell, breaks, _N_ANNULUS_NODES)
+    t = np.linspace(-1.0, 1.0, _N_THETA)
 
-    rows = ordered_map(
-        lambda s: doppler_cdf_grid(model, nu_edges, mark, cap_sigma=float(s)),
-        sigmas,
-    )
-    # delay first: the padding rows repeat a row, so their difference is
-    # exactly zero before the Doppler difference is taken
-    cdf = np.vstack(rows)[row_of_edge.ravel()]
-    pdf = (np.diff(np.diff(cdf, axis=0), axis=1)
-           / (spec.nu_step_hz * spec.tau_step_s))
-    floor = -1e-6 * float(pdf.max(initial=0.0))
-    negative = (pdf < 0.0) & (pdf > floor)
-    if np.any(negative):
-        log.info("joint_pdf_grid clamped %d tiny negative cells",
-                 int(np.count_nonzero(negative)))
-        pdf = np.where(negative, 0.0, pdf)
-    return spec, pdf
+    def block(k: int) -> np.ndarray:
+        phi = phi_k[k:k + _N_ANNULUS_NODES, None]
+        ring = arc_halfwidth_clamped(user, phi, sigmas)
+        off = np.sort(np.concatenate((ring[:, -1:] * t, ring, -ring), axis=1),
+                      axis=1)
+        v = doppler_hz_arrays(shell, user, user.user_azimuth_rad + off, phi,
+                              mark)
+        cos_mid = (math.cos(phi_u) * np.cos(phi) + math.sin(phi_u)
+                   * np.sin(phi) * np.cos(0.5 * (off[:, 1:] + off[:, :-1])))
+        row = np.searchsorted(-np.cos(sigmas), -cos_mid.ravel())
+        weight = (w_k[k:k + _N_ANNULUS_NODES, None]
+                  / (2.0 * math.pi * model.p_sat)) * np.diff(off, axis=1)
+        return _cell_shares(v, e, row.reshape(cos_mid.shape), n_rows, weight)
+
+    # blocks go to the worker threads eight at a time, which bounds the
+    # partial sums held at once; they are added in block order, so the
+    # result does not depend on the thread count
+    starts = range(0, phi_k.size, _N_ANNULUS_NODES)
+    mass = np.zeros((n_rows, e.size + 1))
+    for k in range(0, len(starts), 8):
+        for part in parallel.ordered_map(block, starts[k:k + 8]):
+            mass += part
+    return spec, mass[1:-1, 1:-1] / (spec.nu_step_hz * spec.tau_step_s)
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,12 @@ from .geometry import (
     slant_range,
 )
 from .nbpp import SatellitePoint
-from .visibility import arc_halfwidth_clamped
+from .visibility import _active_band, arc_halfwidth_clamped
 
 _GRACE = 1e-12
-# points per axis of the dense grid that seeds the max_doppler search
-_MAX_DOPPLER_GRID = 1001
+# seeds per boundary arc, and per axis of the interior grid, of the
+# max_doppler search
+_MAX_DOPPLER_GRID = 257
 
 
 def gain(shell: ShellConfig, sigma):
@@ -138,52 +139,78 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return max(xs, key=lambda p: p[1])
 
 
+def _arc_max(f, lo: float, hi: float, tol: float) -> float:
+    """Maximum of a vectorised f on [lo, hi]: the best of _MAX_DOPPLER_GRID
+    seeds, refined by golden section between its two neighbours."""
+    x = np.linspace(lo, hi, _MAX_DOPPLER_GRID)
+    v = f(x)
+    k = int(np.argmax(v))
+    a, b = x[max(k - 1, 0)], x[min(k + 1, x.size - 1)]
+    return max(float(v[k]), _golden_max(lambda t: float(f(t)), a, b, tol)[1])
+
+
 def max_doppler(shell: ShellConfig, user: UserGeometry,
                 refine_tol_hz: float = 1.0) -> float:
     """Largest Doppler magnitude over the visible cap.
 
-    Dense grid over the cap bounding box (infeasible points masked),
-    then nested golden-section refinement: the inner search runs over the
-    exact feasible azimuth interval at each polar angle, so boundary
-    maxima are handled exactly.
+    The maximum over the cap clipped to the band lies on its boundary or
+    at an interior critical point. The boundary is searched as 1-D arcs,
+    each seeded on a grid and refined by golden section: the cap rim by
+    bearing alpha from the user, where it lies in the band (cos phi =
+    cos phi_u cos sigma_1 + sin phi_u sin sigma_1 cos alpha), and the
+    band-edge latitude lines. A coarse grid over the cap seeds the
+    interior, refined by golden section in polar angle over the maxima
+    of latitude lines. Every point searched lies in the cap, and the
+    golden tolerance puts the result within refine_tol_hz below the
+    maximum.
     """
     b_bar = shell.polar_inclination_rad
-    sigma1 = user.sigma_max_rad
-    phi_lo = max(b_bar, user.user_polar_rad - sigma1)
-    phi_hi = min(math.pi - b_bar, user.user_polar_rad + sigma1)
+    phi_u, s1 = user.user_polar_rad, user.sigma_max_rad
     theta_u = user.user_azimuth_rad
-
-    phi = np.linspace(phi_lo, phi_hi, _MAX_DOPPLER_GRID)
-    half = arc_halfwidth_clamped(user, phi, sigma1)
-    w_max = float(np.max(half))
-    theta = np.linspace(theta_u - w_max, theta_u + w_max, _MAX_DOPPLER_GRID)
-    tt, pp = np.meshgrid(theta, phi)
-    feasible = np.abs(tt - theta_u) <= half[:, None]
-
     scale = shell.carrier_hz / shell.light_speed_mps
+    # the Doppler slope along these arcs is below scale * speed per radian
+    tol = refine_tol_hz / (4.0 * scale * shell.sat_speed_mps)
+    cu, su, cs, ss = math.cos(phi_u), math.sin(phi_u), math.cos(s1), math.sin(s1)
+
+    def rim(alpha):
+        cos_a = np.cos(alpha)
+        return (np.arctan2(su * cs - cu * ss * cos_a, ss * np.sin(alpha)),
+                np.arccos(np.clip(cu * cs + su * ss * cos_a, -1.0, 1.0)))
+
+    # the rim is in the band, |cos phi| <= cos b_bar, for a_in <= |alpha| <= a_out
+    a_in, a_out = np.arccos(np.clip(
+        (np.array([1.0, -1.0]) * math.cos(b_bar) - cu * cs) / (su * ss),
+        -1.0, 1.0))
+    arcs = [(rim, a_in, a_out), (rim, -a_out, -a_in)] if a_in < a_out else []
+    for p in (b_bar, math.pi - b_bar):
+        h = float(arc_halfwidth_clamped(user, p, s1))
+        if h > 0.0:
+            arcs.append((lambda t, p=p: (t, p), theta_u - h, theta_u + h))
+
+    phi_lo, phi_hi, _ = _active_band(shell, user, s1)
+    phi = np.linspace(phi_lo, phi_hi, _MAX_DOPPLER_GRID)
+    half = arc_halfwidth_clamped(user, phi, s1)
+    tt, pp = np.meshgrid(
+        theta_u + half.max() * np.linspace(-1.0, 1.0, _MAX_DOPPLER_GRID), phi)
+    outside = np.abs(tt - theta_u) > half[:, None]
     d_phi = 2.0 * (phi_hi - phi_lo) / (_MAX_DOPPLER_GRID - 1)
+
     best = -math.inf
     for mark in (1, -1):
-        v = scale * _radial_speed(shell, user, tt, pp, mark)
-        v = np.where(feasible, v, -np.inf)
-        idx = np.unravel_index(np.argmax(v), v.shape)
-        grid_best = float(v[idx])
-        best = max(best, grid_best)
+        def nu(theta, phi):
+            return scale * _radial_speed(shell, user, theta, phi, mark)
 
-        # golden in phi around the grid argmax; per phi, golden in theta
-        # over the exact feasible interval, so boundary maxima are found
-        lo = max(phi_lo, float(pp[idx]) - d_phi)
-        hi = min(phi_hi, float(pp[idx]) + d_phi)
-        # curvature scale ~ nu_max per rad^2: tol_x ~ sqrt(tol_hz / nu_scale)
-        tol_x = math.sqrt(refine_tol_hz / max(abs(grid_best), 1.0)) * 1e-2
+        def line_max(p: float) -> float:
+            h = float(arc_halfwidth_clamped(user, p, s1))
+            return _golden_max(lambda t: float(nu(t, p)),
+                               theta_u - h, theta_u + h, tol)[1]
 
-        def best_over_theta(p: float) -> float:
-            h = float(arc_halfwidth_clamped(user, p, sigma1))
-            if h <= 0.0:
-                return -math.inf
-            f = lambda t: float(scale * _radial_speed(shell, user, t, p, mark))
-            return _golden_max(f, theta_u - h, theta_u + h, tol_x)[1]
-
-        _, refined = _golden_max(best_over_theta, lo, hi, tol_x)
-        best = max(best, refined)
+        for coords, lo, hi in arcs:
+            best = max(best, _arc_max(lambda x: nu(*coords(x)), lo, hi, tol))
+        v = np.where(outside, -np.inf, nu(tt, pp))
+        k = np.unravel_index(np.argmax(v), v.shape)
+        p = float(pp[k])
+        best = max(best, float(v[k]),
+                   _golden_max(line_max, max(phi_lo, p - d_phi),
+                               min(phi_hi, p + d_phi), tol)[1])
     return best

@@ -62,12 +62,12 @@ def sine_mapped_panels(a: float, b: float, breakpoints, n_nodes: int):
 
 
 def density_nodes(phi_lo: float, phi_hi: float, shell: ShellConfig,
-                  breakpoints=()):
+                  breakpoints=(), n_nodes: int = _N_NODES):
     """Fixed-rule nodes for integrals of f(phi)*g(phi) over [phi_lo, phi_hi]:
     returns (phi_k, w_k) with sum_k w_k * g(phi_k) approximating the integral.
 
     The interval is clipped to the band and split at the breakpoints (in
-    phi); each panel gets _N_NODES sine-mapped nodes in argument of latitude.
+    phi); each panel gets n_nodes sine-mapped nodes in argument of latitude.
     """
     b_bar = shell.polar_inclination_rad
     lo = max(phi_lo, b_bar)
@@ -77,7 +77,7 @@ def density_nodes(phi_lo: float, phi_hi: float, shell: ShellConfig,
     w_lo = float(omega_of_phi(hi, shell))
     w_hi = float(omega_of_phi(lo, shell))
     pts = [float(omega_of_phi(p, shell)) for p in breakpoints if lo < p < hi]
-    w_nodes, w_weights = sine_mapped_panels(w_lo, w_hi, pts, _N_NODES)
+    w_nodes, w_weights = sine_mapped_panels(w_lo, w_hi, pts, n_nodes)
     return phi_of_omega(w_nodes, shell), w_weights / math.pi
 
 

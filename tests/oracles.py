@@ -4,7 +4,9 @@ Each oracle deliberately avoids the code path it checks: Doppler is
 rebuilt from Cartesian vectors, the cap arc length from a brute-force
 azimuth scan, and the Doppler CDF both from a naive two-dimensional
 Riemann sum over the cap and from an adaptive route that locates each
-sublevel set by scan plus bisection. The cap probability, its
+sublevel set by scan plus bisection; the joint delay-Doppler grid from
+one nested sub-cap Doppler row per delay edge, and the largest Doppler
+shift by a brute-force scan of the cap. The cap probability, its
 derivative, the path-loss integral and the Rayleigh-faded gain CDF are
 recomputed by adaptive QUADPACK quadrature in place of the package's
 fixed rule. The visible-cap sampler is checked against whole-shell
@@ -18,11 +20,14 @@ import warnings
 import numpy as np
 from scipy.integrate import quad
 
+from leo_channel import distributions as dist
 from leo_channel.geometry import ShellConfig, UserGeometry, slant_range
 from leo_channel.nbpp import phi_pdf
 from leo_channel.orbit_sim import propagate_arrays
-from leo_channel.propagation import doppler_hz_arrays, gain_inverse
-from leo_channel.quadrature import omega_of_phi, phi_of_omega
+from leo_channel.parallel import ordered_map
+from leo_channel.propagation import (
+    delay_inverse, doppler_hz_arrays, gain_inverse)
+from leo_channel.quadrature import density_nodes, omega_of_phi, phi_of_omega
 from leo_channel.visibility import (
     CapModel, _active_band, arc_halfwidth_clamped, arc_length)
 
@@ -270,6 +275,93 @@ def doppler_cdf_adaptive(model: CapModel, nu_hz: float, mark: int,
                                     breakpoints=breaks, rel_tol=1e-8,
                                     limit=300)
     return val / (2.0 * math.pi * model.p_sat)
+
+
+def _doppler_cdf_row(model: CapModel, e: np.ndarray, mark: int,
+                     cap_sigma: float, n_nodes: int) -> np.ndarray:
+    """doppler_cdf_grid on the sub-cap of cap_sigma at sorted edges e, with
+    n_nodes polar nodes per panel (384 reproduces it bit for bit)."""
+    shell, user = model.shell, model.user
+    phi_lo, phi_hi, breaks = _active_band(shell, user, cap_sigma)
+    if phi_lo >= phi_hi:
+        return np.zeros(e.size)
+    phi_k, w_k = density_nodes(phi_lo, phi_hi, shell, breaks, n_nodes)
+    half = arc_halfwidth_clamped(user, phi_k, cap_sigma)
+    n_theta = dist._N_THETA
+    cell_mass = (w_k * half * (2.0 / (n_theta - 1))
+                 / (2.0 * math.pi * model.p_sat))
+    t = np.linspace(-1.0, 1.0, n_theta)
+    mass = np.zeros(e.size + 1)
+    block = max(1, dist._WORKSPACE // (e.size + 1))
+    for k in range(0, phi_k.size, block):
+        rows = slice(k, k + block)
+        theta = user.user_azimuth_rad + half[rows, None] * t
+        v = doppler_hz_arrays(shell, user, theta, phi_k[rows, None], mark)
+        shares = dist._cell_shares(v, e, np.arange(v.shape[0])[:, None],
+                                   v.shape[0])
+        mass += (cell_mass[rows, None] * shares).sum(axis=0)
+    return np.cumsum(mass[:-1])
+
+
+def joint_pdf_grid_rows(model: CapModel, spec=None, mark: int = 1,
+                        n_nodes: int = 384):
+    """Joint delay-Doppler PDF grid from one nested sub-cap Doppler CDF row
+    per distinct delay edge, differenced in delay and then in Doppler; the
+    reference for the one-pass annulus kernel of joint_pdf_grid.
+    Returns (resolved spec, pdf)."""
+    spec = (spec or dist.JointGridSpec()).resolve(model)
+    nu_edges = spec.nu_edges()
+    tau_lo, tau_hi = model.delay_bounds
+    tau_edges = np.clip(spec.tau_edges(), tau_lo, tau_hi)
+    sigmas, row_of_edge = np.unique(delay_inverse(model.shell, tau_edges),
+                                    return_inverse=True)
+    rows = ordered_map(lambda s: _doppler_cdf_row(model, nu_edges, mark,
+                                                  float(s), n_nodes), sigmas)
+    cdf = np.vstack(rows)[row_of_edge.ravel()]
+    pdf = (np.diff(np.diff(cdf, axis=0), axis=1)
+           / (spec.nu_step_hz * spec.tau_step_s))
+    return spec, pdf
+
+
+def max_doppler_scan(shell: ShellConfig, user: UserGeometry,
+                     n_grid: int = 3001, n_arc: int = 200_001) -> float:
+    """Largest Doppler magnitude over the visible cap by brute force: the
+    cap rim scanned by bearing (the points in the band), both band-edge
+    latitude lines scanned over the azimuths inside the cap, and an
+    n_grid x n_grid interior grid over the cap's (phi, theta) bounding
+    box, in row blocks. Every point lies in the cap, so the result is a
+    lower bound on the maximum."""
+    b_bar = shell.polar_inclination_rad
+    pu, s1, tu = user.user_polar_rad, user.sigma_max_rad, user.user_azimuth_rad
+
+    def peak(theta, phi):
+        return max(float(np.max(np.abs(doppler_hz_arrays(shell, user, theta,
+                                                           phi, mark)),
+                                initial=0.0))
+                   for mark in (1, -1))
+
+    # rim point at bearing a: cos(s1) u + sin(s1) (cos a north + sin a east)
+    a = np.linspace(0.0, 2.0 * np.pi, n_arc)
+    z = math.cos(s1) * math.cos(pu) + math.sin(s1) * math.sin(pu) * np.cos(a)
+    y = math.cos(s1) * math.sin(pu) - math.sin(s1) * math.cos(pu) * np.cos(a)
+    x = math.sin(s1) * np.sin(a)
+    phi = np.arccos(np.clip(z, -1.0, 1.0))
+    inside = (phi >= b_bar) & (phi <= math.pi - b_bar)
+    best = peak(np.arctan2(y, x)[inside], phi[inside])
+    for edge in (b_bar, math.pi - b_bar):
+        h = float(arc_halfwidth_clamped(user, edge, s1))
+        if h > 0.0:
+            best = max(best, peak(np.linspace(tu - h, tu + h, n_arc), edge))
+    lo, hi = max(b_bar, pu - s1), min(math.pi - b_bar, pu + s1)
+    phi = np.linspace(lo, hi, n_grid)
+    half = arc_halfwidth_clamped(user, phi, s1)
+    theta = np.linspace(tu - half.max(), tu + half.max(), n_grid)
+    for k in range(0, n_grid, 100):
+        rows = slice(k, k + 100)
+        tt, pp = np.meshgrid(theta, phi[rows])
+        keep = np.abs(tt - tu) <= half[rows, None]
+        best = max(best, peak(tt[keep], pp[keep]))
+    return best
 
 
 def central_diff(f, x: float, h: float) -> float:

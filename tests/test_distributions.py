@@ -3,18 +3,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from oracles import doppler_cdf_adaptive, doppler_cdf_riemann, rayleigh_gain_cdf
+from oracles import (
+    doppler_cdf_adaptive, doppler_cdf_riemann, joint_pdf_grid_rows,
+    rayleigh_gain_cdf)
 
 from leo_channel import distributions as dist
+from leo_channel.geometry import UserGeometry, sigma_from_elevation
 from leo_channel.nbpp import sample_visible
 from leo_channel.orbit_sim import ks_distance
+from leo_channel.visibility import CapModel
 from leo_channel.propagation import (
     delay as delay_fn,
-    delay_inverse,
     doppler_hz_arrays,
     gain as gain_fn,
 )
@@ -257,34 +260,62 @@ class TestJointDistribution:
         with caplog.at_level(logging.INFO, logger=dist.__name__):
             for mark in (1, -1):
                 _, pdf = dist.joint_pdf_grid(cap, spec, mark=mark)
-                # the padding rows repeat the support-edge sub-caps
+                # the padding rows lie outside the delay support
                 assert np.all(pdf[0] == 0.0) and np.all(pdf[-1] == 0.0)
         assert not [r for r in caplog.records if "clamped" in r.getMessage()]
 
-    def test_one_kernel_row_per_distinct_sigma(self, cap_equator, monkeypatch):
-        # the clipped padding edges repeat the support-edge sigmas; each
-        # distinct sigma costs one kernel row, and the grid equals the one
-        # built from a row for every delay edge
-        spec = dist.JointGridSpec(tau_step_s=8.4e-5).resolve(cap_equator)
-        tau_lo, tau_hi = cap_equator.delay_bounds
-        sigmas = delay_inverse(cap_equator.shell,
-                               np.clip(spec.tau_edges(), tau_lo, tau_hi))
-        inner = dist.doppler_cdf_grid
-        calls = []
+    @pytest.mark.parametrize("cap_name", ["cap_equator", "cap_midlat"])
+    @pytest.mark.parametrize("tau_step_s", [8.4e-5, 2.8e-5])
+    def test_matches_row_route_at_four_times_the_nodes(self, cap_name,
+                                                       tau_step_s, request):
+        # reference: one nested sub-cap row per delay edge with 4x the
+        # polar nodes per panel. Mark -1 is checked against the mirror
+        # nu -> -nu of the mark +1 reference: mirroring the azimuth about
+        # the user's and flipping the mark negates the Doppler shift and
+        # keeps the central angle, so the two grids are mirror images
+        # (to 2e-13 of the peak for the row route at lat 60)
+        cap = request.getfixturevalue(cap_name)
+        spec = dist.JointGridSpec(tau_step_s=tau_step_s).resolve(cap)
+        _, ref = joint_pdf_grid_rows(cap, spec, 1, n_nodes=4 * 384)
+        _, rows = joint_pdf_grid_rows(cap, spec, 1)
+        peak = float(ref.max())
+        for mark, want in ((1, ref), (-1, ref[:, ::-1])):
+            _, pdf = dist.joint_pdf_grid(cap, spec, mark)
+            err = float(np.max(np.abs(pdf - want))) / peak
+            assert err < 1e-2
+            # no worse than the row route at its own 384 nodes per panel
+            assert err <= float(np.max(np.abs(rows - ref))) / peak
 
-        def counted(model, nu_edges, mark, cap_sigma=None):
-            calls.append(cap_sigma)
-            return inner(model, nu_edges, mark, cap_sigma)
-
-        monkeypatch.setattr(dist, "doppler_cdf_grid", counted)
-        _, pdf = dist.joint_pdf_grid(cap_equator, spec, mark=1)
-        assert sorted(calls) == np.unique(sigmas).tolist()
-        assert len(calls) < sigmas.size
-        rows = np.vstack([inner(cap_equator, spec.nu_edges(), 1, float(s))
-                          for s in sigmas])
-        want = (np.diff(np.diff(rows, axis=0), axis=1)
-                / (spec.nu_step_hz * spec.tau_step_s))
-        assert np.array_equal(pdf, want)
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mask=st.floats(0.0, 60.0), reach=st.floats(0.0, 0.999),
+           mark=st.sampled_from([1, -1]))
+    @example(mask=10.0, reach=0.999, mark=1)
+    @example(mask=30.0, reach=0.999, mark=-1)
+    @example(mask=0.0, reach=0.7, mark=1)  # lat 53.2: the cap crosses a band edge
+    def test_grid_properties(self, shell, caplog, mask, reach, mark):
+        # reach runs the latitude from the equator to the coverage cutoff
+        sigma1 = sigma_from_elevation(shell, math.radians(mask))
+        cutoff = math.pi / 2 - shell.polar_inclination_rad + sigma1
+        cap = CapModel(shell, UserGeometry.for_shell(
+            shell, math.pi / 2 - reach * cutoff, math.radians(mask)))
+        tau_lo, tau_hi = cap.delay_bounds
+        spec = dist.JointGridSpec(tau_step_s=(tau_hi - tau_lo) / 12,
+                                  nu_step_hz=cap.nu_max_hz / 20)
+        with caplog.at_level(logging.DEBUG, logger=dist.__name__):
+            spec, pdf = dist.joint_pdf_grid(cap, spec, mark)
+        assert not [r for r in caplog.records if "clamped" in r.getMessage()]
+        assert np.all(pdf >= 0.0)
+        cdf = (np.cumsum(np.cumsum(pdf, axis=0), axis=1)
+               * spec.nu_step_hz * spec.tau_step_s)
+        assert np.all(np.diff(cdf, axis=0) >= 0.0)
+        assert np.all(np.diff(cdf, axis=1) >= 0.0)
+        want = [dist.delay_cdf(cap, float(t)) for t in spec.tau_edges()[1:]]
+        assert np.max(np.abs(cdf[:, -1] - want)) <= 1e-9
+        # two fixed-rule grids; with masks down to 0 deg each is within
+        # 3.3e-4 of the adaptive Doppler CDF (measured)
+        full = dist.doppler_cdf_grid(cap, spec.nu_edges()[1:], mark)
+        assert np.max(np.abs(cdf[-1] - full)) <= 1e-3
 
     def test_u_shaped_support(self, cap_equator):
         # no mass at (short delay, extreme Doppler): the near cap cannot

@@ -1,5 +1,7 @@
 import os
 
+from leo_channel.channel import scattering_function
+from leo_channel.distributions import JointGridSpec
 from leo_channel.parallel import worker_count
 
 
@@ -13,3 +15,15 @@ def test_variable_sets_the_count(monkeypatch):
     monkeypatch.setenv("LEO_CHANNEL_THREADS", "3")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert worker_count() == 3
+
+
+def test_scattering_does_not_depend_on_the_thread_count(cap_equator,
+                                                        cap_midlat,
+                                                        monkeypatch):
+    spec = JointGridSpec(tau_step_s=8.4e-5)
+    for cap in (cap_equator, cap_midlat):
+        grids = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("LEO_CHANNEL_THREADS", threads)
+            grids.append(scattering_function(cap, spec).values)
+        assert grids[0].tobytes() == grids[1].tobytes()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import doppler_cartesian
+from oracles import doppler_cartesian, max_doppler_scan
 
 from leo_channel.errors import DomainError
 from leo_channel.geometry import ShellConfig, UserGeometry
@@ -162,6 +162,17 @@ class TestMaxDoppler:
         bound = (shell.carrier_hz / shell.light_speed_mps
                  * shell.sat_speed_mps * shell.earth_radius_m / d_min)
         assert max_doppler(shell, equator_user) <= bound
+
+    @pytest.mark.parametrize("lat_deg, mask_deg", [
+        (0.0, 30.0), (60.0, 10.0), (45.0, 25.0), (50.0, 10.0), (53.0, 30.0),
+        (30.0, 40.0),
+        (63.105, 20.0),  # 0.999 of the way to the coverage cutoff
+    ])
+    def test_matches_brute_force_scan(self, shell, lat_deg, mask_deg):
+        user = UserGeometry.for_shell(shell, math.pi / 2 - math.radians(lat_deg),
+                                      math.radians(mask_deg))
+        assert max_doppler(shell, user) == pytest.approx(
+            max_doppler_scan(shell, user), abs=1.0)
 
 
 @given(sigma=st.floats(1e-6, 0.4))
