@@ -62,6 +62,8 @@ def layers(cap: CapModel):
         ("max_doppler", lambda: max_doppler(shell, user)),
         ("doppler_cdf_grid row, full cap, 2001 edges",
          lambda: dist.doppler_cdf_grid(cap, edges, 1)),
+        ("mark-mixed Doppler table, 2001 edges",
+         lambda: dist.doppler_mixed_interpolator(cap)),
         ("scattering_function, default grid",
          lambda: ch.scattering_function(cap)),
         ("scattering_function, tau step 8.4e-5 s",

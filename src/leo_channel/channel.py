@@ -3,10 +3,12 @@
 The second-order description is a scattering function on the delay-Doppler
 plane: the mark-mixed joint density scaled by the availability and by the
 instantaneous gain 1/(c tau)^2 (which equals the gain at the central angle
-reached in delay tau). Global channel parameters are moments of the
-normalised scattering function; the normalising power gain rho^2 comes
-from a one-dimensional integral, which is far more accurate than the
-binned grid, and doubles as an independent cross-check on it.
+reached in delay tau). One kernel pass gives both marks: the descending
+joint density is the ascending one mirrored in Doppler. Global channel
+parameters are moments of the normalised scattering function; the
+normalising power gain rho^2 comes from a one-dimensional integral, which
+is far more accurate than the binned grid, and doubles as an independent
+cross-check on it.
 """
 
 from __future__ import annotations
@@ -81,12 +83,13 @@ def scattering_function(model: CapModel, spec: JointGridSpec | None = None,
     (the Rayleigh extension) reproduces the unfaded grid exactly.
     """
     spec, pdf_up = joint_pdf_grid(model, spec, mark=1)
-    _, pdf_down = joint_pdf_grid(model, spec, mark=-1)
     p_a = model.availability
     c = model.shell.light_speed_mps
     tau_c = spec.tau_centers()
     gain_at_tau = 1.0 / (c * tau_c) ** 2
-    values = (fading_mean_power * p_a / 2.0) * gain_at_tau[:, None] * (pdf_up + pdf_down)
+    # the descending grid is the ascending one reversed in nu
+    values = ((fading_mean_power * p_a / 2.0) * gain_at_tau[:, None]
+              * (pdf_up + pdf_up[:, ::-1]))
     return ScatteringGrid(spec=spec, values=values, p_a=p_a)
 
 

@@ -27,7 +27,7 @@ from .config import RunConfig, load_config, resolved_items
 from .errors import ConfigError, DomainError, NoVisibleSatellites, ResolutionError
 from .geometry import UserGeometry
 from .nbpp import sample_visible
-from .propagation import gain as gain_fn, delay as delay_fn
+from .propagation import delay as delay_fn, doppler_hz_arrays, gain as gain_fn
 from .visibility import CapModel
 
 
@@ -93,67 +93,43 @@ def cmd_distributions(cfg: RunConfig) -> list[Path]:
     user = cfg.user(shell)
     cap = CapModel(shell, user)
     pcap = dist.pcap_interpolator(cap)
-    paths = []
-
-    mc = None
+    sig = None
     if cfg.mc_empirical:
         rng = np.random.default_rng(cfg.seed)
-        sig, _, _, mk = sample_visible(shell, user, cfg.mc_samples, rng)
-        mc = {
-            "gain": np.sort(gain_fn(shell, sig)),
-            "delay": np.sort(delay_fn(shell, sig)),
-        }
+        sig = sample_visible(shell, user, cfg.mc_samples, rng)[0]
+    paths = []
 
-    def empirical(sorted_samples, x):
-        return np.searchsorted(sorted_samples, x, side="right") / sorted_samples.size
+    def table(name: str, header: list[str], *columns) -> None:
+        path = _out_path(cfg, name)
+        _write_table(path, cfg, header, zip(*columns), cfg.out_format)
+        paths.append(path)
 
-    # gain and delay: CDF + PDF on uniform sweeps over the support
-    g_min, g_max = cap.gain_bounds
-    g = np.linspace(g_min, g_max, cfg.cdf_points)
-    rows = []
-    for i, gv in enumerate(g):
-        row = [gv, float(dist.gain_cdf_batch(cap, gv, pcap)),
-               dist.gain_pdf(cap, float(gv))]
-        if mc is not None:
-            row.append(float(empirical(mc["gain"], gv)))
-        rows.append(row)
-    hdr = ["gain_per_m2", "cdf", "pdf"] + (["mc_cdf"] if mc else [])
-    path = _out_path(cfg, "distributions_gain")
-    _write_table(path, cfg, hdr, rows, cfg.out_format)
-    paths.append(path)
+    # gain and delay: CDF + PDF (+ empirical CDF) on uniform sweeps over
+    # the support
+    for name, unit, fn, cdf, pdf, bounds in (
+            ("gain", "gain_per_m2", gain_fn, dist.gain_cdf_batch,
+             dist.gain_pdf, cap.gain_bounds),
+            ("delay", "delay_s", delay_fn, dist.delay_cdf_batch,
+             dist.delay_pdf, cap.delay_bounds)):
+        x = np.linspace(*bounds, cfg.cdf_points)
+        columns = [x, cdf(cap, x, pcap), [pdf(cap, float(v)) for v in x]]
+        if sig is not None:
+            mc = np.sort(fn(shell, sig))
+            columns.append(np.searchsorted(mc, x, side="right") / mc.size)
+        table(f"distributions_{name}",
+              [unit, "cdf", "pdf"] + ["mc_cdf"] * (sig is not None), *columns)
 
-    tau_lo, tau_hi = cap.delay_bounds
-    tau = np.linspace(tau_lo, tau_hi, cfg.cdf_points)
-    rows = []
-    for tv in tau:
-        row = [tv, float(dist.delay_cdf_batch(cap, tv, pcap)),
-               dist.delay_pdf(cap, float(tv))]
-        if mc is not None:
-            row.append(float(empirical(mc["delay"], tv)))
-        rows.append(row)
-    hdr = ["delay_s", "cdf", "pdf"] + (["mc_cdf"] if mc else [])
-    path = _out_path(cfg, "distributions_delay")
-    _write_table(path, cfg, hdr, rows, cfg.out_format)
-    paths.append(path)
-
-    # Doppler: per-mark and mixed CDF on the PDF grid edges, PDF by
-    # forward differences of the mixed CDF
+    # Doppler: per-mark and mixed CDF on the PDF grid edges from one kernel
+    # pass, PDF by forward differences of the mixed CDF (doppler_pdf_grid)
     spec = dist.DopplerGridSpec(nu_step_hz=cfg.doppler_nu_step_hz).resolve(cap)
     edges = spec.nu_edges()
-    f_up = dist.doppler_cdf_grid(cap, edges, 1)
-    f_down = dist.doppler_cdf_grid(cap, edges, -1)
-    rows = [[e, fu, fd, 0.5 * (fu + fd)]
-            for e, fu, fd in zip(edges, f_up, f_down)]
-    path = _out_path(cfg, "distributions_doppler_cdf")
-    _write_table(path, cfg, ["nu_hz", "cdf_ascending", "cdf_descending",
-                             "cdf_mixed"], rows, cfg.out_format)
-    paths.append(path)
-
-    nu_c, pdf = dist.doppler_pdf_grid(cap, spec)
-    rows = [[n, p] for n, p in zip(nu_c, pdf)]
-    path = _out_path(cfg, "distributions_doppler_pdf")
-    _write_table(path, cfg, ["nu_hz", "pdf"], rows, cfg.out_format)
-    paths.append(path)
+    up, down = dist.doppler_cdf_marks(cap, edges)
+    mixed = 0.5 * (up + down)
+    table("distributions_doppler_cdf",
+          ["nu_hz", "cdf_ascending", "cdf_descending", "cdf_mixed"],
+          edges, up, down, mixed)
+    table("distributions_doppler_pdf", ["nu_hz", "pdf"], spec.nu_centers(),
+          np.diff(mixed) / spec.nu_step_hz)
     return paths
 
 
@@ -212,8 +188,6 @@ def _validation_checks(cfg: RunConfig) -> list[dict]:
                          lambda x: dist.delay_cdf_batch(cap, x, pcap)),
         ks_tol, f"n={n}")
     sig2, th2, ph2, mk2 = sample_visible(shell, user, n, rng)
-    from .propagation import doppler_hz_arrays
-
     nu_samples = doppler_hz_arrays(shell, user, th2, ph2, mk2)
     add("mc_doppler_mixed_ks", osim.ks_distance(nu_samples, doppler_mixed),
         ks_tol, f"n={n}")

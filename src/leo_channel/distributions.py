@@ -18,12 +18,17 @@ closed-form boundaries puts each azimuth cell in exactly one annulus.
 The test suite checks the first against an adaptive scan-plus-bisection
 route and a brute-force Riemann sum, the second against one nested
 sub-cap row per delay edge with four times the polar nodes.
+
+Mirroring the azimuth about the user's meridian and flipping the mark
+negates the Doppler shift and keeps the central angle, so each mark-mixed
+quantity takes one ascending pass: F_-(nu) = T - F_+(-nu), T the pass's
+total, and the descending joint grid is the ascending one reversed in nu.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,30 +55,24 @@ _DOPPLER_TABLE = 2001
 # grid specifications
 
 @dataclass(frozen=True)
-class DopplerGridSpec:
-    """Uniform nu grid; unresolved bounds default to +-nu_max with one
-    padding cell so the support is strictly covered."""
+class _NuAxis:
+    """nu edges nu_step_hz * k for |k| <= nu_half_cells, which resolve sets:
+    exactly antisymmetric, so one mark's grid is the other's nu-mirror."""
 
-    nu_step_hz: float = 2.65e3
-    nu_min_hz: float | None = None
-    nu_max_hz: float | None = None
+    nu_step_hz: float
+    nu_half_cells: int | None = field(default=None, init=False)
 
-    def __post_init__(self):
-        if self.nu_step_hz <= 0:
-            raise ValueError("nu_step_hz must be positive")
-        if self.nu_min_hz is not None and self.nu_max_hz is not None:
-            if self.nu_min_hz >= self.nu_max_hz:
-                raise ValueError("nu_min_hz must be below nu_max_hz")
-
-    def resolve(self, model: CapModel) -> "DopplerGridSpec":
-        if self.nu_min_hz is not None and self.nu_max_hz is not None:
+    def _cover(self, model: CapModel, pad: int):  # pad cells beyond nu_max
+        if self.nu_half_cells is not None:
             return self
-        half = (math.ceil(model.nu_max_hz / self.nu_step_hz) + 1) * self.nu_step_hz
-        return replace(self, nu_min_hz=-half, nu_max_hz=half)
+        out = replace(self)
+        object.__setattr__(out, "nu_half_cells",
+                           math.ceil(model.nu_max_hz / self.nu_step_hz) + pad)
+        return out
 
     def nu_edges(self) -> np.ndarray:
-        n = math.ceil((self.nu_max_hz - self.nu_min_hz) / self.nu_step_hz - 1e-9)
-        return self.nu_min_hz + self.nu_step_hz * np.arange(n + 1)
+        m = self.nu_half_cells
+        return self.nu_step_hz * np.arange(-m, m + 1)
 
     def nu_centers(self) -> np.ndarray:
         e = self.nu_edges()
@@ -81,13 +80,25 @@ class DopplerGridSpec:
 
 
 @dataclass(frozen=True)
-class JointGridSpec:
+class DopplerGridSpec(_NuAxis):
+    """Uniform nu grid; one padding cell strictly covers the support."""
+
+    nu_step_hz: float = 2.65e3
+
+    def __post_init__(self):
+        if self.nu_step_hz <= 0:
+            raise ValueError("nu_step_hz must be positive")
+
+    def resolve(self, model: CapModel) -> "DopplerGridSpec":
+        return self._cover(model, 1)
+
+
+@dataclass(frozen=True)
+class JointGridSpec(_NuAxis):
     """Uniform (tau, nu) grid covering the full delay-Doppler support."""
 
     nu_step_hz: float = 2.61e3
     tau_step_s: float = 2.8e-5
-    nu_min_hz: float | None = None
-    nu_max_hz: float | None = None
     tau_min_s: float | None = None
     tau_max_s: float | None = None
 
@@ -97,30 +108,18 @@ class JointGridSpec:
 
     def resolve(self, model: CapModel) -> "JointGridSpec":
         out = self
-        if out.nu_min_hz is None or out.nu_max_hz is None:
-            # tight cover (no padding cell): trapezoid integrals then lose
-            # half of whatever mass a too-coarse step leaves in the
-            # outermost columns, which is what the resolution check detects
-            half = math.ceil(model.nu_max_hz / out.nu_step_hz) * out.nu_step_hz
-            out = replace(out, nu_min_hz=-half, nu_max_hz=half)
         if out.tau_min_s is None or out.tau_max_s is None:
             tau_lo, tau_hi = model.delay_bounds
             out = replace(out, tau_min_s=tau_lo, tau_max_s=tau_hi)
-        return out
-
-    def nu_edges(self) -> np.ndarray:
-        n = math.ceil((self.nu_max_hz - self.nu_min_hz) / self.nu_step_hz - 1e-9)
-        return self.nu_min_hz + self.nu_step_hz * np.arange(n + 1)
+        # tight nu cover: trapezoid integrals then lose half the mass a too
+        # coarse step leaves in the outer columns, which the check detects
+        return out._cover(model, 0)
 
     def tau_edges(self) -> np.ndarray:
         # one padding cell each side: the outermost rows carry no mass, so
         # trapezoid integrals see the support edges instead of cutting them
         n = math.ceil((self.tau_max_s - self.tau_min_s) / self.tau_step_s - 1e-9)
         return self.tau_min_s + self.tau_step_s * (np.arange(n + 3) - 1)
-
-    def nu_centers(self) -> np.ndarray:
-        e = self.nu_edges()
-        return 0.5 * (e[:-1] + e[1:])
 
     def tau_centers(self) -> np.ndarray:
         e = self.tau_edges()
@@ -264,9 +263,21 @@ def doppler_cdf(model: CapModel, nu_hz: float, mark: int,
     return float(doppler_cdf_grid(model, nu_hz, mark, cap_sigma))
 
 
+def doppler_cdf_marks(model: CapModel, nu_hz) -> tuple[np.ndarray, np.ndarray]:
+    """(ascending, descending) Doppler CDFs at nu_hz (flattened) from one
+    ascending pass over the distinct values of nu_hz, -nu_hz and +inf:
+    F_-(nu) = T - F_+(-nu), T the value at +inf, so F_- is exactly 0 below
+    the support and never negative."""
+    nu = np.asarray(nu_hz, dtype=float).ravel()
+    e, back = np.unique(np.concatenate((nu, -nu, [math.inf])),
+                        return_inverse=True)
+    f = doppler_cdf_grid(model, e, 1)[back]
+    return f[:nu.size], f[-1] - f[nu.size:-1]
+
+
 def doppler_cdf_mixed(model: CapModel, nu_hz: float) -> float:
     """Equal-weight mixture over ascending and descending marks."""
-    return 0.5 * (doppler_cdf(model, nu_hz, 1) + doppler_cdf(model, nu_hz, -1))
+    return float(0.5 * sum(doppler_cdf_marks(model, nu_hz))[0])
 
 
 def joint_cdf(model: CapModel, nu_hz: float, tau: float, mark: int) -> float:
@@ -286,10 +297,8 @@ def doppler_pdf_grid(model: CapModel, spec: DopplerGridSpec | None = None
     CDF never decreases.
     """
     spec = (spec or DopplerGridSpec()).resolve(model)
-    edges = spec.nu_edges()
-    f = 0.5 * (doppler_cdf_grid(model, edges, 1)
-               + doppler_cdf_grid(model, edges, -1))
-    return spec.nu_centers(), np.diff(f) / spec.nu_step_hz
+    up, down = doppler_cdf_marks(model, spec.nu_edges())
+    return spec.nu_centers(), np.diff(0.5 * (up + down)) / spec.nu_step_hz
 
 
 def joint_pdf_grid(model: CapModel, spec: JointGridSpec | None = None,
@@ -390,10 +399,9 @@ def delay_cdf_batch(model: CapModel, tau, pcap=None) -> np.ndarray:
 
 def doppler_mixed_interpolator(model: CapModel):
     """Vectorised nu -> mark-mixed Doppler CDF via a dense grid pass."""
-    bound = 1.0001 * model.nu_max_hz
-    edges = np.linspace(-bound, bound, _DOPPLER_TABLE)
-    f = 0.5 * (doppler_cdf_grid(model, edges, 1)
-               + doppler_cdf_grid(model, edges, -1))
+    m = _DOPPLER_TABLE // 2  # mirrored edges, so the pass takes each once
+    edges = (1.0001 * model.nu_max_hz / m) * np.arange(-m, m + 1)
+    f = 0.5 * sum(doppler_cdf_marks(model, edges))
 
     def interp(nu):
         return np.interp(np.asarray(nu, dtype=float), edges, f,

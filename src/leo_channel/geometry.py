@@ -77,9 +77,23 @@ def starlink_shell(**overrides) -> ShellConfig:
 
 
 def slant_range(shell: ShellConfig, sigma) -> float:
-    """User-satellite distance at central angle sigma (law of cosines)."""
-    r, big_r = shell.earth_radius_m, shell.shell_radius_m
-    return np.sqrt(r * r + big_r * big_r - 2.0 * r * big_r * np.cos(sigma))
+    """User-satellite distance at central angle sigma, in the half-angle
+    form d^2 = h^2 + 4 r R sin^2(sigma/2), accurate in small caps."""
+    h = shell.altitude_m
+    s = np.sin(0.5 * np.asarray(sigma))
+    # s * s: NumPy's scalar s ** 2 can round unlike its array square
+    return np.sqrt(h * h + 4.0 * shell.earth_radius_m * shell.shell_radius_m
+                   * (s * s))
+
+
+def sigma_from_range2(shell: ShellConfig, d2):
+    """Inverse of slant_range at the squared range d2; DomainError beyond a
+    5e-10 grace band of sin^2(sigma/2) in [0, 1] (rounding near the zenith)."""
+    h = shell.altitude_m
+    s2 = (d2 - h * h) / (4.0 * shell.earth_radius_m * shell.shell_radius_m)
+    if np.any(s2 < -5e-10) or np.any(s2 > 1.0 + 5e-10):
+        raise DomainError("slant range outside the reachable range")
+    return 2.0 * np.arcsin(np.sqrt(np.clip(s2, 0.0, 1.0)))
 
 
 def sigma_from_elevation(shell: ShellConfig, psi: float) -> float:

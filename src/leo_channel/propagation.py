@@ -18,10 +18,11 @@ from .geometry import (
     ShellConfig,
     UserGeometry,
     clamp_unit,
+    sigma_from_range2,
     slant_range,
 )
 from .nbpp import SatellitePoint
-from .visibility import _active_band, arc_halfwidth_clamped
+from .visibility import _POLE_EPS, _active_band, arc_halfwidth_clamped
 
 _GRACE = 1e-12
 # seeds per boundary arc, and per axis of the interior grid, of the
@@ -44,11 +45,7 @@ def gain_inverse(shell: ShellConfig, g):
     g = np.asarray(g, dtype=float)
     if np.any(g <= 0.0):
         raise DomainError("gain must be positive")
-    r, big_r = shell.earth_radius_m, shell.shell_radius_m
-    arg = (g * (r * r + big_r * big_r) - 1.0) / (2.0 * g * r * big_r)
-    # the clamp's grace band must scale with the argument's distance from 1,
-    # which for gains near 1/h^2 is dominated by relative error in g
-    out = np.arccos(clamp_unit(arg, grace=1e-9))
+    out = sigma_from_range2(shell, 1.0 / g)
     return float(out) if out.ndim == 0 else out
 
 
@@ -63,10 +60,8 @@ def delay(shell: ShellConfig, sigma):
 
 def delay_inverse(shell: ShellConfig, tau):
     """Central angle with delay tau; DomainError outside the reachable range."""
-    tau = np.asarray(tau, dtype=float)
-    r, big_r, c = shell.earth_radius_m, shell.shell_radius_m, shell.light_speed_mps
-    arg = (r * r + big_r * big_r - (c * tau) ** 2) / (2.0 * r * big_r)
-    out = np.arccos(clamp_unit(arg, grace=1e-9))
+    d = shell.light_speed_mps * np.asarray(tau, dtype=float)
+    out = sigma_from_range2(shell, d * d)
     return float(out) if out.ndim == 0 else out
 
 
@@ -177,11 +172,14 @@ def max_doppler(shell: ShellConfig, user: UserGeometry,
         return (np.arctan2(su * cs - cu * ss * cos_a, ss * np.sin(alpha)),
                 np.arccos(np.clip(cu * cs + su * ss * cos_a, -1.0, 1.0)))
 
-    # the rim is in the band, |cos phi| <= cos b_bar, for a_in <= |alpha| <= a_out
-    a_in, a_out = np.arccos(np.clip(
-        (np.array([1.0, -1.0]) * math.cos(b_bar) - cu * cs) / (su * ss),
-        -1.0, 1.0))
-    arcs = [(rim, a_in, a_out), (rim, -a_out, -a_in)] if a_in < a_out else []
+    if phi_u < _POLE_EPS:  # the rim is the latitude line phi = sigma_1
+        arcs = ([(lambda t: (t, s1), theta_u - math.pi, theta_u + math.pi)]
+                if b_bar <= s1 <= math.pi - b_bar else [])
+    else:  # the rim is in the band for a_in <= |alpha| <= a_out
+        a_in, a_out = np.arccos(np.clip(
+            (np.array([1.0, -1.0]) * math.cos(b_bar) - cu * cs) / (su * ss),
+            -1.0, 1.0))
+        arcs = [(rim, a_in, a_out), (rim, -a_out, -a_in)] if a_in < a_out else []
     for p in (b_bar, math.pi - b_bar):
         h = float(arc_halfwidth_clamped(user, p, s1))
         if h > 0.0:

@@ -53,9 +53,12 @@ def arc_length(user: UserGeometry, phi, sigma):
 def arc_halfwidth_clamped(user: UserGeometry, phi, sigma):
     """L/2 via the clamped closed form alone; equals arc_length/2 everywhere
     on (0, pi) because the clamp saturates to 2pi below sigma-phi_u and to 0
-    beyond phi_u+sigma. Vector-friendly hot path."""
+    beyond phi_u+sigma. Vector-friendly hot path. A user at the pole gets
+    pi inside sigma and 0 outside, as in arc_length."""
     phi = np.asarray(phi, dtype=float)
     phi_u = user.user_polar_rad
+    if phi_u < _POLE_EPS:
+        return np.where(phi <= sigma, np.pi, 0.0)
     arg = (math.cos(phi_u) * np.cos(phi) - np.cos(sigma)) / (
         math.sin(phi_u) * np.sin(phi))
     return 0.5 * np.pi + np.arcsin(np.clip(arg, -1.0, 1.0))

@@ -417,7 +417,10 @@ def snapshot_sample_loop(constellation, user: UserGeometry, times,
         if vis.size == 0:
             continue
         pick = int(vis[rng.integers(vis.size)])
-        sigma = math.acos(min(1.0, max(-1.0, float(cos_sig[pick]))))
+        # NumPy's arccos, as in orbit_sim: math.acos differs from it by one
+        # ulp on about a tenth of arguments, which the half-angle slant
+        # range carries into the gain
+        sigma = np.arccos(np.clip(cos_sig[pick], -1.0, 1.0))
         dist = float(slant_range(shell, sigma))
         gain.append(1.0 / (dist * dist))
         delay.append(dist / shell.light_speed_mps)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import path_loss_rho2_adaptive
+from oracles import max_doppler_scan, path_loss_rho2_adaptive
 
 from leo_channel import channel as ch
 from leo_channel import distributions as dist
@@ -163,3 +163,14 @@ class TestGlobalParams:
         assert hi.mean_delay_s == pytest.approx(lo.mean_delay_s, rel=1e-6)
         assert hi.rms_delay_spread_s == pytest.approx(lo.rms_delay_spread_s, rel=1e-6)
         assert hi.path_loss_db == pytest.approx(lo.path_loss_db, abs=1e-9)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_pole_user(self):
+        # seen from the pole, a near-polar shell's cap rim is a latitude
+        # line and every cap slice is a full circle or empty
+        shell = ShellConfig(inclination_rad=math.radians(89.0))
+        user = UserGeometry.for_shell(shell, 0.0, math.radians(30.0))
+        cap = CapModel(shell, user)
+        assert cap.nu_max_hz == pytest.approx(max_doppler_scan(shell, user),
+                                              abs=1.0)
+        ch.global_params(cap, spec=JointGridSpec(tau_step_s=8.4e-5))

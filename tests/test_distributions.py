@@ -148,6 +148,18 @@ class TestDopplerCdf:
     def test_mixed_median_at_equator(self, cap_equator):
         assert dist.doppler_cdf_mixed(cap_equator, 0.0) == pytest.approx(0.5, abs=1e-9)
 
+    @pytest.mark.parametrize("cap_name", ["cap_equator", "cap_midlat"])
+    def test_two_mark_helper_matches_direct_passes(self, cap_name, request):
+        # the descending CDF is the mirror T - F+(-nu) of one ascending
+        # pass; each mark's direct pass is the independent route
+        cap = request.getfixturevalue(cap_name)
+        nus = np.linspace(-1.05, 1.05, 401) * cap.nu_max_hz
+        up, down = dist.doppler_cdf_marks(cap, nus)
+        assert np.max(np.abs(up - dist.doppler_cdf_grid(cap, nus, 1))) <= 1e-14
+        assert np.max(np.abs(down - dist.doppler_cdf_grid(cap, nus, -1))) <= 1e-14
+        assert np.all(down >= 0.0)
+        assert np.all(down[nus < -cap.nu_max_hz] == 0.0)
+
     def test_mixed_monotone(self, cap_midlat):
         nus = np.linspace(-1.05, 1.05, 400) * cap_midlat.nu_max_hz
         f = 0.5 * (dist.doppler_cdf_grid(cap_midlat, nus, 1)
@@ -265,6 +277,17 @@ class TestJointDistribution:
         assert not [r for r in caplog.records if "clamped" in r.getMessage()]
 
     @pytest.mark.parametrize("cap_name", ["cap_equator", "cap_midlat"])
+    def test_descending_grid_is_the_mirror(self, cap_name, request):
+        # scattering_function takes the descending grid as the ascending
+        # one reversed in nu; a direct descending pass checks that
+        cap = request.getfixturevalue(cap_name)
+        spec, up = dist.joint_pdf_grid(cap, mark=1)
+        e = spec.nu_edges()
+        assert np.array_equal(e, -e[::-1])
+        _, down = dist.joint_pdf_grid(cap, spec, mark=-1)
+        assert np.max(np.abs(down - up[:, ::-1])) <= 1e-12 * float(up.max())
+
+    @pytest.mark.parametrize("cap_name", ["cap_equator", "cap_midlat"])
     @pytest.mark.parametrize("tau_step_s", [8.4e-5, 2.8e-5])
     def test_matches_row_route_at_four_times_the_nodes(self, cap_name,
                                                        tau_step_s, request):
@@ -306,6 +329,11 @@ class TestJointDistribution:
             spec, pdf = dist.joint_pdf_grid(cap, spec, mark)
         assert not [r for r in caplog.records if "clamped" in r.getMessage()]
         assert np.all(pdf >= 0.0)
+        # the other mark is this grid's nu-mirror, on exactly mirrored edges
+        e = spec.nu_edges()
+        assert np.array_equal(e, -e[::-1])
+        _, other = dist.joint_pdf_grid(cap, spec, -mark)
+        assert np.max(np.abs(other - pdf[:, ::-1])) <= 1e-12 * float(pdf.max())
         cdf = (np.cumsum(np.cumsum(pdf, axis=0), axis=1)
                * spec.nu_step_hz * spec.tau_step_s)
         assert np.all(np.diff(cdf, axis=0) >= 0.0)
