@@ -56,8 +56,8 @@ def layers(cap: CapModel):
                              rng)
 
     return [
-        ("p_cap x100", lambda: [cap.p_cap(float(s)) for s in sigmas]),
-        ("p_cap_prime x100", lambda: [cap.p_cap_prime(float(s)) for s in sigmas]),
+        ("p_cap x100", lambda: cap.p_cap(sigmas)),
+        ("p_cap_prime x100", lambda: cap.p_cap_prime(sigmas)),
         ("pcap_interpolator", lambda: dist.pcap_interpolator(cap)),
         ("max_doppler", lambda: max_doppler(shell, user)),
         ("doppler_cdf_grid row, full cap, 2001 edges",
@@ -74,7 +74,7 @@ def layers(cap: CapModel):
         ("snapshot_sample, 1e4 snapshots", snapshots),
         ("ks_distance, 1e6 gains",
          lambda: osim.ks_distance(gain_fn(shell, sig),
-                                  lambda x: dist.gain_cdf_batch(cap, x, pcap))),
+                                  lambda x: dist.gain_cdf(cap, x, pcap))),
     ]
 
 

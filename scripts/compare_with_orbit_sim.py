@@ -39,8 +39,8 @@ def main() -> None:
           f"{args.snapshots} snapshots ({g.size} with a visible satellite)")
     print(f"mean visible count: {counts.mean():.3f} "
           f"(analytic {cap.avg_visible():.3f})")
-    print(f"gain KS:    {osim.ks_distance(g, lambda x: dist.gain_cdf_batch(cap, x, pcap)):.5f}")
-    print(f"delay KS:   {osim.ks_distance(tau, lambda x: dist.delay_cdf_batch(cap, x, pcap)):.5f}")
+    print(f"gain KS:    {osim.ks_distance(g, lambda x: dist.gain_cdf(cap, x, pcap)):.5f}")
+    print(f"delay KS:   {osim.ks_distance(tau, lambda x: dist.delay_cdf(cap, x, pcap)):.5f}")
     print(f"doppler KS: {osim.ks_distance(nu, lambda x: dist.doppler_cdf_mixed_batch(cap, x)):.5f}")
     print(f"ascending fraction: {np.mean(mark == 1):.4f}")
 

@@ -92,7 +92,6 @@ def cmd_distributions(cfg: RunConfig) -> list[Path]:
     shell = cfg.shell()
     user = cfg.user(shell)
     cap = CapModel(shell, user)
-    pcap = dist.pcap_interpolator(cap)
     sig = None
     if cfg.mc_empirical:
         rng = np.random.default_rng(cfg.seed)
@@ -104,15 +103,15 @@ def cmd_distributions(cfg: RunConfig) -> list[Path]:
         _write_table(path, cfg, header, zip(*columns), cfg.out_format)
         paths.append(path)
 
-    # gain and delay: CDF + PDF (+ empirical CDF) on uniform sweeps over
-    # the support
+    # gain and delay: exact CDF + PDF (+ empirical CDF) on uniform sweeps
+    # over the support
     for name, unit, fn, cdf, pdf, bounds in (
-            ("gain", "gain_per_m2", gain_fn, dist.gain_cdf_batch,
-             dist.gain_pdf, cap.gain_bounds),
-            ("delay", "delay_s", delay_fn, dist.delay_cdf_batch,
-             dist.delay_pdf, cap.delay_bounds)):
+            ("gain", "gain_per_m2", gain_fn, dist.gain_cdf, dist.gain_pdf,
+             cap.gain_bounds),
+            ("delay", "delay_s", delay_fn, dist.delay_cdf, dist.delay_pdf,
+             cap.delay_bounds)):
         x = np.linspace(*bounds, cfg.cdf_points)
-        columns = [x, cdf(cap, x, pcap), [pdf(cap, float(v)) for v in x]]
+        columns = [x, cdf(cap, x), pdf(cap, x)]
         if sig is not None:
             mc = np.sort(fn(shell, sig))
             columns.append(np.searchsorted(mc, x, side="right") / mc.size)
@@ -161,6 +160,8 @@ def _validation_checks(cfg: RunConfig) -> list[dict]:
     shell = cfg.shell()
     user = cfg.user(shell)
     cap = CapModel(shell, user)
+    # tables for the KS checks only: exact CDFs at every sample would cost
+    # one fixed rule per sample
     pcap = dist.pcap_interpolator(cap)
     doppler_mixed = dist.doppler_mixed_interpolator(cap)
     checks: list[dict] = []
@@ -181,46 +182,37 @@ def _validation_checks(cfg: RunConfig) -> list[dict]:
     ks_tol = max(0.005, 2.5 / math.sqrt(n))
     add("mc_gain_ks",
         osim.ks_distance(gain_fn(shell, sig),
-                         lambda x: dist.gain_cdf_batch(cap, x, pcap)),
+                         lambda x: dist.gain_cdf(cap, x, pcap)),
         ks_tol, f"n={n}")
     add("mc_delay_ks",
         osim.ks_distance(delay_fn(shell, sig),
-                         lambda x: dist.delay_cdf_batch(cap, x, pcap)),
+                         lambda x: dist.delay_cdf(cap, x, pcap)),
         ks_tol, f"n={n}")
     sig2, th2, ph2, mk2 = sample_visible(shell, user, n, rng)
     nu_samples = doppler_hz_arrays(shell, user, th2, ph2, mk2)
     add("mc_doppler_mixed_ks", osim.ks_distance(nu_samples, doppler_mixed),
         ks_tol, f"n={n}")
 
-    # derivative consistency
+    # derivative consistency, 20 interior points each
+    def worst(fd, an) -> float:
+        return float(np.max(np.abs(fd - an) / np.maximum(np.abs(an), 1e-300)))
+
     s_lo, s_hi = user.sigma_min_rad, user.sigma_max_rad
-    worst = 0.0
-    for s in np.linspace(s_lo + 0.05 * (s_hi - s_lo), s_hi - 0.05 * (s_hi - s_lo), 20):
-        h = 1e-5
-        u0 = math.cos(float(s))
-        fd = (cap.p_cap(math.acos(min(1.0, u0 + h)))
-              - cap.p_cap(math.acos(max(-1.0, u0 - h)))) / (2 * h)
-        an = cap.p_cap_prime(float(s))
-        worst = max(worst, abs(fd - an) / max(abs(an), 1e-300))
-    add("pcap_derivative_fd", worst, 1e-4, "20 points, d/dcos(sigma)")
+    s = np.linspace(s_lo + 0.05 * (s_hi - s_lo), s_hi - 0.05 * (s_hi - s_lo), 20)
+    h = 1e-5
+    u0 = np.cos(s)
+    fd = (cap.p_cap(np.arccos(np.minimum(1.0, u0 + h)))
+          - cap.p_cap(np.arccos(np.maximum(-1.0, u0 - h)))) / (2 * h)
+    add("pcap_derivative_fd", worst(fd, cap.p_cap_prime(s)), 1e-4,
+        "20 points, d/dcos(sigma)")
 
-    g_min, g_max = cap.gain_bounds
-    worst = 0.0
-    for g in np.linspace(g_min, g_max, 22)[1:-1]:
-        h = (g_max - g_min) * 1e-5
-        fd = (dist.gain_cdf(cap, g + h) - dist.gain_cdf(cap, g - h)) / (2 * h)
-        an = dist.gain_pdf(cap, float(g))
-        worst = max(worst, abs(fd - an) / max(abs(an), 1e-300))
-    add("gain_pdf_vs_cdf_fd", worst, 1e-3, "20 points")
-
-    tau_lo, tau_hi = cap.delay_bounds
-    worst = 0.0
-    for tv in np.linspace(tau_lo, tau_hi, 22)[1:-1]:
-        h = (tau_hi - tau_lo) * 1e-5
-        fd = (dist.delay_cdf(cap, tv + h) - dist.delay_cdf(cap, tv - h)) / (2 * h)
-        an = dist.delay_pdf(cap, float(tv))
-        worst = max(worst, abs(fd - an) / max(abs(an), 1e-300))
-    add("delay_pdf_vs_cdf_fd", worst, 1e-3, "20 points")
+    for name, cdf, pdf, (lo, hi) in (
+            ("gain", dist.gain_cdf, dist.gain_pdf, cap.gain_bounds),
+            ("delay", dist.delay_cdf, dist.delay_pdf, cap.delay_bounds)):
+        x = np.linspace(lo, hi, 22)[1:-1]
+        h = (hi - lo) * 1e-5
+        fd = (cdf(cap, x + h) - cdf(cap, x - h)) / (2 * h)
+        add(f"{name}_pdf_vs_cdf_fd", worst(fd, pdf(cap, x)), 1e-3, "20 points")
 
     # scattering grid: dual path loss and normalization
     spec = dist.JointGridSpec(nu_step_hz=cfg.nu_step_hz,
@@ -261,10 +253,10 @@ def _validation_checks(cfg: RunConfig) -> list[dict]:
     low_lat = abs(cfg.lat_deg) <= 15.0
     range_tol = 0.10 if low_lat else 0.03
     add("orbit_gain_ks",
-        osim.ks_distance(g_obs, lambda x: dist.gain_cdf_batch(cap, x, pcap)),
+        osim.ks_distance(g_obs, lambda x: dist.gain_cdf(cap, x, pcap)),
         range_tol + noise, f"n={n_obs}")
     add("orbit_delay_ks",
-        osim.ks_distance(tau_obs, lambda x: dist.delay_cdf_batch(cap, x, pcap)),
+        osim.ks_distance(tau_obs, lambda x: dist.delay_cdf(cap, x, pcap)),
         range_tol + noise, f"n={n_obs}")
     doppler_tol = 0.10 if low_lat else 0.05
     add("orbit_doppler_ks", osim.ks_distance(nu_obs, doppler_mixed),

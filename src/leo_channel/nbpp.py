@@ -28,25 +28,6 @@ _DRAWS_PER_SAMPLE = 64
 _BOX_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class SatellitePoint:
-    """One marked point: azimuth, polar angle, ascending(+1)/descending(-1)."""
-
-    theta_rad: float
-    phi_rad: float
-    mark: int
-
-
-@dataclass(frozen=True)
-class NbppModel:
-    shell: ShellConfig
-    n_points: int = 0
-
-    def __post_init__(self):
-        if self.n_points <= 0:
-            object.__setattr__(self, "n_points", self.shell.n_sats)
-
-
 def phi_pdf(shell: ShellConfig, phi):
     """Polar-angle density on the band, zero outside.
 
@@ -85,7 +66,7 @@ class SampleBox:
     omega_hi: float = math.pi / 2
 
 
-def sample_arrays(model: NbppModel, count: int, rng: np.random.Generator,
+def sample_arrays(shell: ShellConfig, count: int, rng: np.random.Generator,
                   physical_marks: bool = False, box: SampleBox = SampleBox()):
     """Vectorised i.i.d. draw, uniform in (theta, omega) over the box:
     returns (theta, phi, mark) arrays.
@@ -97,7 +78,7 @@ def sample_arrays(model: NbppModel, count: int, rng: np.random.Generator,
     width = box.omega_hi - box.omega_lo
     omega = box.omega_lo + rng.uniform(0.0, 2.0 * width, size=count)
     omega = np.where(omega < box.omega_hi, omega, np.pi - (omega - width))
-    phi = np.pi / 2 - np.arcsin(math.sin(model.shell.inclination_rad) * np.sin(omega))
+    phi = np.pi / 2 - np.arcsin(math.sin(shell.inclination_rad) * np.sin(omega))
     if physical_marks:
         mark = np.where(np.cos(omega) > 0.0, 1, -1)
     else:
@@ -155,7 +136,6 @@ def sample_visible(shell: ShellConfig, user, count: int,
     DomainError when _DRAWS_PER_SAMPLE * count draws (at least one block)
     do not yield `count` samples.
     """
-    model = NbppModel(shell)
     box = visible_box(shell, user)
     if count == 0:
         return tuple(np.empty(0, dtype=d) for d in (float, float, float, int))
@@ -169,7 +149,7 @@ def sample_visible(shell: ShellConfig, user, count: int,
             raise DomainError(
                 f"{drawn} draws in the visible-cap box gave {got} of {count} "
                 "samples: the cap is too thin to sample")
-        theta, phi, mark = sample_arrays(model, _BLOCK, rng, physical_marks, box)
+        theta, phi, mark = sample_arrays(shell, _BLOCK, rng, physical_marks, box)
         drawn += _BLOCK
         cos_sig = (math.cos(phi_u) * np.cos(phi)
                    + math.sin(phi_u) * np.sin(phi) * np.sin(theta))

@@ -176,17 +176,16 @@ def ks_distance(samples, analytic_cdf) -> float:
     """Kolmogorov-Smirnov sup distance between the empirical CDF of the
     samples and the analytic CDF (evaluated at the points and left limits).
 
-    analytic_cdf may be scalar- or vector-valued.
+    analytic_cdf takes the sorted samples as one array and returns one
+    value per sample; DomainError otherwise.
     """
     x = np.sort(np.asarray(samples, dtype=float))
     n = x.size
     if n == 0:
         raise DomainError("ks_distance needs at least one sample")
-    try:
-        f = np.asarray(analytic_cdf(x), dtype=float)
-        if f.shape != x.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        f = np.array([analytic_cdf(float(v)) for v in x])
+    f = np.asarray(analytic_cdf(x), dtype=float)
+    if f.shape != x.shape:
+        raise DomainError(f"analytic_cdf returned shape {f.shape} for "
+                          f"{n} samples")
     grid = np.arange(1, n + 1) / n
     return float(max(np.max(np.abs(f - grid)), np.max(np.abs(f - (grid - 1.0 / n)))))

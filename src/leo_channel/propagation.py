@@ -21,7 +21,6 @@ from .geometry import (
     sigma_from_range2,
     slant_range,
 )
-from .nbpp import SatellitePoint
 from .visibility import _POLE_EPS, _active_band, arc_halfwidth_clamped
 
 _GRACE = 1e-12
@@ -94,18 +93,6 @@ def _radial_speed(shell: ShellConfig, user: UserGeometry, theta, phi, mark):
                   - np.sin(beta) * (sin_phi * math.cos(phi_u)
                                     - np.cos(phi) * np.sin(theta) * math.sin(phi_u)))
     return -shell.sat_speed_mps * r / dist * range_rate
-
-
-def doppler_normalized(shell: ShellConfig, user: UserGeometry,
-                       sat: SatellitePoint) -> float:
-    """Doppler as an approach speed in m/s (carrier-independent)."""
-    direction_angle(shell, sat.phi_rad, sat.mark)  # band validation
-    return float(_radial_speed(shell, user, sat.theta_rad, sat.phi_rad, sat.mark))
-
-
-def doppler(shell: ShellConfig, user: UserGeometry, sat: SatellitePoint) -> float:
-    """Doppler shift in Hz; positive for an approaching satellite."""
-    return doppler_normalized(shell, user, sat) * shell.carrier_hz / shell.light_speed_mps
 
 
 def doppler_hz_arrays(shell: ShellConfig, user: UserGeometry, theta, phi, mark):

@@ -42,23 +42,23 @@ def _gauss_rule(n: int):
     return x, w
 
 
-def sine_mapped_panels(a: float, b: float, breakpoints, n_nodes: int):
-    """Fixed nodes/weights on [a, b] split at breakpoints.
+def sine_mapped_panels(edges, n_nodes: int):
+    """Fixed nodes/weights on the panels between consecutive edges.
 
-    Each panel gets an n_nodes Gauss-Legendre rule under the substitution
+    edges has shape (..., P + 1), ascending along its last axis; nodes and
+    weights have shape (..., P * n_nodes), panel after panel. Each panel
+    gets an n_nodes Gauss-Legendre rule under the substitution
     x = mid + half*sin(pi u / 2), whose vanishing endpoint Jacobian absorbs
     the square-root kinks the integrands here have at panel boundaries.
     """
-    edges = [a] + sorted(p for p in breakpoints if a < p < b) + [b]
+    edges = np.asarray(edges, dtype=float)
     x, w = _gauss_rule(n_nodes)
     s = np.sin(0.5 * np.pi * x)
     j = 0.5 * np.pi * np.cos(0.5 * np.pi * x)
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        nodes.append(mid + half * s)
-        weights.append(w * j * half)
-    return np.concatenate(nodes), np.concatenate(weights)
+    lo, hi = edges[..., :-1, None], edges[..., 1:, None]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    shape = edges.shape[:-1] + (-1,)
+    return (mid + half * s).reshape(shape), (w * j * half).reshape(shape)
 
 
 def density_nodes(phi_lo: float, phi_hi: float, shell: ShellConfig,
@@ -67,7 +67,8 @@ def density_nodes(phi_lo: float, phi_hi: float, shell: ShellConfig,
     returns (phi_k, w_k) with sum_k w_k * g(phi_k) approximating the integral.
 
     The interval is clipped to the band and split at the breakpoints (in
-    phi); each panel gets n_nodes sine-mapped nodes in argument of latitude.
+    phi) inside it; each panel gets n_nodes sine-mapped nodes in argument
+    of latitude.
     """
     b_bar = shell.polar_inclination_rad
     lo = max(phi_lo, b_bar)
@@ -77,15 +78,27 @@ def density_nodes(phi_lo: float, phi_hi: float, shell: ShellConfig,
     w_lo = float(omega_of_phi(hi, shell))
     w_hi = float(omega_of_phi(lo, shell))
     pts = [float(omega_of_phi(p, shell)) for p in breakpoints if lo < p < hi]
-    w_nodes, w_weights = sine_mapped_panels(w_lo, w_hi, pts, n_nodes)
+    edges = [w_lo] + sorted(p for p in pts if w_lo < p < w_hi) + [w_hi]
+    w_nodes, w_weights = sine_mapped_panels(edges, n_nodes)
     return phi_of_omega(w_nodes, shell), w_weights / math.pi
 
 
-def density_integral(g, phi_lo: float, phi_hi: float, shell: ShellConfig,
-                     breakpoints=()) -> float:
-    """Integral of f(phi) * g(phi) over [phi_lo, phi_hi] by the fixed rule
-    of density_nodes; g is called once, with the array of nodes."""
-    phi, w = density_nodes(phi_lo, phi_hi, shell, breakpoints)
-    if phi.size == 0:
-        return 0.0
-    return float(w @ g(phi))
+def density_integral(g, phi_lo, phi_hi, shell: ShellConfig, breaks=None):
+    """Integrals of f(phi) * g(phi) over the intervals [phi_lo, phi_hi],
+    each split at its break, by the fixed rule of density_nodes.
+
+    phi_lo, phi_hi and breaks (optional) are arrays of one shape whose
+    intervals are non-empty after clipping to the band, with each break
+    strictly inside its interval. g is called once, with the nodes of
+    every interval in one array of shape (..., panels * _N_NODES). Each
+    interval's value is one dot product of its weights and g's values, so
+    it does not depend on the other intervals.
+    """
+    b_bar = shell.polar_inclination_rad
+    cols = [np.minimum(phi_hi, math.pi - b_bar), np.maximum(phi_lo, b_bar)]
+    if breaks is not None:  # omega falls as phi rises: breaks go between
+        cols.insert(1, breaks)
+    edges = omega_of_phi(np.stack(cols, axis=-1), shell)
+    w_nodes, w_weights = sine_mapped_panels(edges, _N_NODES)
+    w, v = w_weights / math.pi, g(phi_of_omega(w_nodes, shell))
+    return (w[..., None, :] @ v[..., :, None])[..., 0, 0]

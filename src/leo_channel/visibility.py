@@ -11,6 +11,12 @@ inside the cap has length L(phi; sigma); integrating f(phi)*L/(2pi) over
 the band gives p_cap. The substitution to argument-of-latitude space (see
 quadrature.py) removes the density's edge singularity, and the piecewise
 breakpoints of L are passed to the integrator as panel boundaries.
+
+p_cap and p_cap_prime take arrays: the fixed rule runs on a (sigma x node)
+matrix, in blocks of rows. Both are exact up to that rule, and the gain
+and delay laws call them directly. Only the KS checks interpolate p_cap
+in a table (distributions.pcap_interpolator): they evaluate a CDF at
+1e4-1e6 samples, each of which would cost one rule.
 """
 
 from __future__ import annotations
@@ -23,9 +29,11 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import ShellConfig, UserGeometry
-from .quadrature import density_integral
+from .quadrature import _N_NODES, density_integral
 
 _POLE_EPS = 1e-12
+# bound on the (sigma x polar node) elements of one p_cap or p_cap' block
+_BLOCK_ELEMENTS = 1 << 15
 
 
 def arc_length(user: UserGeometry, phi, sigma):
@@ -64,25 +72,55 @@ def arc_halfwidth_clamped(user: UserGeometry, phi, sigma):
     return 0.5 * np.pi + np.arcsin(np.clip(arg, -1.0, 1.0))
 
 
-def _active_band(shell: ShellConfig, user: UserGeometry, sigma: float):
+def _active_band(shell: ShellConfig, user: UserGeometry, sigma):
     """Polar interval where the cap slice is non-empty, clipped to the band,
-    plus the interior breakpoint between full-circle and partial slices."""
+    and sigma - phi_u, past which latitude lines lie fully inside the cap:
+    a panel break where it falls inside the interval. Any shape of sigma."""
     b_bar = shell.polar_inclination_rad
-    lo = max(b_bar, user.user_polar_rad - sigma)
-    hi = min(math.pi - b_bar, user.user_polar_rad + sigma)
-    breaks = []
-    if sigma > user.user_polar_rad:
-        full_edge = sigma - user.user_polar_rad
-        if lo < full_edge < hi:
-            breaks.append(full_edge)
-    return lo, hi, breaks
+    phi_u = user.user_polar_rad
+    return (np.maximum(b_bar, phi_u - sigma),
+            np.minimum(math.pi - b_bar, phi_u + sigma), sigma - phi_u)
+
+
+def _polar_limit(shell: ShellConfig, x):
+    """-1 / (pi sqrt(sin^2 i - cos^2 x)) inside the band, 0 outside: the
+    band density per unit area times -2pi, d(cap area) / d cos(sigma)."""
+    c = np.cos(x)
+    q = math.sin(shell.inclination_rad) ** 2 - c * c
+    return np.where(q > 0.0, -1.0 / (math.pi * np.sqrt(np.where(q > 0.0, q, 1.0))),
+                    0.0)
+
+
+def _cap_integral(shell: ShellConfig, integrand, sigma, lo, hi, edge=None):
+    """density_integral of integrand(phi, sigma) / 2pi over [lo, hi], split
+    at edge where it lies inside, for every sigma whose interval is
+    non-empty, 0 elsewhere; the arguments are 1-D arrays of one length.
+
+    A row's panel count depends on its own sigma alone, and rows go to
+    density_integral in blocks of _BLOCK_ELEMENTS nodes, so a row's value
+    does not depend on the block it lands in.
+    """
+    out = np.zeros(sigma.shape)
+    live = lo < hi
+    split = np.zeros_like(live) if edge is None else live & (lo < edge) & (edge < hi)
+    for rows, panels in ((live & ~split, 1), (split, 2)):
+        idx = np.flatnonzero(rows)
+        step = max(1, _BLOCK_ELEMENTS // (panels * _N_NODES))
+        for k in range(0, idx.size, step):
+            r = idx[k:k + step]
+            out[r] = density_integral(lambda phi: integrand(phi, sigma[r, None]),
+                                      lo[r], hi[r], shell,
+                                      edge[r] if panels == 2 else None)
+    return out / (2.0 * math.pi)
 
 
 @dataclass(frozen=True)
 class CapModel:
     """Shell + user with the cap success probability memoized eagerly.
 
-    Immutable after construction; all methods are pure.
+    Immutable after construction; all methods are pure. p_cap and
+    p_cap_prime take sigma of any shape and return an array of that shape,
+    or a float for a scalar; both are exact up to the fixed rule.
     """
 
     shell: ShellConfig
@@ -92,25 +130,22 @@ class CapModel:
     def __post_init__(self):
         object.__setattr__(self, "p_sat", self.p_cap(self.user.sigma_max_rad))
 
-    def p_cap(self, sigma: float) -> float:
+    def p_cap(self, sigma):
         """Probability of one satellite inside the cap of angle sigma.
 
         Latitude lines fully inside the cap contribute through the clamped
         arc length saturating at 2pi, so a single integral covers all cases
         of the piecewise rule.
         """
-        if sigma <= self.user.sigma_min_rad:
-            return 0.0
-        sigma = min(sigma, math.pi)
-        lo, hi, breaks = _active_band(self.shell, self.user, sigma)
-        if lo >= hi:
-            return 0.0
-        user = self.user
-        val = density_integral(lambda phi: arc_length(user, phi, sigma),
-                               lo, hi, self.shell, breaks)
-        return val / (2.0 * math.pi)
+        s = np.asarray(sigma, dtype=float)
+        user, flat = self.user, np.minimum(s.ravel(), math.pi)
+        lo, hi, edge = _active_band(self.shell, user, flat)
+        hi = np.where(s.ravel() > user.sigma_min_rad, hi, lo)  # empty: no mass
+        out = _cap_integral(self.shell, lambda phi, col: arc_length(user, phi, col),
+                            flat, lo, hi, edge).reshape(s.shape)
+        return float(out) if out.ndim == 0 else out
 
-    def p_cap_prime(self, sigma: float) -> float:
+    def p_cap_prime(self, sigma):
         """d p_cap / d cos(sigma); negative on the open support.
 
         Per latitude line, d(arc length)/d cos(sigma) is
@@ -119,28 +154,34 @@ class CapModel:
         accuracy in small caps. Its inverse-square-root endpoints are the
         ends of the integration interval, where the sine map absorbs them.
         At sigma = 0 an in-band user gets the limit, the density per unit
-        area times d(cap area)/d cos(sigma) = -2pi.
+        area times d(cap area)/d cos(sigma) = -2pi. For a user at the pole
+        the cap is the polar cap phi <= sigma and the interval collapses;
+        the derivative is that limit at phi = sigma, -f(sigma) / sin(sigma).
         """
-        shell = self.shell
-        phi_u = self.user.user_polar_rad
-        if sigma <= 0.0:
-            q = math.sin(shell.inclination_rad) ** 2 - math.cos(phi_u) ** 2
-            return -1.0 / (math.pi * math.sqrt(q)) if q > 0.0 else 0.0
-        lo = max(shell.polar_inclination_rad, abs(phi_u - sigma))
-        hi = min(math.pi - shell.polar_inclination_rad, phi_u + sigma)
-        if lo >= hi:
-            return 0.0
+        shell, phi_u = self.shell, self.user.user_polar_rad
+        s = np.asarray(sigma, dtype=float)
+        flat = s.ravel()
 
-        def dlen(phi):
-            prod = (np.sin(0.5 * (sigma + phi - phi_u))
-                    * np.sin(0.5 * (sigma - phi + phi_u))
-                    * np.sin(0.5 * (phi + phi_u + sigma))
-                    * np.sin(0.5 * (phi + phi_u - sigma)))
+        def dlen(phi, col):
+            prod = (np.sin(0.5 * (col + phi - phi_u))
+                    * np.sin(0.5 * (col - phi + phi_u))
+                    * np.sin(0.5 * (phi + phi_u + col))
+                    * np.sin(0.5 * (phi + phi_u - col)))
             # a node within rounding of an endpoint can land outside it
             with np.errstate(divide="ignore", invalid="ignore"):
                 return np.where(prod > 0.0, -1.0 / np.sqrt(prod), 0.0)
 
-        return density_integral(dlen, lo, hi, shell) / (2.0 * math.pi)
+        if phi_u < _POLE_EPS:
+            out = _polar_limit(shell, flat)
+        else:
+            b_bar = shell.polar_inclination_rad
+            lo = np.maximum(b_bar, np.abs(phi_u - flat))
+            hi = np.where(flat > 0.0,
+                          np.minimum(math.pi - b_bar, phi_u + flat), lo)
+            out = np.where(flat > 0.0, _cap_integral(shell, dlen, flat, lo, hi),
+                           _polar_limit(shell, phi_u))
+        out = out.reshape(s.shape)
+        return float(out) if out.ndim == 0 else out
 
     def visible_count_pmf(self, n: int) -> float:
         """Binomial probability of n visible satellites, through log-gamma

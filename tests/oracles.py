@@ -152,12 +152,12 @@ def p_cap_adaptive(model: CapModel, sigma: float) -> float:
     if sigma <= model.user.sigma_min_rad:
         return 0.0
     sigma = min(sigma, math.pi)
-    lo, hi, breaks = _active_band(model.shell, model.user, sigma)
+    lo, hi, edge = _active_band(model.shell, model.user, sigma)
     if lo >= hi:
         return 0.0
     val = density_integral_adaptive(
         lambda phi: arc_length(model.user, phi, sigma),
-        lo, hi, model.shell, breakpoints=breaks, rel_tol=1e-12)
+        lo, hi, model.shell, breakpoints=[edge], rel_tol=1e-12)
     return val / (2.0 * math.pi)
 
 
@@ -170,9 +170,12 @@ def p_cap_prime_adaptive(model: CapModel, sigma: float) -> float:
     loses a factor 1/sigma in relative accuracy next to the endpoints,
     which moves small-cap results by up to 3e-6. The formula itself is
     checked by the central-difference and zenith-limit tests; this route
-    checks the quadrature.
+    checks the quadrature. A user at the pole has the polar cap
+    phi <= sigma, so the derivative is -f(sigma) / sin(sigma).
     """
     phi_u = model.user.user_polar_rad
+    if phi_u == 0.0:
+        return -float(phi_pdf(model.shell, sigma)) / math.sin(sigma)
     b_bar = model.shell.polar_inclination_rad
     lo = max(b_bar, abs(phi_u - sigma))
     hi = min(math.pi - b_bar, phi_u + sigma)
@@ -263,7 +266,7 @@ def doppler_cdf_adaptive(model: CapModel, nu_hz: float, mark: int,
     shell, user = model.shell, model.user
     if cap_sigma is None:
         cap_sigma = user.sigma_max_rad
-    lo, hi, breaks = _active_band(shell, user, cap_sigma)
+    lo, hi, edge = _active_band(shell, user, cap_sigma)
     if lo >= hi:
         return 0.0
 
@@ -272,7 +275,7 @@ def doppler_cdf_adaptive(model: CapModel, nu_hz: float, mark: int,
         return _sublevel_measure(shell, user, phi, mark, half, nu_hz)
 
     val = density_integral_adaptive(measure, lo, hi, shell,
-                                    breakpoints=breaks, rel_tol=1e-8,
+                                    breakpoints=[edge], rel_tol=1e-8,
                                     limit=300)
     return val / (2.0 * math.pi * model.p_sat)
 
@@ -282,10 +285,10 @@ def _doppler_cdf_row(model: CapModel, e: np.ndarray, mark: int,
     """doppler_cdf_grid on the sub-cap of cap_sigma at sorted edges e, with
     n_nodes polar nodes per panel (384 reproduces it bit for bit)."""
     shell, user = model.shell, model.user
-    phi_lo, phi_hi, breaks = _active_band(shell, user, cap_sigma)
+    phi_lo, phi_hi, edge = _active_band(shell, user, cap_sigma)
     if phi_lo >= phi_hi:
         return np.zeros(e.size)
-    phi_k, w_k = density_nodes(phi_lo, phi_hi, shell, breaks, n_nodes)
+    phi_k, w_k = density_nodes(phi_lo, phi_hi, shell, [edge], n_nodes)
     half = arc_halfwidth_clamped(user, phi_k, cap_sigma)
     n_theta = dist._N_THETA
     cell_mass = (w_k * half * (2.0 / (n_theta - 1))
@@ -362,10 +365,6 @@ def max_doppler_scan(shell: ShellConfig, user: UserGeometry,
         keep = np.abs(tt - tu) <= half[rows, None]
         best = max(best, peak(tt[keep], pp[keep]))
     return best
-
-
-def central_diff(f, x: float, h: float) -> float:
-    return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
 def sample_visible_rejection(shell: ShellConfig, user: UserGeometry,

@@ -140,9 +140,9 @@ def test_criterion_5_monte_carlo_ks(shell, cap_equator, mc_million):
     sig, th, ph, mk = mc_million
     pcap = dist.pcap_interpolator(cap_equator)
     d_gain = osim.ks_distance(gain_fn(shell, sig),
-                              lambda x: dist.gain_cdf_batch(cap_equator, x, pcap))
+                              lambda x: dist.gain_cdf(cap_equator, x, pcap))
     d_delay = osim.ks_distance(delay_fn(shell, sig),
-                               lambda x: dist.delay_cdf_batch(cap_equator, x, pcap))
+                               lambda x: dist.delay_cdf(cap_equator, x, pcap))
     nu = doppler_hz_arrays(shell, cap_equator.user, th, ph, mk)
     d_dop = osim.ks_distance(nu, lambda x: dist.doppler_cdf_mixed_batch(cap_equator, x))
     ok = d_gain < 0.005 and d_delay < 0.005 and d_dop < 0.005
@@ -158,8 +158,8 @@ def test_criterion_6_orbit_oracle(shell, cap_equator, cap_midlat, snapshots):
         g_obs, tau_obs, nu_obs, _, _ = snapshots[name]
         pcap = dist.pcap_interpolator(cap)
         ks[name] = dict(
-            gain=osim.ks_distance(g_obs, lambda x: dist.gain_cdf_batch(cap, x, pcap)),
-            delay=osim.ks_distance(tau_obs, lambda x: dist.delay_cdf_batch(cap, x, pcap)),
+            gain=osim.ks_distance(g_obs, lambda x: dist.gain_cdf(cap, x, pcap)),
+            delay=osim.ks_distance(tau_obs, lambda x: dist.delay_cdf(cap, x, pcap)),
             doppler=osim.ks_distance(nu_obs, lambda x: dist.doppler_cdf_mixed_batch(cap, x)),
         )
     ordering = ks["equator"]["doppler"] > ks["midlat"]["doppler"]
@@ -279,10 +279,10 @@ def test_criterion_10_normalization_suite(cap_equator, cap_midlat):
 
         # 400-point monotone sweeps
         g = np.linspace(g_min, g_max, 400)
-        if not np.all(np.diff(dist.gain_cdf_batch(cap, g)) >= -1e-9):
+        if not np.all(np.diff(dist.gain_cdf(cap, g)) >= -1e-9):
             problems.append("gain cdf sweep not monotone")
         t = np.linspace(t_lo, t_hi, 400)
-        if not np.all(np.diff(dist.delay_cdf_batch(cap, t)) >= -1e-9):
+        if not np.all(np.diff(dist.delay_cdf(cap, t)) >= -1e-9):
             problems.append("delay cdf sweep not monotone")
         nus = np.linspace(-1.05, 1.05, 400) * cap.nu_max_hz
         for mark in (1, -1):

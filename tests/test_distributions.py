@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 from oracles import (
     doppler_cdf_adaptive, doppler_cdf_riemann, joint_pdf_grid_rows,
-    rayleigh_gain_cdf)
+    p_cap_adaptive, rayleigh_gain_cdf)
 
 from leo_channel import distributions as dist
 from leo_channel.geometry import UserGeometry, sigma_from_elevation
@@ -18,9 +18,20 @@ from leo_channel.orbit_sim import ks_distance
 from leo_channel.visibility import CapModel
 from leo_channel.propagation import (
     delay as delay_fn,
+    delay_inverse,
     doppler_hz_arrays,
     gain as gain_fn,
+    gain_inverse,
 )
+
+
+# the reference users and two whose cap crosses a band edge
+ORACLE_USERS = [(0.0, 30.0), (60.0, 10.0), (45.0, 25.0), (50.0, 10.0)]
+
+
+def _cap(shell, lat_deg, mask_deg):
+    return CapModel(shell, UserGeometry.for_shell(
+        shell, math.pi / 2 - math.radians(lat_deg), math.radians(mask_deg)))
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +51,7 @@ class TestGainDistribution:
 
     def test_monotone(self, cap_equator):
         g_min, g_max = cap_equator.gain_bounds
-        vals = dist.gain_cdf_batch(cap_equator, np.linspace(g_min, g_max, 200))
+        vals = dist.gain_cdf(cap_equator, np.linspace(g_min, g_max, 200))
         assert np.all(np.diff(vals) >= -1e-12)
 
     def test_pdf_integrates_to_one(self, cap_equator):
@@ -58,15 +69,14 @@ class TestGainDistribution:
             assert dist.gain_pdf(cap_equator, float(g)) == pytest.approx(fd, rel=1e-3)
 
     def test_pdf_nonnegative(self, cap_equator):
-        g_min, g_max = cap_equator.gain_bounds
-        for g in np.linspace(g_min, g_max, 500):
-            assert dist.gain_pdf(cap_equator, float(g)) >= 0.0
+        g = np.linspace(*cap_equator.gain_bounds, 500)
+        assert np.all(dist.gain_pdf(cap_equator, g) >= 0.0)
 
     def test_ks_against_monte_carlo(self, shell, cap_equator, mc_equator):
         sig = mc_equator[0]
         pcap = dist.pcap_interpolator(cap_equator)
         d = ks_distance(gain_fn(shell, sig),
-                        lambda x: dist.gain_cdf_batch(cap_equator, x, pcap))
+                        lambda x: dist.gain_cdf(cap_equator, x, pcap))
         assert d < 0.005
 
 
@@ -97,16 +107,55 @@ class TestDelayDistribution:
             assert dist.delay_pdf(cap_midlat, float(t)) == pytest.approx(fd, rel=1e-3)
 
     def test_pdf_nonnegative(self, cap_midlat):
-        tau_lo, tau_hi = cap_midlat.delay_bounds
-        for t in np.linspace(tau_lo, tau_hi, 500):
-            assert dist.delay_pdf(cap_midlat, float(t)) >= 0.0
+        t = np.linspace(*cap_midlat.delay_bounds, 500)
+        assert np.all(dist.delay_pdf(cap_midlat, t) >= 0.0)
 
     def test_ks_against_monte_carlo(self, shell, cap_equator, mc_equator):
         sig = mc_equator[0]
         pcap = dist.pcap_interpolator(cap_equator)
         d = ks_distance(delay_fn(shell, sig),
-                        lambda x: dist.delay_cdf_batch(cap_equator, x, pcap))
+                        lambda x: dist.delay_cdf(cap_equator, x, pcap))
         assert d < 0.005
+
+
+class TestArrayLaws:
+    """gain_cdf, delay_cdf, gain_pdf and delay_pdf: one function each,
+    array in and array out, exact unless given pcap_interpolator's table."""
+
+    @pytest.mark.parametrize("lat,mask", ORACLE_USERS)
+    def test_cdfs_match_adaptive_oracle(self, shell, lat, mask):
+        cap = _cap(shell, lat, mask)
+        g = np.linspace(*cap.gain_bounds, 12)[1:-1]
+        tau = np.linspace(*cap.delay_bounds, 12)[1:-1]
+        p_g = [p_cap_adaptive(cap, s) for s in gain_inverse(shell, g).tolist()]
+        p_t = [p_cap_adaptive(cap, s) for s in delay_inverse(shell, tau).tolist()]
+        assert np.max(np.abs(dist.gain_cdf(cap, g) - (1.0 - np.divide(
+            p_g, cap.p_sat)))) < 1e-12
+        assert np.max(np.abs(dist.delay_cdf(cap, tau) - np.divide(
+            p_t, cap.p_sat))) < 1e-12
+
+    def test_array_call_is_the_scalar_calls(self, cap_midlat):
+        g = np.linspace(0.9, 1.1, 41) * np.mean(cap_midlat.gain_bounds)
+        tau = np.linspace(0.9, 1.1, 41) * np.mean(cap_midlat.delay_bounds)
+        for fn, x in ((dist.gain_cdf, g), (dist.gain_pdf, g),
+                      (dist.delay_cdf, tau), (dist.delay_pdf, tau)):
+            one = [fn(cap_midlat, v) for v in x.tolist()]
+            assert all(type(v) is float for v in one)
+            assert np.array_equal(fn(cap_midlat, x), one)
+
+    @pytest.mark.parametrize("lat,mask", ORACLE_USERS)
+    def test_table_error_is_below_ks_resolution(self, shell, lat, mask):
+        # the table's linear interpolation error (measured 6.3e-8 at the
+        # equator, 2.2e-5 where the cap crosses a band edge) stays a tenth
+        # of the KS resolution 1/sqrt(n) of the largest sample set, 1e6
+        cap = _cap(shell, lat, mask)
+        pcap = dist.pcap_interpolator(cap)
+        g = np.linspace(*cap.gain_bounds, 1000)
+        tau = np.linspace(*cap.delay_bounds, 1000)
+        assert np.max(np.abs(dist.gain_cdf(cap, g, pcap)
+                             - dist.gain_cdf(cap, g))) < 1e-4
+        assert np.max(np.abs(dist.delay_cdf(cap, tau, pcap)
+                             - dist.delay_cdf(cap, tau))) < 1e-4
 
 
 class TestDopplerCdf:
@@ -260,8 +309,7 @@ class TestJointDistribution:
         tau_lo, tau_hi = cap_equator.delay_bounds
         inner = ((tau_c - spec.tau_step_s / 2 >= tau_lo)
                  & (tau_c + spec.tau_step_s / 2 <= tau_hi))
-        want = np.array([dist.delay_pdf(cap_equator, float(t))
-                         for t in tau_c[inner]])
+        want = dist.delay_pdf(cap_equator, tau_c[inner])
         l1 = np.sum(np.abs(marg[inner] - want)) * spec.tau_step_s
         assert l1 < 0.02
 
@@ -338,7 +386,7 @@ class TestJointDistribution:
                * spec.nu_step_hz * spec.tau_step_s)
         assert np.all(np.diff(cdf, axis=0) >= 0.0)
         assert np.all(np.diff(cdf, axis=1) >= 0.0)
-        want = [dist.delay_cdf(cap, float(t)) for t in spec.tau_edges()[1:]]
+        want = dist.delay_cdf(cap, spec.tau_edges()[1:])
         assert np.max(np.abs(cdf[:, -1] - want)) <= 1e-9
         # two fixed-rule grids; with masks down to 0 deg each is within
         # 3.3e-4 of the adaptive Doppler CDF (measured)

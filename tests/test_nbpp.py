@@ -13,7 +13,6 @@ from leo_channel import nbpp
 from leo_channel.errors import DomainError, NoVisibleSatellites
 from leo_channel.geometry import UserGeometry, sigma_from_elevation
 from leo_channel.nbpp import (
-    NbppModel,
     phi_cdf,
     phi_pdf,
     sample_arrays,
@@ -22,11 +21,6 @@ from leo_channel.nbpp import (
 )
 from leo_channel.orbit_sim import ks_distance
 from leo_channel.propagation import doppler_hz_arrays
-
-
-@pytest.fixture(scope="module")
-def model(shell):
-    return NbppModel(shell)
 
 
 class TestPhiPdf:
@@ -81,32 +75,32 @@ class TestPhiCdf:
 
 
 class TestSampling:
-    def test_reproducible(self, model):
-        a = sample_arrays(model, 100, np.random.default_rng(11))
-        b = sample_arrays(model, 100, np.random.default_rng(11))
+    def test_reproducible(self, shell):
+        a = sample_arrays(shell, 100, np.random.default_rng(11))
+        b = sample_arrays(shell, 100, np.random.default_rng(11))
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
-    def test_empty(self, model):
-        out = sample_arrays(model, 0, np.random.default_rng(0))
+    def test_empty(self, shell):
+        out = sample_arrays(shell, 0, np.random.default_rng(0))
         assert [x.size for x in out] == [0, 0, 0]
 
-    def test_ks_against_cdf(self, model, shell):
-        _, phi, _ = sample_arrays(model, 1_000_000, np.random.default_rng(12))
+    def test_ks_against_cdf(self, shell):
+        _, phi, _ = sample_arrays(shell, 1_000_000, np.random.default_rng(12))
         d = ks_distance(phi, lambda x: phi_cdf(shell, x))
         assert d < 0.002
 
-    def test_mark_balance(self, model):
-        _, _, mark = sample_arrays(model, 1_000_000, np.random.default_rng(13))
+    def test_mark_balance(self, shell):
+        _, _, mark = sample_arrays(shell, 1_000_000, np.random.default_rng(13))
         assert np.mean(mark == 1) == pytest.approx(0.5, abs=0.002)
 
-    def test_theta_uniform(self, model):
-        theta, _, _ = sample_arrays(model, 200_000, np.random.default_rng(14))
+    def test_theta_uniform(self, shell):
+        theta, _, _ = sample_arrays(shell, 200_000, np.random.default_rng(14))
         assert theta.min() >= 0.0 and theta.max() <= 2 * math.pi
         assert np.mean(theta) == pytest.approx(math.pi, abs=0.01)
 
-    def test_chi_square_against_pdf(self, model, shell):
+    def test_chi_square_against_pdf(self, shell):
         n = 1_000_000
-        _, phi, _ = sample_arrays(model, n, np.random.default_rng(15))
+        _, phi, _ = sample_arrays(shell, n, np.random.default_rng(15))
         b_bar = shell.polar_inclination_rad
         edges = np.linspace(b_bar, math.pi - b_bar, 51)
         counts, _ = np.histogram(phi, bins=edges)
@@ -114,20 +108,20 @@ class TestSampling:
         stat, p_value = chisquare(counts, expected * counts.sum() / expected.sum())
         assert p_value > 0.01
 
-    def test_mark_phi_independence(self, model):
+    def test_mark_phi_independence(self, shell):
         n = 1_000_000
-        _, phi, mark = sample_arrays(model, n, np.random.default_rng(16))
+        _, phi, mark = sample_arrays(shell, n, np.random.default_rng(16))
         corr = np.corrcoef(mark, phi)[0, 1]
         assert abs(corr) < 3.0 / math.sqrt(n)
 
-    def test_physical_marks_follow_latitude_rate(self, model):
+    def test_physical_marks_follow_latitude_rate(self, shell):
         rng = np.random.default_rng(17)
-        theta, phi, mark = sample_arrays(model, 10_000, rng, physical_marks=True)
+        theta, phi, mark = sample_arrays(shell, 10_000, rng, physical_marks=True)
         # physical marks are deterministic in omega, still balanced overall
         assert abs(np.mean(mark)) < 0.05
 
-    def test_band_respected(self, model, shell):
-        _, phi, _ = sample_arrays(model, 100_000, np.random.default_rng(18))
+    def test_band_respected(self, shell):
+        _, phi, _ = sample_arrays(shell, 100_000, np.random.default_rng(18))
         b_bar = shell.polar_inclination_rad
         assert phi.min() >= b_bar - 1e-12
         assert phi.max() <= math.pi - b_bar + 1e-12
@@ -182,9 +176,8 @@ class TestVisibleBox:
 
     def test_box_is_tight_at_reference_users(self, shell, equator_user, midlat_user):
         # the box keeps most draws: at least 0.6 land in the cap
-        model = NbppModel(shell)
         for user in (equator_user, midlat_user):
-            theta, phi, _ = sample_arrays(model, 100_000, np.random.default_rng(19),
+            theta, phi, _ = sample_arrays(shell, 100_000, np.random.default_rng(19),
                                           box=visible_box(shell, user))
             inside = _cos_sigma(user, theta, phi) >= math.cos(user.sigma_max_rad)
             assert inside.mean() > 0.6
@@ -240,9 +233,9 @@ class TestSampleVisible:
         draws = []
         inner = nbpp.sample_arrays
 
-        def counted(model, count, *args):
+        def counted(box_shell, count, *args):
             draws.append(count)
-            return inner(model, count, *args)
+            return inner(box_shell, count, *args)
 
         monkeypatch.setattr(nbpp, "sample_arrays", counted)
         with pytest.raises(DomainError):

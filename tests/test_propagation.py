@@ -9,14 +9,11 @@ from oracles import doppler_cartesian, max_doppler_scan
 
 from leo_channel.errors import DomainError
 from leo_channel.geometry import ShellConfig, UserGeometry
-from leo_channel.nbpp import SatellitePoint
 from leo_channel.propagation import (
     delay,
     delay_inverse,
     direction_angle,
-    doppler,
     doppler_hz_arrays,
-    doppler_normalized,
     gain,
     gain_inverse,
     max_doppler,
@@ -103,22 +100,21 @@ class TestDirectionAngle:
 
 class TestDoppler:
     def test_overhead_is_zero(self, shell, equator_user):
-        sat = SatellitePoint(math.pi / 2, math.pi / 2, 1)
-        assert doppler(shell, equator_user, sat) == pytest.approx(0.0, abs=1e-9)
-        sat = SatellitePoint(math.pi / 2, math.pi / 2, -1)
-        assert doppler(shell, equator_user, sat) == pytest.approx(0.0, abs=1e-9)
+        nu = doppler_hz_arrays(shell, equator_user, math.pi / 2, math.pi / 2,
+                               np.array([1, -1]))
+        assert np.all(np.abs(nu) <= 1e-9)
 
     def test_matches_cartesian_construction(self, shell, equator_user, midlat_user):
         rng = np.random.default_rng(7)
         b_bar = shell.polar_inclination_rad
         for user in (equator_user, midlat_user):
-            for _ in range(50):
-                theta = rng.uniform(0.0, 2.0 * math.pi)
-                phi = rng.uniform(b_bar + 1e-6, math.pi - b_bar - 1e-6)
-                mark = int(rng.choice([1, -1]))
-                got = doppler(shell, user, SatellitePoint(theta, phi, mark))
-                want = doppler_cartesian(shell, user, theta, phi, mark)
-                assert got == pytest.approx(want, rel=1e-9)
+            theta = rng.uniform(0.0, 2.0 * math.pi, 50)
+            phi = rng.uniform(b_bar + 1e-6, math.pi - b_bar - 1e-6, 50)
+            mark = rng.choice([1, -1], 50)
+            got = doppler_hz_arrays(shell, user, theta, phi, mark)
+            want = [doppler_cartesian(shell, user, t, p, m)
+                    for t, p, m in zip(theta, phi, mark.tolist())]
+            assert got == pytest.approx(want, rel=1e-9)
 
     def test_pointwise_antisymmetry_at_equator(self, shell, equator_user):
         tu = equator_user.user_azimuth_rad
@@ -140,12 +136,6 @@ class TestDoppler:
             v = doppler_hz_arrays(shell, midlat_user, theta, phi, mark)
             v_mps = v * shell.light_speed_mps / shell.carrier_hz
             assert np.max(np.abs(v_mps)) <= shell.sat_speed_mps * (1 + 1e-12)
-
-    def test_normalized_variant_scale(self, shell, equator_user):
-        sat = SatellitePoint(1.0, 1.2, 1)
-        ratio = doppler(shell, equator_user, sat) / doppler_normalized(
-            shell, equator_user, sat)
-        assert ratio == pytest.approx(shell.carrier_hz / shell.light_speed_mps)
 
 
 class TestMaxDoppler:

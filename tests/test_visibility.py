@@ -12,8 +12,10 @@ from oracles import arc_fraction_scan, p_cap_adaptive, p_cap_prime_adaptive
 
 from leo_channel import distributions as dist
 from leo_channel.errors import DomainError, NoVisibleSatellites
-from leo_channel.geometry import UserGeometry, sigma_from_elevation
-from leo_channel.nbpp import NbppModel, sample_arrays
+from leo_channel import visibility as vis
+from leo_channel.geometry import ShellConfig, UserGeometry, sigma_from_elevation
+from leo_channel.nbpp import sample_arrays
+from leo_channel.quadrature import _N_NODES
 from leo_channel.visibility import CapModel, arc_length
 
 # (latitude, mask) in degrees: the two reference users, and two whose cap
@@ -90,8 +92,7 @@ class TestPCap:
     def test_monte_carlo_agreement(self, shell, cap_equator):
         n = 10_000_000
         rng = np.random.default_rng(22)
-        model = NbppModel(shell)
-        theta, phi, _ = sample_arrays(model, n, rng)
+        theta, phi, _ = sample_arrays(shell, n, rng)
         cos_sig = np.sin(phi) * np.sin(theta)  # equator user
         sigma_samples = np.arccos(np.clip(cos_sig, -1.0, 1.0))
         for s in np.linspace(0.01, cap_equator.user.sigma_max_rad, 10):
@@ -193,6 +194,61 @@ class TestPCapPrime:
         val, _ = quad(lambda u: cap.p_cap_prime(math.acos(u)),
                       math.cos(hi), math.cos(lo), limit=300)
         assert val == pytest.approx(-(cap.p_sat - cap.p_cap(lo)), rel=1e-6)
+
+
+class TestArrayCalls:
+    """p_cap and p_cap' on other shells: an array call is the per-element
+    calls bit for bit, across a block boundary, and both match the
+    adaptive oracles within the fixed-user bounds."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(incl=st.floats(30.0, 89.0), mask=st.floats(0.0, 60.0),
+           reach=st.floats(0.0, 0.999))
+    @example(incl=89.0, mask=30.0, reach=0.999)   # the pole
+    @example(incl=53.0, mask=10.0, reach=0.999)   # near the coverage cutoff
+    @example(incl=53.0, mask=25.0, reach=0.72)    # cap crosses the band edge
+    @example(incl=85.0, mask=0.0, reach=0.8)      # cap covers the pole
+    def test_property(self, incl, mask, reach):
+        # reach runs the latitude from the equator to the coverage cutoff,
+        # clipped to the pole where the cutoff lies beyond it
+        shell = ShellConfig(inclination_rad=math.radians(incl))
+        sigma1 = sigma_from_elevation(shell, math.radians(mask))
+        cutoff = math.degrees(math.pi / 2 - shell.polar_inclination_rad + sigma1)
+        cap = _cap(shell, min(90.0, reach * cutoff), mask)
+        rows = vis._BLOCK_ELEMENTS // _N_NODES  # rows of a one-panel block
+        sig = np.linspace(0.0, cap.user.sigma_max_rad, 2 * rows + 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn in (cap.p_cap, cap.p_cap_prime):
+                one = [fn(s) for s in sig.tolist()]
+                assert all(type(v) is float for v in one)
+                assert np.array_equal(fn(sig), one)
+                assert np.array_equal(fn(sig.reshape(-1, 1)), np.reshape(one, (-1, 1)))
+            for s in _interior(cap, 12).tolist():
+                assert abs(cap.p_cap(s) - p_cap_adaptive(cap, s)) < 1e-12 * cap.p_sat
+                assert cap.p_cap_prime(s) == pytest.approx(
+                    p_cap_prime_adaptive(cap, s), rel=1e-6)
+
+    def test_pole_user(self):
+        # at the pole the cap is the polar cap phi <= sigma, so
+        # d p_cap / d cos(sigma) = -1 / (pi sqrt(sin^2 i - cos^2 sigma))
+        shell = ShellConfig(inclination_rad=math.radians(89.0))
+        cap = _cap(shell, 90.0, 30.0)
+        sig = np.array([0.044, 0.071, 0.098])
+        h = 1e-6
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            an = cap.p_cap_prime(sig)
+            fd = (cap.p_cap(np.arccos(np.cos(sig) + h))
+                  - cap.p_cap(np.arccos(np.cos(sig) - h))) / (2 * h)
+            # below the band edge (polar angle 1 degree) there is no density
+            outside = cap.p_cap_prime(np.array([0.0, 0.01]))
+        closed = -1.0 / (math.pi * np.sqrt(
+            math.sin(shell.inclination_rad) ** 2 - np.cos(sig) ** 2))
+        assert np.all(an < 0.0)
+        assert an == pytest.approx(fd, rel=1e-5)
+        assert an == pytest.approx(closed, rel=1e-14)
+        assert np.all(outside == 0.0)
 
 
 class TestVisibleCounts:
