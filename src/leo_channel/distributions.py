@@ -5,22 +5,23 @@ reparameterisations of the cap probability and their PDFs follow from its
 cos-sigma derivative. gain_cdf, delay_cdf, gain_pdf and delay_pdf take
 arrays and are exact; only the KS checks give the two CDFs
 pcap_interpolator's table, because exact evaluation at every one of their
-samples would cost one fixed rule per sample. The Doppler shift also depends on azimuth, so its
-CDF is a double integral over the cap, taken by a fixed rule: sine-mapped
-Gauss-Legendre nodes in argument-of-latitude space for the polar integral,
-and per node an azimuth sampling of the cap slice whose cells are uniform
-laws in nu, each deposited exactly onto the nu values it lies below or
-straddles.
+samples would cost one fixed rule per sample. The Doppler shift also
+depends on azimuth, so its CDF is a double integral over the cap, taken
+by a fixed rule: sine-mapped Gauss-Legendre nodes in argument-of-latitude
+space for the polar integral, and per node an azimuth sampling of the cap
+slice whose cells are uniform laws in nu, each deposited exactly onto the
+nu values it lies below or straddles.
 
-Two passes share that deposit. doppler_cdf_grid covers one (sub-)cap on
-a whole set of nu values at once; the scalar Doppler and joint CDFs and
-the Doppler PDF grid go through it. The joint delay-Doppler PDF grid is
-one pass over the full cap: delay is a function of the central angle, so
-each delay cell is an annulus, and cutting every slice at the rings'
-closed-form boundaries puts each azimuth cell in exactly one annulus.
-The test suite checks the first against an adaptive scan-plus-bisection
-route and a brute-force Riemann sum, the second against one nested
-sub-cap row per delay edge with four times the polar nodes.
+One pass makes that deposit, _annulus_pass. Delay is a function of the
+central angle, so a delay cell is an annulus of the cap; cutting every
+slice at the rings' closed-form boundaries puts each azimuth cell in
+exactly one annulus. The joint delay-Doppler PDF grid is the pass with a
+ring at every delay edge; the Doppler CDF of a (sub-)cap is the pass
+with the one ring at its edge, summed over the annuli. The test suite
+checks the Doppler CDF against an adaptive scan-plus-bisection route, a
+brute-force Riemann sum and the loop over cap slices it replaced, and
+the joint grid against one such sub-cap row per delay edge with four
+times the polar nodes.
 
 Mirroring the azimuth about the user's meridian and flipping the mark
 negates the Doppler shift and keeps the central angle, so each mark-mixed
@@ -38,14 +39,13 @@ import numpy as np
 from .propagation import (
     delay_inverse, doppler_hz_arrays, gain as gain_fn, gain_inverse)
 from . import parallel
-from .quadrature import density_nodes, sine_mapped_panels
+from .quadrature import _N_NODES, density_nodes, sine_mapped_panels
 from .visibility import CapModel, _active_band, arc_halfwidth_clamped
 
 # azimuth samples per cap slice of the Doppler kernel
 _N_THETA = 1024
-# bound on the (polar nodes x nu values) shares one kernel block holds
-_WORKSPACE = 1 << 20
-# sine-mapped polar nodes per panel of the annulus pass, and per block
+# sine-mapped polar nodes per panel of the joint grid, and per block of
+# every annulus pass
 _N_ANNULUS_NODES = 64
 # Gauss-Legendre nodes per panel of the gain-support rule
 _N_GAIN_NODES = 64
@@ -156,7 +156,9 @@ def gain_pdf(model: CapModel, g):
     # ~1e-8 rad, where the zenith-edge derivative loses digits
     sigma = np.where(g == g_max, model.user.sigma_min_rad,
                      gain_inverse(model.shell, g))
-    out = -model.p_cap_prime(sigma) / (2.0 * g * g * r * big_r * model.p_sat)
+    # 0 - p', not -p': where p' is 0 (a support end) the PDF is +0, not -0
+    out = ((0.0 - model.p_cap_prime(sigma))
+           / (2.0 * g * g * r * big_r * model.p_sat))
     return float(out) if out.ndim == 0 else out
 
 
@@ -172,7 +174,7 @@ def delay_pdf(model: CapModel, tau):
     sigma = np.where(tau == tau_lo, model.user.sigma_min_rad,
                      delay_inverse(shell, tau))
     c = shell.light_speed_mps
-    out = (-model.p_cap_prime(sigma) * c * c * tau
+    out = ((0.0 - model.p_cap_prime(sigma)) * c * c * tau
            / (shell.earth_radius_m * shell.shell_radius_m * model.p_sat))
     return float(out) if out.ndim == 0 else out
 
@@ -219,6 +221,63 @@ def _cell_shares(v: np.ndarray, e: np.ndarray, row, n_rows: int,
     return share.reshape(n_rows, width)
 
 
+def _annulus_pass(model: CapModel, sigmas, nu_edges: np.ndarray, mark: int,
+                  n_nodes: int) -> np.ndarray:
+    """Masses of the annuli of the rings sigmas on the nu cells, in one
+    pass over the cap of the outermost ring.
+
+    sigmas ascend (repeats allowed) and nu_edges are sorted. Row j of the
+    result holds the annulus sigma_j-1 < sigma <= sigma_j (row 0 the cap
+    of sigma_0, the last row what lies beyond sigma_-1); column k covers
+    (e[k-1], e[k]], the last column everything above e[-1].
+
+    Polar panels break where a ring meets a latitude line tangentially or
+    closes it (phi_u +- sigma_j, sigma_j - phi_u), n_nodes sine-mapped
+    nodes each. Each slice's azimuth range is cut at _N_THETA uniform
+    samples and at the ring boundaries +-arc_halfwidth_clamped, so every
+    cell lies in one annulus, found from its midpoint. Doppler is taken
+    linear in azimuth across a cell, so a cell is a uniform law on
+    [lo, hi] between its end values, deposited by _cell_shares: every
+    mass is non-negative. A block is _N_ANNULUS_NODES polar nodes, whose
+    cells are summed into each bin in turn: with one ring and few nu
+    edges a bin takes up to 66k terms.
+    """
+    shell, user = model.shell, model.user
+    phi_u = user.user_polar_rad
+    sigmas = np.asarray(sigmas, dtype=float)
+    n_rows = sigmas.size + 1
+    phi_lo, phi_hi, _ = _active_band(shell, user, float(sigmas[-1]))
+    breaks = np.unique(np.concatenate((phi_u - sigmas, phi_u + sigmas,
+                                       sigmas - phi_u)))
+    phi_k, w_k = density_nodes(phi_lo, phi_hi, shell, breaks, n_nodes)
+    t = np.linspace(-1.0, 1.0, _N_THETA)
+
+    def block(k: int) -> np.ndarray:
+        phi = phi_k[k:k + _N_ANNULUS_NODES, None]
+        ring = arc_halfwidth_clamped(user, phi, sigmas)
+        off = np.sort(np.concatenate((ring[:, -1:] * t, ring, -ring), axis=1),
+                      axis=1)
+        v = doppler_hz_arrays(shell, user, user.user_azimuth_rad + off, phi,
+                              mark)
+        cos_mid = (math.cos(phi_u) * np.cos(phi) + math.sin(phi_u)
+                   * np.sin(phi) * np.cos(0.5 * (off[:, 1:] + off[:, :-1])))
+        row = np.searchsorted(-np.cos(sigmas), -cos_mid.ravel())
+        weight = (w_k[k:k + _N_ANNULUS_NODES, None]
+                  / (2.0 * math.pi * model.p_sat)) * np.diff(off, axis=1)
+        return _cell_shares(v, nu_edges, row.reshape(cos_mid.shape), n_rows,
+                            weight)
+
+    # blocks go to the worker threads eight at a time, which bounds the
+    # partial sums held at once; they are added in block order, so the
+    # result does not depend on the thread count
+    starts = range(0, phi_k.size, _N_ANNULUS_NODES)
+    mass = np.zeros((n_rows, nu_edges.size + 1))
+    for k in range(0, len(starts), 8):
+        for part in parallel.ordered_map(block, starts[k:k + 8]):
+            mass += part
+    return mass
+
+
 def doppler_cdf_grid(model: CapModel, nu_edges, mark: int,
                      cap_sigma: float | None = None) -> np.ndarray:
     """Doppler CDF at every value of nu_edges (any order, any shape).
@@ -226,38 +285,17 @@ def doppler_cdf_grid(model: CapModel, nu_edges, mark: int,
     With cap_sigma set, conditions on the sub-cap of that central angle
     while keeping the full-cap normalisation (the joint-CDF convention).
 
-    The (sub-)cap is cut into cells by Gauss-Legendre nodes in polar angle
-    and a uniform azimuth sampling of each slice. Doppler is taken linear in
-    azimuth across a cell, so a cell is a uniform law on [lo, hi] between
-    its end values: its mass counts in full at every edge at or above hi,
-    and by the covered fraction (e - lo) / (hi - lo) at an edge it straddles.
-    Masses are summed per slice before they are summed over slices, and the
-    result never decreases along ascending nu, not even by rounding.
+    The annulus pass with the one ring cap_sigma, _N_NODES polar nodes per
+    panel: the CDF is the running sum of its column totals, so it never
+    decreases along ascending nu, not even by rounding.
     """
-    shell, user = model.shell, model.user
     if cap_sigma is None:
-        cap_sigma = user.sigma_max_rad
+        cap_sigma = model.user.sigma_max_rad
     nu = np.asarray(nu_edges, dtype=float)
-    phi_lo, phi_hi, edge = _active_band(shell, user, cap_sigma)
-    if phi_lo >= phi_hi:
-        return np.zeros_like(nu)
-    phi_k, w_k = density_nodes(phi_lo, phi_hi, shell, breakpoints=[edge])
-    half = arc_halfwidth_clamped(user, phi_k, cap_sigma)
-    cell_mass = (w_k * half * (2.0 / (_N_THETA - 1))
-                 / (2.0 * math.pi * model.p_sat))
-    t = np.linspace(-1.0, 1.0, _N_THETA)
-
     order = np.argsort(nu.ravel(), kind="stable")
-    e = nu.ravel()[order]
-    mass = np.zeros(e.size + 1)
-    block = max(1, _WORKSPACE // (e.size + 1))
-    for k in range(0, phi_k.size, block):
-        rows = slice(k, k + block)
-        theta = user.user_azimuth_rad + half[rows, None] * t
-        v = doppler_hz_arrays(shell, user, theta, phi_k[rows, None], mark)
-        shares = _cell_shares(v, e, np.arange(v.shape[0])[:, None], v.shape[0])
-        mass += (cell_mass[rows, None] * shares).sum(axis=0)
-    out = np.empty(e.size)
+    mass = _annulus_pass(model, [cap_sigma], nu.ravel()[order], mark,
+                         _N_NODES).sum(axis=0)
+    out = np.empty(nu.size)
     out[order] = np.cumsum(mass[:-1])
     return out.reshape(nu.shape)
 
@@ -281,20 +319,6 @@ def doppler_cdf_marks(model: CapModel, nu_hz) -> tuple[np.ndarray, np.ndarray]:
     return f[:nu.size], f[-1] - f[nu.size:-1]
 
 
-def doppler_cdf_mixed(model: CapModel, nu_hz: float) -> float:
-    """Equal-weight mixture over ascending and descending marks."""
-    return float(0.5 * sum(doppler_cdf_marks(model, nu_hz))[0])
-
-
-def joint_cdf(model: CapModel, nu_hz: float, tau: float, mark: int) -> float:
-    """Joint delay-Doppler CDF: the Doppler integral over the sub-cap
-    reached within delay tau, normalised by the full-cap probability."""
-    tau_lo, tau_hi = model.delay_bounds
-    tau = min(max(tau, tau_lo), tau_hi)
-    return doppler_cdf(model, nu_hz, mark,
-                       cap_sigma=delay_inverse(model.shell, tau))
-
-
 def doppler_pdf_grid(model: CapModel, spec: DopplerGridSpec | None = None
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Mark-mixed Doppler PDF by forward differences of the grid CDF.
@@ -312,53 +336,20 @@ def joint_pdf_grid(model: CapModel, spec: JointGridSpec | None = None,
     """Joint delay-Doppler PDF for one mark, in one pass over the cap.
 
     Delay is a function of the central angle, so the delay cell between
-    two (clipped) edges is the annulus sigma_j < sigma <= sigma_j+1. The
-    polar panels break where a ring meets a latitude line tangentially or
-    closes it (phi_u +- sigma_j, sigma_j - phi_u), _N_ANNULUS_NODES
-    sine-mapped nodes each. Each slice's azimuth range is cut at the
-    uniform samples and at the ring boundaries +-arc_halfwidth_clamped,
-    so every cell lies in one annulus, found from its midpoint, and its
-    mass is deposited on the nu edges exactly, as in doppler_cdf_grid.
-    A pdf cell is a deposited mass: none is negative, the padding rows
-    outside the delay support are exactly zero, and the joint CDF, the
-    cumulative sum of the cells, rises in tau and nu by construction.
+    two (clipped) edges is the annulus sigma_j < sigma <= sigma_j+1: the
+    annulus pass with the rings at the delay edges, _N_ANNULUS_NODES
+    polar nodes per panel. A pdf cell is a deposited mass: none is
+    negative, the padding rows outside the delay support are exactly
+    zero, and the joint CDF, the cumulative sum of the cells, rises in
+    tau and nu by construction.
 
     Returns (resolved spec, pdf matrix with shape (n_tau_cells, n_nu_cells)).
     """
     spec = (spec or JointGridSpec()).resolve(model)
-    shell, user = model.shell, model.user
-    phi_u = user.user_polar_rad
-    sigmas = delay_inverse(shell, np.clip(spec.tau_edges(), *model.delay_bounds))
-    e = spec.nu_edges()
-    n_rows = sigmas.size + 1  # row j: sigma_j-1 < sigma <= sigma_j
-    phi_lo, phi_hi, _ = _active_band(shell, user, float(sigmas[-1]))
-    breaks = np.unique(np.concatenate((phi_u - sigmas, phi_u + sigmas,
-                                       sigmas - phi_u)))
-    phi_k, w_k = density_nodes(phi_lo, phi_hi, shell, breaks, _N_ANNULUS_NODES)
-    t = np.linspace(-1.0, 1.0, _N_THETA)
-
-    def block(k: int) -> np.ndarray:
-        phi = phi_k[k:k + _N_ANNULUS_NODES, None]
-        ring = arc_halfwidth_clamped(user, phi, sigmas)
-        off = np.sort(np.concatenate((ring[:, -1:] * t, ring, -ring), axis=1),
-                      axis=1)
-        v = doppler_hz_arrays(shell, user, user.user_azimuth_rad + off, phi,
-                              mark)
-        cos_mid = (math.cos(phi_u) * np.cos(phi) + math.sin(phi_u)
-                   * np.sin(phi) * np.cos(0.5 * (off[:, 1:] + off[:, :-1])))
-        row = np.searchsorted(-np.cos(sigmas), -cos_mid.ravel())
-        weight = (w_k[k:k + _N_ANNULUS_NODES, None]
-                  / (2.0 * math.pi * model.p_sat)) * np.diff(off, axis=1)
-        return _cell_shares(v, e, row.reshape(cos_mid.shape), n_rows, weight)
-
-    # blocks go to the worker threads eight at a time, which bounds the
-    # partial sums held at once; they are added in block order, so the
-    # result does not depend on the thread count
-    starts = range(0, phi_k.size, _N_ANNULUS_NODES)
-    mass = np.zeros((n_rows, e.size + 1))
-    for k in range(0, len(starts), 8):
-        for part in parallel.ordered_map(block, starts[k:k + 8]):
-            mass += part
+    sigmas = delay_inverse(model.shell,
+                           np.clip(spec.tau_edges(), *model.delay_bounds))
+    mass = _annulus_pass(model, sigmas, spec.nu_edges(), mark,
+                         _N_ANNULUS_NODES)
     return spec, mass[1:-1, 1:-1] / (spec.nu_step_hz * spec.tau_step_s)
 
 

@@ -14,13 +14,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .geometry import (
-    ShellConfig,
-    UserGeometry,
-    clamp_unit,
-    sigma_from_range2,
-    slant_range,
-)
+from .geometry import ShellConfig, UserGeometry, sigma_from_range2, slant_range
 from .visibility import _POLE_EPS, _active_band, arc_halfwidth_clamped
 
 _GRACE = 1e-12
@@ -64,17 +58,6 @@ def delay_inverse(shell: ShellConfig, tau):
     return float(out) if out.ndim == 0 else out
 
 
-def direction_angle(shell: ShellConfig, phi, mark):
-    """Travel direction vs the local east tangent; sign follows the mark."""
-    phi_arr = np.asarray(phi, dtype=float)
-    b_bar = shell.polar_inclination_rad
-    if np.any(phi_arr < b_bar - _GRACE) or np.any(phi_arr > np.pi - b_bar + _GRACE):
-        raise DomainError("polar angle outside the inclination band")
-    arg = clamp_unit(math.cos(shell.inclination_rad) / np.sin(phi_arr))
-    out = np.asarray(mark) * np.arccos(arg)
-    return float(out) if out.ndim == 0 else out
-
-
 def _radial_speed(shell: ShellConfig, user: UserGeometry, theta, phi, mark):
     """Speed of approach along the satellite-to-user line, m/s (vectorised).
 
@@ -84,6 +67,7 @@ def _radial_speed(shell: ShellConfig, user: UserGeometry, theta, phi, mark):
     phi_u = user.user_polar_rad
     b = shell.inclination_rad
     sin_phi = np.sin(phi)
+    # travel direction against local east; its sign follows the mark
     beta = np.asarray(mark) * np.arccos(np.clip(math.cos(b) / sin_phi, -1.0, 1.0))
     cos_sigma = (math.cos(phi_u) * np.cos(phi)
                  + math.sin(phi_u) * sin_phi * np.sin(theta))

@@ -36,33 +36,14 @@ _POLE_EPS = 1e-12
 _BLOCK_ELEMENTS = 1 << 15
 
 
-def arc_length(user: UserGeometry, phi, sigma):
-    """Azimuth arc length (radians in [0, 2pi]) of the latitude line at
+def arc_halfwidth_clamped(user: UserGeometry, phi, sigma):
+    """Half the azimuth arc (radians in [0, pi]) of the latitude line at
     polar angle phi lying inside the user's cap of central angle sigma.
 
-    A user at the pole sees rotationally symmetric caps: the line is
-    either fully inside (2pi) or fully outside (0).
-    """
-    phi = np.asarray(phi, dtype=float)
-    phi_u = user.user_polar_rad
-    if phi_u < _POLE_EPS:
-        out = np.where(phi <= sigma, 2.0 * np.pi, 0.0)
-        return float(out) if out.ndim == 0 else out
-    with np.errstate(divide="ignore", invalid="ignore"):
-        arg = (math.cos(phi_u) * np.cos(phi) - np.cos(sigma)) / (
-            math.sin(phi_u) * np.sin(phi))
-    full = phi <= np.maximum(0.0, sigma - phi_u)
-    partial = (phi > np.maximum(0.0, sigma - phi_u)) & (phi < phi_u + sigma)
-    l1 = np.pi + 2.0 * np.arcsin(np.clip(arg, -1.0, 1.0))
-    out = np.where(full, 2.0 * np.pi, np.where(partial, l1, 0.0))
-    return float(out) if out.ndim == 0 else out
-
-
-def arc_halfwidth_clamped(user: UserGeometry, phi, sigma):
-    """L/2 via the clamped closed form alone; equals arc_length/2 everywhere
-    on (0, pi) because the clamp saturates to 2pi below sigma-phi_u and to 0
-    beyond phi_u+sigma. Vector-friendly hot path. A user at the pole gets
-    pi inside sigma and 0 outside, as in arc_length."""
+    One clamped closed form covers every case on (0, pi): the clamp
+    saturates to pi below sigma - phi_u, where the line lies fully inside
+    the cap, and to 0 beyond phi_u + sigma. A user at the pole sees
+    rotationally symmetric caps: pi inside sigma and 0 outside."""
     phi = np.asarray(phi, dtype=float)
     phi_u = user.user_polar_rad
     if phi_u < _POLE_EPS:
@@ -133,16 +114,17 @@ class CapModel:
     def p_cap(self, sigma):
         """Probability of one satellite inside the cap of angle sigma.
 
-        Latitude lines fully inside the cap contribute through the clamped
-        arc length saturating at 2pi, so a single integral covers all cases
-        of the piecewise rule.
+        The integrand is the arc 2 * arc_halfwidth_clamped; latitude lines
+        fully inside the cap contribute through its clamp saturating at 2pi,
+        so a single integral covers all cases of the piecewise rule.
         """
         s = np.asarray(sigma, dtype=float)
         user, flat = self.user, np.minimum(s.ravel(), math.pi)
         lo, hi, edge = _active_band(self.shell, user, flat)
         hi = np.where(s.ravel() > user.sigma_min_rad, hi, lo)  # empty: no mass
-        out = _cap_integral(self.shell, lambda phi, col: arc_length(user, phi, col),
-                            flat, lo, hi, edge).reshape(s.shape)
+        out = _cap_integral(
+            self.shell, lambda phi, col: 2.0 * arc_halfwidth_clamped(user, phi, col),
+            flat, lo, hi, edge).reshape(s.shape)
         return float(out) if out.ndim == 0 else out
 
     def p_cap_prime(self, sigma):

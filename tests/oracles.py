@@ -2,10 +2,11 @@
 
 Each oracle deliberately avoids the code path it checks: Doppler is
 rebuilt from Cartesian vectors, the cap arc length from a brute-force
-azimuth scan, and the Doppler CDF both from a naive two-dimensional
-Riemann sum over the cap and from an adaptive route that locates each
-sublevel set by scan plus bisection; the joint delay-Doppler grid from
-one nested sub-cap Doppler row per delay edge, and the largest Doppler
+azimuth scan, and the Doppler CDF from a naive two-dimensional Riemann
+sum over the cap, from an adaptive route that locates each sublevel set
+by scan plus bisection and from a loop over cap slices that shares no
+code with the annulus pass but the cell deposit; the joint delay-Doppler
+grid from one such sub-cap row per delay edge, and the largest Doppler
 shift by a brute-force scan of the cap. The cap probability, its
 derivative, the path-loss integral and the Rayleigh-faded gain CDF are
 recomputed by adaptive QUADPACK quadrature in place of the package's
@@ -28,11 +29,13 @@ from leo_channel.parallel import ordered_map
 from leo_channel.propagation import (
     delay_inverse, doppler_hz_arrays, gain_inverse)
 from leo_channel.quadrature import density_nodes, omega_of_phi, phi_of_omega
-from leo_channel.visibility import (
-    CapModel, _active_band, arc_halfwidth_clamped, arc_length)
+from leo_channel.visibility import CapModel, _active_band, arc_halfwidth_clamped
 
 _DOPPLER_SCAN = 512
 _BISECT_ITERS = 48
+# bound on the (polar nodes x nu values) shares one block of the slice
+# loop of _doppler_cdf_row holds
+_WORKSPACE = 1 << 20
 
 
 def doppler_cartesian(shell: ShellConfig, user: UserGeometry,
@@ -156,7 +159,7 @@ def p_cap_adaptive(model: CapModel, sigma: float) -> float:
     if lo >= hi:
         return 0.0
     val = density_integral_adaptive(
-        lambda phi: arc_length(model.user, phi, sigma),
+        lambda phi: 2.0 * float(arc_halfwidth_clamped(model.user, phi, sigma)),
         lo, hi, model.shell, breakpoints=[edge], rel_tol=1e-12)
     return val / (2.0 * math.pi)
 
@@ -282,8 +285,12 @@ def doppler_cdf_adaptive(model: CapModel, nu_hz: float, mark: int,
 
 def _doppler_cdf_row(model: CapModel, e: np.ndarray, mark: int,
                      cap_sigma: float, n_nodes: int) -> np.ndarray:
-    """doppler_cdf_grid on the sub-cap of cap_sigma at sorted edges e, with
-    n_nodes polar nodes per panel (384 reproduces it bit for bit)."""
+    """Doppler CDF on the sub-cap of cap_sigma at sorted edges e, by a loop
+    over cap slices with n_nodes polar nodes per panel: each slice's
+    _N_THETA uniform azimuth samples make cells of equal width, deposited
+    slice by slice. The reference route for the annulus pass of
+    doppler_cdf_grid, which at 384 nodes matches it up to summation
+    order."""
     shell, user = model.shell, model.user
     phi_lo, phi_hi, edge = _active_band(shell, user, cap_sigma)
     if phi_lo >= phi_hi:
@@ -295,7 +302,7 @@ def _doppler_cdf_row(model: CapModel, e: np.ndarray, mark: int,
                  / (2.0 * math.pi * model.p_sat))
     t = np.linspace(-1.0, 1.0, n_theta)
     mass = np.zeros(e.size + 1)
-    block = max(1, dist._WORKSPACE // (e.size + 1))
+    block = max(1, _WORKSPACE // (e.size + 1))
     for k in range(0, phi_k.size, block):
         rows = slice(k, k + block)
         theta = user.user_azimuth_rad + half[rows, None] * t

@@ -12,7 +12,6 @@ from leo_channel.geometry import ShellConfig, UserGeometry
 from leo_channel.propagation import (
     delay,
     delay_inverse,
-    direction_angle,
     doppler_hz_arrays,
     gain,
     gain_inverse,
@@ -74,28 +73,6 @@ class TestDelay:
         for tau in np.linspace(delay(shell, 0.0), delay(shell, 0.3), 50):
             g = gain(shell, delay_inverse(shell, tau))
             assert g == pytest.approx(1.0 / (c * tau) ** 2, rel=1e-12)
-
-
-class TestDirectionAngle:
-    def test_equator_crossing_equals_inclination(self, shell):
-        assert direction_angle(shell, math.pi / 2, 1) == pytest.approx(
-            shell.inclination_rad, abs=1e-12)
-
-    def test_turning_latitude(self, shell):
-        b_bar = shell.polar_inclination_rad
-        assert direction_angle(shell, b_bar, 1) == pytest.approx(0.0, abs=2e-8)
-        assert direction_angle(shell, b_bar, -1) == pytest.approx(0.0, abs=2e-8)
-
-    def test_sign_symmetry(self, shell):
-        rng = np.random.default_rng(6)
-        b_bar = shell.polar_inclination_rad
-        for phi in rng.uniform(b_bar, math.pi - b_bar, 10):
-            assert direction_angle(shell, phi, -1) == pytest.approx(
-                -direction_angle(shell, phi, 1), abs=0)
-
-    def test_outside_band(self, shell):
-        with pytest.raises(DomainError):
-            direction_angle(shell, 0.1, 1)
 
 
 class TestDoppler:

@@ -16,7 +16,7 @@ from leo_channel import visibility as vis
 from leo_channel.geometry import ShellConfig, UserGeometry, sigma_from_elevation
 from leo_channel.nbpp import sample_arrays
 from leo_channel.quadrature import _N_NODES
-from leo_channel.visibility import CapModel, arc_length
+from leo_channel.visibility import CapModel, arc_halfwidth_clamped
 
 # (latitude, mask) in degrees: the two reference users, and two whose cap
 # boundary crosses a band edge inside the support
@@ -26,6 +26,11 @@ ORACLE_USERS = [(0.0, 30.0), (60.0, 10.0), (45.0, 25.0), (50.0, 10.0)]
 def _cap(shell, lat_deg, mask_deg):
     return CapModel(shell, UserGeometry.for_shell(
         shell, math.pi / 2 - math.radians(lat_deg), math.radians(mask_deg)))
+
+
+def arc_length(user, phi, sigma):
+    """Azimuth arc of the latitude line at phi inside the cap of sigma."""
+    return 2.0 * arc_halfwidth_clamped(user, phi, sigma)
 
 
 def _interior(cap, n):
