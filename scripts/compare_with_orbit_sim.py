@@ -8,10 +8,9 @@ import math
 
 import numpy as np
 
-from leo_channel import distributions as dist
+from leo_channel import checks
 from leo_channel import orbit_sim as osim
 from leo_channel.geometry import UserGeometry, starlink_shell
-from leo_channel.propagation import delay as delay_fn, gain as gain_fn
 from leo_channel.visibility import CapModel
 
 
@@ -28,7 +27,6 @@ def main() -> None:
         shell, math.pi / 2 - math.radians(args.lat_deg),
         math.radians(args.min_elev_deg))
     cap = CapModel(shell, user)
-    pcap = dist.pcap_interpolator(cap)
 
     rng = np.random.default_rng(args.seed)
     con = osim.build(shell)
@@ -39,9 +37,11 @@ def main() -> None:
           f"{args.snapshots} snapshots ({g.size} with a visible satellite)")
     print(f"mean visible count: {counts.mean():.3f} "
           f"(analytic {cap.avg_visible():.3f})")
-    print(f"gain KS:    {osim.ks_distance(g, lambda x: dist.gain_cdf(cap, x, pcap)):.5f}")
-    print(f"delay KS:   {osim.ks_distance(tau, lambda x: dist.delay_cdf(cap, x, pcap)):.5f}")
-    print(f"doppler KS: {osim.ks_distance(nu, lambda x: dist.doppler_cdf_mixed_batch(cap, x)):.5f}")
+    d_gain, d_delay, d_doppler = checks.ks_triple(cap, checks.ks_tables(cap),
+                                                  g, tau, nu)
+    print(f"gain KS:    {d_gain:.5f}")
+    print(f"delay KS:   {d_delay:.5f}")
+    print(f"doppler KS: {d_doppler:.5f}")
     print(f"ascending fraction: {np.mean(mark == 1):.4f}")
 
 

@@ -22,6 +22,9 @@ from .errors import ResolutionError
 from .distributions import JointGridSpec, gain_nodes, joint_pdf_grid
 from .visibility import CapModel
 
+# the normalisation budget of a scattering grid (global_params, validate)
+MAX_NORMALIZATION_ERROR = 0.02
+
 
 @dataclass(frozen=True)
 class ScatteringGrid:
@@ -42,6 +45,15 @@ class ScatteringGrid:
         tau_c = self.spec.tau_centers()
         nu_c = self.spec.nu_centers()
         return float(np.trapezoid(np.trapezoid(self.values, nu_c, axis=1), tau_c))
+
+    def dual_path_loss_gap(self, rho2: float) -> float:
+        """Relative gap of the cell sum to rho^2 from the proposition."""
+        return abs(self.cell_sum() / rho2 - 1.0)
+
+    def normalization_error(self, rho2: float) -> float:
+        """Larger relative gap to rho^2: trapezoid integral or cell sum."""
+        return max(abs(self.trapezoid_integral() / rho2 - 1.0),
+                   self.dual_path_loss_gap(rho2))
 
 
 @dataclass(frozen=True)
@@ -110,23 +122,21 @@ def grid_moments(grid: ScatteringGrid, rho2: float):
 
 
 def global_params(model: CapModel, spec: JointGridSpec | None = None,
-                  grid: ScatteringGrid | None = None,
-                  max_normalization_error: float = 0.02) -> ChannelSummary:
+                  grid: ScatteringGrid | None = None) -> ChannelSummary:
     """Global channel parameters from the scattering grid.
 
     rho^2 is taken from the proposition integral rather than the grid;
-    a trapezoid integral of the grid must agree with it within the
-    normalisation budget or the grid is too coarse (ResolutionError).
+    the grid's integrals must agree with it within MAX_NORMALIZATION_ERROR
+    or the grid is too coarse (ResolutionError).
     """
     if grid is None:
         grid = scattering_function(model, spec)
     rho2, pl_db = path_loss_proposition(model)
-    norm_err = max(abs(grid.trapezoid_integral() / rho2 - 1.0),
-                   abs(grid.cell_sum() / rho2 - 1.0))
-    if norm_err > max_normalization_error:
+    norm_err = grid.normalization_error(rho2)
+    if norm_err > MAX_NORMALIZATION_ERROR:
         raise ResolutionError(
             f"scattering grid normalization off by {norm_err:.2%} "
-            f"(budget {max_normalization_error:.0%}); refine the grid"
+            f"(budget {MAX_NORMALIZATION_ERROR:.0%}); refine the grid"
         )
     mean_tau, rms_tau, rms_nu, grid_mean_nu = grid_moments(grid, rho2)
     return ChannelSummary(

@@ -21,13 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from . import channel as ch
+from . import checks
 from . import distributions as dist
-from . import orbit_sim as osim
 from .config import RunConfig, load_config, resolved_items
 from .errors import ConfigError, DomainError, NoVisibleSatellites, ResolutionError
 from .geometry import UserGeometry
 from .nbpp import sample_visible
-from .propagation import delay as delay_fn, doppler_hz_arrays, gain as gain_fn
+from .propagation import delay as delay_fn, gain as gain_fn
 from .visibility import CapModel
 
 
@@ -156,128 +156,16 @@ def cmd_scattering(cfg: RunConfig) -> list[Path]:
     return [path, summary_path]
 
 
-def _validation_checks(cfg: RunConfig) -> list[dict]:
-    shell = cfg.shell()
-    user = cfg.user(shell)
-    cap = CapModel(shell, user)
-    # tables for the KS checks only: exact CDFs at every sample would cost
-    # one fixed rule per sample
-    pcap = dist.pcap_interpolator(cap)
-    doppler_mixed = dist.doppler_mixed_interpolator(cap)
-    checks: list[dict] = []
-
-    def add(name: str, value: float, threshold: float, detail: str = "") -> None:
-        checks.append({
-            "name": name,
-            "value": value,
-            "threshold": threshold,
-            "passed": bool(value <= threshold),
-            "detail": detail,
-        })
-
-    # Monte Carlo KS against the analytic CDFs
-    rng = np.random.default_rng(cfg.seed)
-    n = cfg.mc_samples
-    sig, _, _, _ = sample_visible(shell, user, n, rng)
-    ks_tol = max(0.005, 2.5 / math.sqrt(n))
-    add("mc_gain_ks",
-        osim.ks_distance(gain_fn(shell, sig),
-                         lambda x: dist.gain_cdf(cap, x, pcap)),
-        ks_tol, f"n={n}")
-    add("mc_delay_ks",
-        osim.ks_distance(delay_fn(shell, sig),
-                         lambda x: dist.delay_cdf(cap, x, pcap)),
-        ks_tol, f"n={n}")
-    sig2, th2, ph2, mk2 = sample_visible(shell, user, n, rng)
-    nu_samples = doppler_hz_arrays(shell, user, th2, ph2, mk2)
-    add("mc_doppler_mixed_ks", osim.ks_distance(nu_samples, doppler_mixed),
-        ks_tol, f"n={n}")
-
-    # derivative consistency, 20 interior points each
-    def worst(fd, an) -> float:
-        return float(np.max(np.abs(fd - an) / np.maximum(np.abs(an), 1e-300)))
-
-    s_lo, s_hi = user.sigma_min_rad, user.sigma_max_rad
-    s = np.linspace(s_lo + 0.05 * (s_hi - s_lo), s_hi - 0.05 * (s_hi - s_lo), 20)
-    h = 1e-5
-    u0 = np.cos(s)
-    fd = (cap.p_cap(np.arccos(np.minimum(1.0, u0 + h)))
-          - cap.p_cap(np.arccos(np.maximum(-1.0, u0 - h)))) / (2 * h)
-    add("pcap_derivative_fd", worst(fd, cap.p_cap_prime(s)), 1e-4,
-        "20 points, d/dcos(sigma)")
-
-    for name, cdf, pdf, (lo, hi) in (
-            ("gain", dist.gain_cdf, dist.gain_pdf, cap.gain_bounds),
-            ("delay", dist.delay_cdf, dist.delay_pdf, cap.delay_bounds)):
-        x = np.linspace(lo, hi, 22)[1:-1]
-        h = (hi - lo) * 1e-5
-        fd = (cdf(cap, x + h) - cdf(cap, x - h)) / (2 * h)
-        add(f"{name}_pdf_vs_cdf_fd", worst(fd, pdf(cap, x)), 1e-3, "20 points")
-
-    # scattering grid: dual path loss and normalization
-    spec = dist.JointGridSpec(nu_step_hz=cfg.nu_step_hz,
-                              tau_step_s=cfg.tau_step_s).resolve(cap)
-    grid = ch.scattering_function(cap, spec)
-    rho2, _ = ch.path_loss_proposition(cap)
-    add("dual_path_loss", abs(grid.cell_sum() / rho2 - 1.0), 0.01)
-    try:
-        summary = ch.global_params(cap, grid=grid)
-        add("scattering_normalization", summary.normalization_error, 0.02)
-    except ResolutionError:
-        norm = max(abs(grid.trapezoid_integral() / rho2 - 1.0),
-                   abs(grid.cell_sum() / rho2 - 1.0))
-        add("scattering_normalization", norm, 0.02)
-
-    # Doppler pdf grid normalization
-    nu_c, pdf = dist.doppler_pdf_grid(
-        cap, dist.DopplerGridSpec(nu_step_hz=cfg.doppler_nu_step_hz))
-    add("doppler_pdf_normalization",
-        abs(float(pdf.sum()) * cfg.doppler_nu_step_hz - 1.0), 1e-3)
-
-    # mark symmetry of the Doppler CDF
-    nu = np.linspace(-0.9, 0.9, 10) * cap.nu_max_hz
-    asym = (dist.doppler_cdf_grid(cap, nu, 1)
-            - (1.0 - dist.doppler_cdf_grid(cap, -nu, -1)))
-    add("doppler_mark_symmetry", float(np.max(np.abs(asym))), 1e-6, "10 points")
-
-    # deterministic circular-orbit comparison
-    con = osim.build(shell, math.radians(cfg.inter_orbit_phase_deg))
-    times = osim.default_snapshot_times(cfg.snapshots, rng,
-                                        cfg.snapshot_spacing_s)
-    g_obs, tau_obs, nu_obs, _, _ = osim.snapshot_sample(con, user, times, rng)
-    n_obs = g_obs.size
-    noise = 1.63 / math.sqrt(max(n_obs, 1))
-    # near the equator the deterministic system keeps visible bucketing
-    # (few distinct ground tracks cross the small cap), so the
-    # continuum-model agreement is structurally looser there
-    low_lat = abs(cfg.lat_deg) <= 15.0
-    range_tol = 0.10 if low_lat else 0.03
-    add("orbit_gain_ks",
-        osim.ks_distance(g_obs, lambda x: dist.gain_cdf(cap, x, pcap)),
-        range_tol + noise, f"n={n_obs}")
-    add("orbit_delay_ks",
-        osim.ks_distance(tau_obs, lambda x: dist.delay_cdf(cap, x, pcap)),
-        range_tol + noise, f"n={n_obs}")
-    doppler_tol = 0.10 if low_lat else 0.05
-    add("orbit_doppler_ks", osim.ks_distance(nu_obs, doppler_mixed),
-        doppler_tol + noise, f"n={n_obs}")
-    return checks
-
-
 def cmd_validate(cfg: RunConfig) -> tuple[list[Path], bool]:
-    checks = _validation_checks(cfg)
-    passed = all(c["passed"] for c in checks)
+    results = checks.run(cfg)
+    passed = all(c["passed"] for c in results)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "validation.json"
-    doc = {
-        "passed": passed,
-        "checks": checks,
-        "config": dict(resolved_items(cfg)),
-    }
+    doc = {"passed": passed, "checks": results, "config": dict(resolved_items(cfg))}
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
-    for c in checks:
+    for c in results:
         status = "PASS" if c["passed"] else "FAIL"
         print(f"{status} {c['name']}: {c['value']:.3e} (threshold {c['threshold']:.3e})")
     return [path], passed

@@ -49,6 +49,9 @@ _N_THETA = 1024
 _N_ANNULUS_NODES = 64
 # Gauss-Legendre nodes per panel of the gain-support rule
 _N_GAIN_NODES = 64
+# (cell, straddled nu edge) pairs that _cell_shares holds at once; its
+# result does not depend on this bound
+_MAX_PAIRS = 1 << 16
 # sizes of the tables behind the KS checks
 _PCAP_TABLE = 2001
 _DOPPLER_TABLE = 2001
@@ -65,12 +68,14 @@ class _NuAxis:
     nu_step_hz: float
     nu_half_cells: int | None = field(default=None, init=False)
 
-    def _cover(self, model: CapModel, pad: int):  # pad cells beyond nu_max
+    def _cover(self, model: CapModel, pad: int, **resolved):
+        """Copy with nu_half_cells (pad beyond nu_max) and resolved set."""
         if self.nu_half_cells is not None:
             return self
         out = replace(self)
-        object.__setattr__(out, "nu_half_cells",
-                           math.ceil(model.nu_max_hz / self.nu_step_hz) + pad)
+        resolved["nu_half_cells"] = math.ceil(model.nu_max_hz / self.nu_step_hz) + pad
+        for name, value in resolved.items():
+            object.__setattr__(out, name, value)
         return out
 
     def nu_edges(self) -> np.ndarray:
@@ -98,25 +103,23 @@ class DopplerGridSpec(_NuAxis):
 
 @dataclass(frozen=True)
 class JointGridSpec(_NuAxis):
-    """Uniform (tau, nu) grid covering the full delay-Doppler support."""
+    """Uniform (tau, nu) grid covering the full delay-Doppler support,
+    whose delay bounds resolve sets."""
 
     nu_step_hz: float = 2.61e3
     tau_step_s: float = 2.8e-5
-    tau_min_s: float | None = None
-    tau_max_s: float | None = None
+    tau_min_s: float | None = field(default=None, init=False)
+    tau_max_s: float | None = field(default=None, init=False)
 
     def __post_init__(self):
         if self.nu_step_hz <= 0 or self.tau_step_s <= 0:
             raise ValueError("grid steps must be positive")
 
     def resolve(self, model: CapModel) -> "JointGridSpec":
-        out = self
-        if out.tau_min_s is None or out.tau_max_s is None:
-            tau_lo, tau_hi = model.delay_bounds
-            out = replace(out, tau_min_s=tau_lo, tau_max_s=tau_hi)
         # tight nu cover: trapezoid integrals then lose half the mass a too
         # coarse step leaves in the outer columns, which the check detects
-        return out._cover(model, 0)
+        lo, hi = model.delay_bounds
+        return self._cover(model, 0, tau_min_s=lo, tau_max_s=hi)
 
     def tau_edges(self) -> np.ndarray:
         # one padding cell each side: the outermost rows carry no mass, so
@@ -191,34 +194,55 @@ def _cell_shares(v: np.ndarray, e: np.ndarray, row, n_rows: int,
     carries weight (a scalar or one value per cell). row gives the output
     row of each cell (broadcast to the cells' shape). Column k of the
     result covers (e[k-1], e[k]], the last column everything above e[-1].
-    Every share is non-negative when the weights are.
+    Every share is non-negative when the weights are. (cell, straddled
+    edge) pairs go in runs of edges of at most _MAX_PAIRS pairs; a bin takes
+    all its terms in one run, in order, so the bound changes no bit.
     """
     lo = np.minimum(v[:, :-1], v[:, 1:]).ravel()
     hi = np.maximum(v[:, :-1], v[:, 1:]).ravel()
     weight = np.broadcast_to(weight, v[:, 1:].shape).ravel()
     first = np.searchsorted(e, lo, side="right")  # first edge above lo
     last = np.searchsorted(e, hi, side="left")    # first edge at or above hi
-    # the cells that straddle edges, and those edges, ascending per cell
-    cut = np.flatnonzero(last > first)
-    n_cut = last[cut] - first[cut]
-    ends = np.cumsum(n_cut)
-    starts = ends - n_cut
-    cell = np.repeat(cut, n_cut)
-    edge = np.repeat(first[cut] - starts, n_cut) + np.arange(cell.size)
-    frac = (e[edge] - lo[cell]) / (hi[cell] - lo[cell])
-    # a straddled edge takes the share since the previous straddled edge,
-    # the first edge at or above hi takes the rest
-    step = np.diff(frac, prepend=0.0)
-    step[starts] = frac[starts]
-    top = np.zeros_like(lo)
-    top[cut] = frac[ends - 1]
     width = e.size + 1
     row = np.broadcast_to(row, v[:, 1:].shape).ravel() * width
+    # the cells that straddle edges, and those edges in runs that hold at
+    # most _MAX_PAIRS (cell, edge) pairs: one run unless they exceed it
+    cut = np.flatnonzero(last > first)
+    fc, lc = first[cut], last[cut]
+    runs = [0, e.size]
+    if np.sum(lc - fc) > _MAX_PAIRS:
+        straddling = np.cumsum(np.bincount(fc, minlength=width)
+                               - np.bincount(lc, minlength=width))
+        below = np.concatenate(([0], np.cumsum(straddling[:-1])))
+        runs = [0]
+        while runs[-1] < e.size:
+            k = int(np.searchsorted(below, below[runs[-1]] + _MAX_PAIRS, "right"))
+            runs.append(max(runs[-1] + 1, k - 1))
+    top = np.zeros_like(lo)
+    straddled = np.zeros(n_rows * width)
+    for k0, k1 in zip(runs[:-1], runs[1:]):
+        a, b = np.maximum(fc, k0), np.minimum(lc, k1)
+        keep = b > a if len(runs) > 2 else slice(None)  # one run: every cell
+        c, f, a, n = cut[keep], fc[keep], a[keep], (b - a)[keep]
+        starts = np.cumsum(n) - n
+        cell = np.repeat(c, n)
+        edge = np.repeat(a - starts, n) + np.arange(cell.size)
+        frac = (e[edge] - lo[cell]) / (hi[cell] - lo[cell])
+        # a straddled edge takes the share since the previous straddled
+        # edge, in the run before where this run starts inside the cell's
+        # edges; the first edge at or above hi takes the rest
+        step = np.diff(frac, prepend=0.0)
+        step[starts] = frac[starts]
+        inside = a > f
+        step[starts[inside]] -= ((e[a[inside] - 1] - lo[c[inside]])
+                                 / (hi[c[inside]] - lo[c[inside]]))
+        done = (b == lc)[keep]
+        top[c[done]] = frac[(starts + n - 1)[done]]
+        straddled += np.bincount(row[cell] + edge, weights=step * weight[cell],
+                                 minlength=n_rows * width)
     share = np.bincount(row + last, weights=(1.0 - top) * weight,
                         minlength=n_rows * width)
-    share += np.bincount(row[cell] + edge, weights=step * weight[cell],
-                         minlength=n_rows * width)
-    return share.reshape(n_rows, width)
+    return (share + straddled).reshape(n_rows, width)
 
 
 def _annulus_pass(model: CapModel, sigmas, nu_edges: np.ndarray, mark: int,

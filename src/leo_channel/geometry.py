@@ -106,25 +106,6 @@ def sigma_from_elevation(shell: ShellConfig, psi: float) -> float:
     return math.acos(clamp_unit(arg))
 
 
-def elevation_from_sigma(shell: ShellConfig, sigma: float, tol: float = 1e-12) -> float:
-    """Invert sigma_from_elevation by bisection to tol radians."""
-    sigma_horizon = math.acos(shell.earth_radius_m / shell.shell_radius_m)
-    if not -_CLAMP_GRACE <= sigma <= sigma_horizon + _CLAMP_GRACE:
-        raise DomainError(f"sigma {sigma} outside [0, {sigma_horizon}]")
-    # arccos conditioning flattens sigma_from_elevation within ~1e-8 rad of
-    # the zenith; the boundary values are analytic, so return them exactly
-    if sigma <= 1e-8:
-        return math.pi / 2
-    lo, hi = 0.0, math.pi / 2  # sigma_from_elevation is decreasing in psi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if sigma_from_elevation(shell, mid) > sigma:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def central_angle_bounds(shell: ShellConfig, phi_u: float, sigma1: float):
     """(sigma_min, sigma_max) of visible satellites for a northern user.
 
@@ -170,15 +151,3 @@ class UserGeometry:
         sigma1 = sigma_from_elevation(shell, min_elevation_rad)
         sigma_min, sigma_max = central_angle_bounds(shell, phi_u, sigma1)
         return cls(phi_u, float(min_elevation_rad), sigma1, sigma_min, sigma_max)
-
-
-def central_angle(user: UserGeometry, theta, phi):
-    """Central angle between the user and a point (theta, phi) on the shell.
-
-    The user azimuth is fixed at pi/2, which turns the usual
-    cos(theta - theta_u) factor into sin(theta).
-    """
-    phi_u = user.user_polar_rad
-    cos_sigma = (np.cos(phi_u) * np.cos(phi)
-                 + np.sin(phi_u) * np.sin(phi) * np.sin(theta))
-    return np.arccos(clamp_unit(cos_sigma))

@@ -28,31 +28,6 @@ _DRAWS_PER_SAMPLE = 64
 _BOX_SLACK = 1e-9
 
 
-def phi_pdf(shell: ShellConfig, phi):
-    """Polar-angle density on the band, zero outside.
-
-    Diverges (integrably) at the band edges; returns +inf exactly there.
-    """
-    phi = np.asarray(phi, dtype=float)
-    b = shell.inclination_rad
-    inside = (phi >= shell.polar_inclination_rad) & (phi <= np.pi - shell.polar_inclination_rad)
-    s2 = np.sin(phi) ** 2 - math.cos(b) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = np.sin(phi) / (np.pi * np.sqrt(np.maximum(s2, 0.0)))
-    out = np.where(inside, val, 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def phi_cdf(shell: ShellConfig, phi):
-    """Closed-form polar-angle CDF: arccos(cos phi / sin b)/pi on the band."""
-    phi = np.asarray(phi, dtype=float)
-    b_bar = shell.polar_inclination_rad
-    arg = np.clip(np.cos(phi) / math.sin(shell.inclination_rad), -1.0, 1.0)
-    val = np.arccos(arg) / np.pi
-    out = np.where(phi < b_bar, 0.0, np.where(phi > np.pi - b_bar, 1.0, val))
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass(frozen=True)
 class SampleBox:
     """Azimuth interval [theta_lo, theta_hi) times the argument-of-latitude

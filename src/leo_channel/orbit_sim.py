@@ -90,18 +90,6 @@ def propagate_arrays(constellation: WalkerConstellation, t: float):
     return theta.ravel(), phi.ravel(), mark.ravel()
 
 
-def positions_cartesian(constellation: WalkerConstellation, t: float) -> np.ndarray:
-    """(N, 3) satellite positions in metres; handy for invariant checks."""
-    theta, phi, _ = propagate_arrays(constellation, t)
-    big_r = constellation.shell.shell_radius_m
-    sin_phi = np.sin(phi)
-    return np.column_stack([
-        big_r * sin_phi * np.cos(theta),
-        big_r * sin_phi * np.sin(theta),
-        big_r * np.cos(phi),
-    ])
-
-
 def snapshot_sample(constellation: WalkerConstellation, user: UserGeometry,
                     times, rng: np.random.Generator):
     """One observation per snapshot: a uniformly chosen visible satellite.

@@ -19,8 +19,10 @@ from .visibility import _POLE_EPS, _active_band, arc_halfwidth_clamped
 
 _GRACE = 1e-12
 # seeds per boundary arc, and per axis of the interior grid, of the
-# max_doppler search
+# max_doppler search, and the distance below the maximum its golden
+# sections stop at
 _MAX_DOPPLER_GRID = 257
+_MAX_DOPPLER_TOL_HZ = 1.0
 
 
 def gain(shell: ShellConfig, sigma):
@@ -115,8 +117,7 @@ def _arc_max(f, lo: float, hi: float, tol: float) -> float:
     return max(float(v[k]), _golden_max(lambda t: float(f(t)), a, b, tol)[1])
 
 
-def max_doppler(shell: ShellConfig, user: UserGeometry,
-                refine_tol_hz: float = 1.0) -> float:
+def max_doppler(shell: ShellConfig, user: UserGeometry) -> float:
     """Largest Doppler magnitude over the visible cap.
 
     The maximum over the cap clipped to the band lies on its boundary or
@@ -127,7 +128,7 @@ def max_doppler(shell: ShellConfig, user: UserGeometry,
     band-edge latitude lines. A coarse grid over the cap seeds the
     interior, refined by golden section in polar angle over the maxima
     of latitude lines. Every point searched lies in the cap, and the
-    golden tolerance puts the result within refine_tol_hz below the
+    golden tolerance puts the result within _MAX_DOPPLER_TOL_HZ below the
     maximum.
     """
     b_bar = shell.polar_inclination_rad
@@ -135,7 +136,7 @@ def max_doppler(shell: ShellConfig, user: UserGeometry,
     theta_u = user.user_azimuth_rad
     scale = shell.carrier_hz / shell.light_speed_mps
     # the Doppler slope along these arcs is below scale * speed per radian
-    tol = refine_tol_hz / (4.0 * scale * shell.sat_speed_mps)
+    tol = _MAX_DOPPLER_TOL_HZ / (4.0 * scale * shell.sat_speed_mps)
     cu, su, cs, ss = math.cos(phi_u), math.sin(phi_u), math.cos(s1), math.sin(s1)
 
     def rim(alpha):

@@ -12,7 +12,10 @@ derivative, the path-loss integral and the Rayleigh-faded gain CDF are
 recomputed by adaptive QUADPACK quadrature in place of the package's
 fixed rule. The visible-cap sampler is checked against whole-shell
 rejection, and the Walker snapshot sampler against a loop over every
-satellite at every snapshot.
+satellite at every snapshot. Routes that only the tests use live here
+too: the closed-form polar-angle density and CDF of the shell, the
+bisection inverse of sigma_from_elevation, the central angle of a shell
+point and the Cartesian positions of a Walker constellation.
 """
 
 import math
@@ -22,8 +25,10 @@ import numpy as np
 from scipy.integrate import quad
 
 from leo_channel import distributions as dist
-from leo_channel.geometry import ShellConfig, UserGeometry, slant_range
-from leo_channel.nbpp import phi_pdf
+from leo_channel.errors import DomainError
+from leo_channel.geometry import (
+    _CLAMP_GRACE, ShellConfig, UserGeometry, clamp_unit, sigma_from_elevation,
+    slant_range)
 from leo_channel.orbit_sim import propagate_arrays
 from leo_channel.parallel import ordered_map
 from leo_channel.propagation import (
@@ -66,6 +71,74 @@ def doppler_cartesian(shell: ShellConfig, user: UserGeometry,
     los = sat - usr
     range_rate = float(np.dot(vel, los) / np.linalg.norm(los))
     return -shell.carrier_hz / shell.light_speed_mps * range_rate
+
+
+def phi_pdf(shell: ShellConfig, phi):
+    """Polar-angle density on the band, zero outside.
+
+    Diverges (integrably) at the band edges; returns +inf exactly there.
+    """
+    phi = np.asarray(phi, dtype=float)
+    b = shell.inclination_rad
+    inside = (phi >= shell.polar_inclination_rad) & (phi <= np.pi - shell.polar_inclination_rad)
+    s2 = np.sin(phi) ** 2 - math.cos(b) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = np.sin(phi) / (np.pi * np.sqrt(np.maximum(s2, 0.0)))
+    out = np.where(inside, val, 0.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def phi_cdf(shell: ShellConfig, phi):
+    """Closed-form polar-angle CDF: arccos(cos phi / sin b)/pi on the band."""
+    phi = np.asarray(phi, dtype=float)
+    b_bar = shell.polar_inclination_rad
+    arg = np.clip(np.cos(phi) / math.sin(shell.inclination_rad), -1.0, 1.0)
+    val = np.arccos(arg) / np.pi
+    out = np.where(phi < b_bar, 0.0, np.where(phi > np.pi - b_bar, 1.0, val))
+    return float(out) if out.ndim == 0 else out
+
+
+def elevation_from_sigma(shell: ShellConfig, sigma: float, tol: float = 1e-12) -> float:
+    """Invert sigma_from_elevation by bisection to tol radians."""
+    sigma_horizon = math.acos(shell.earth_radius_m / shell.shell_radius_m)
+    if not -_CLAMP_GRACE <= sigma <= sigma_horizon + _CLAMP_GRACE:
+        raise DomainError(f"sigma {sigma} outside [0, {sigma_horizon}]")
+    # arccos conditioning flattens sigma_from_elevation within ~1e-8 rad of
+    # the zenith; the boundary values are analytic, so return them exactly
+    if sigma <= 1e-8:
+        return math.pi / 2
+    lo, hi = 0.0, math.pi / 2  # sigma_from_elevation is decreasing in psi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if sigma_from_elevation(shell, mid) > sigma:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def central_angle(user: UserGeometry, theta, phi):
+    """Central angle between the user and a point (theta, phi) on the shell.
+
+    The user azimuth is fixed at pi/2, which turns the usual
+    cos(theta - theta_u) factor into sin(theta).
+    """
+    phi_u = user.user_polar_rad
+    cos_sigma = (np.cos(phi_u) * np.cos(phi)
+                 + np.sin(phi_u) * np.sin(phi) * np.sin(theta))
+    return np.arccos(clamp_unit(cos_sigma))
+
+
+def positions_cartesian(constellation, t: float) -> np.ndarray:
+    """(N, 3) satellite positions in metres of a Walker constellation."""
+    theta, phi, _ = propagate_arrays(constellation, t)
+    big_r = constellation.shell.shell_radius_m
+    sin_phi = np.sin(phi)
+    return np.column_stack([
+        big_r * sin_phi * np.cos(theta),
+        big_r * sin_phi * np.sin(theta),
+        big_r * np.cos(phi),
+    ])
 
 
 def arc_fraction_scan(user: UserGeometry, phi: float, sigma: float,

@@ -11,10 +11,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from oracles import central_angle
+
 from leo_channel import channel as ch
+from leo_channel import checks
 from leo_channel import distributions as dist
 from leo_channel import orbit_sim as osim
-from leo_channel.geometry import UserGeometry, central_angle, slant_range
+from leo_channel.geometry import UserGeometry, slant_range
 from leo_channel.nbpp import sample_visible
 from leo_channel.propagation import (
     delay as delay_fn,
@@ -138,13 +141,10 @@ def test_criterion_4_global_parameters(cap_equator, cap_midlat,
 
 def test_criterion_5_monte_carlo_ks(shell, cap_equator, mc_million):
     sig, th, ph, mk = mc_million
-    pcap = dist.pcap_interpolator(cap_equator)
-    d_gain = osim.ks_distance(gain_fn(shell, sig),
-                              lambda x: dist.gain_cdf(cap_equator, x, pcap))
-    d_delay = osim.ks_distance(delay_fn(shell, sig),
-                               lambda x: dist.delay_cdf(cap_equator, x, pcap))
     nu = doppler_hz_arrays(shell, cap_equator.user, th, ph, mk)
-    d_dop = osim.ks_distance(nu, lambda x: dist.doppler_cdf_mixed_batch(cap_equator, x))
+    d_gain, d_delay, d_dop = checks.ks_triple(
+        cap_equator, checks.ks_tables(cap_equator), gain_fn(shell, sig),
+        delay_fn(shell, sig), nu)
     ok = d_gain < 0.005 and d_delay < 0.005 and d_dop < 0.005
     report(5, ok, f"KS(1e6 samples): gain={d_gain:.5f} delay={d_delay:.5f} "
                   f"doppler={d_dop:.5f} (all < 0.005)")
@@ -155,13 +155,8 @@ def test_criterion_6_orbit_oracle(shell, cap_equator, cap_midlat, snapshots):
     caps = {"equator": cap_equator, "midlat": cap_midlat}
     ks = {}
     for name, cap in caps.items():
-        g_obs, tau_obs, nu_obs, _, _ = snapshots[name]
-        pcap = dist.pcap_interpolator(cap)
-        ks[name] = dict(
-            gain=osim.ks_distance(g_obs, lambda x: dist.gain_cdf(cap, x, pcap)),
-            delay=osim.ks_distance(tau_obs, lambda x: dist.delay_cdf(cap, x, pcap)),
-            doppler=osim.ks_distance(nu_obs, lambda x: dist.doppler_cdf_mixed_batch(cap, x)),
-        )
+        ks[name] = dict(zip(("gain", "delay", "doppler"), checks.ks_triple(
+            cap, checks.ks_tables(cap), *snapshots[name][:3])))
     ordering = ks["equator"]["doppler"] > ks["midlat"]["doppler"]
     flags = {
         "gain(eq)<0.03": ks["equator"]["gain"] < 0.03,
@@ -182,29 +177,10 @@ def test_criterion_6_orbit_oracle(shell, cap_equator, cap_midlat, snapshots):
 
 
 def test_criterion_7_derivative_consistency(cap_equator, cap_midlat):
-    worst_pcap = 0.0
-    for cap in (cap_equator, cap_midlat):
-        lo, hi = cap.user.sigma_min_rad, cap.user.sigma_max_rad
-        for s in np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 20):
-            h = 1e-5
-            u = math.cos(float(s))
-            fd = (cap.p_cap(math.acos(min(1.0, u + h)))
-                  - cap.p_cap(math.acos(u - h))) / (2 * h)
-            an = cap.p_cap_prime(float(s))
-            worst_pcap = max(worst_pcap, abs(fd / an - 1.0))
-
-    worst_pdf = 0.0
-    for cap in (cap_equator, cap_midlat):
-        g_min, g_max = cap.gain_bounds
-        hg = (g_max - g_min) * 1e-5
-        for g in np.linspace(g_min, g_max, 22)[1:-1]:
-            fd = (dist.gain_cdf(cap, g + hg) - dist.gain_cdf(cap, g - hg)) / (2 * hg)
-            worst_pdf = max(worst_pdf, abs(fd / dist.gain_pdf(cap, float(g)) - 1.0))
-        t_lo, t_hi = cap.delay_bounds
-        ht = (t_hi - t_lo) * 1e-5
-        for t in np.linspace(t_lo, t_hi, 22)[1:-1]:
-            fd = (dist.delay_cdf(cap, t + ht) - dist.delay_cdf(cap, t - ht)) / (2 * ht)
-            worst_pdf = max(worst_pdf, abs(fd / dist.delay_pdf(cap, float(t)) - 1.0))
+    caps = (cap_equator, cap_midlat)
+    worst_pcap = max(checks.pcap_derivative_error(cap) for cap in caps)
+    worst_pdf = max(checks.pdf_vs_cdf_error(cap, law)
+                    for cap in caps for law in ("gain", "delay"))
 
     ok = worst_pcap < 1e-4 and worst_pdf < 1e-3
     report(7, ok, f"cap derivative rel err {worst_pcap:.2e} (<1e-4), "
@@ -246,7 +222,7 @@ def test_criterion_9_dual_path_loss(cap_equator, scat_equator):
             spec = dist.JointGridSpec(nu_step_hz=base.nu_step_hz * factor,
                                       tau_step_s=base.tau_step_s * factor)
             grid = ch.scattering_function(cap_equator, spec)
-        gaps.append(abs(grid.cell_sum() / rho2 - 1.0))
+        gaps.append(grid.dual_path_loss_gap(rho2))
     shrinking = all(a > b for a, b in zip(gaps, gaps[1:]))
     ok = gaps[2] < 0.01 and shrinking
     report(9, ok, "grid-vs-proposition gaps over doublings: "
@@ -267,9 +243,7 @@ def test_criterion_10_normalization_suite(cap_equator, cap_midlat):
         if abs(val - 1.0) > 1e-4:
             problems.append(f"delay pdf integral {val:.6f}")
 
-        spec = dist.DopplerGridSpec().resolve(cap)
-        _, pdf = dist.doppler_pdf_grid(cap, spec)
-        if abs(float(pdf.sum()) * spec.nu_step_hz - 1.0) > 1e-3:
+        if checks.doppler_pdf_normalization(cap, dist.DopplerGridSpec()) > 1e-3:
             problems.append("doppler pdf grid normalization")
 
         jspec, jpdf = dist.joint_pdf_grid(cap, mark=1)
@@ -292,12 +266,7 @@ def test_criterion_10_normalization_suite(cap_equator, cap_midlat):
         if not np.all(np.diff(dist.rayleigh_gain_cdf_grid(cap, y)) >= -1e-9):
             problems.append("rayleigh cdf sweep not monotone")
 
-        # mark symmetry at scalar-route accuracy
-        worst = 0.0
-        for nu in np.linspace(-0.9, 0.9, 10) * cap.nu_max_hz:
-            a = dist.doppler_cdf(cap, float(nu), 1)
-            b = 1.0 - dist.doppler_cdf(cap, -float(nu), -1)
-            worst = max(worst, abs(a - b))
+        worst = checks.mark_symmetry(cap)
         if worst > 1e-6:
             problems.append(f"mark symmetry off by {worst:.2e}")
 

@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import math
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from leo_channel import checks
 from leo_channel.cli import main
 from leo_channel.config import load_config
 from leo_channel.errors import ConfigError
@@ -158,6 +160,17 @@ class TestValidate:
         assert code == 0, f"failed checks: {failed}"
         assert report["passed"] is True
 
+    def test_lat60_passes(self, tmp_path):
+        # away from the equator the Walker KS thresholds are 0.03 (gain,
+        # delay) and 0.05 (Doppler) plus sampling noise
+        out = str(tmp_path / "val60")
+        code = main(["validate", "--out", out, "--lat-deg", "60",
+                     "--min-elev-deg", "10"] + FAST)
+        report = json.loads((Path(out) / "validation.json").read_text())
+        failed = [c["name"] for c in report["checks"] if not c["passed"]]
+        assert code == 0, f"failed checks: {failed}"
+        assert len(report["checks"]) == len(checks.REGISTRY) == 13
+
     def test_corrupted_grid_fails(self, tmp_path):
         out = str(tmp_path / "valbad")
         code = main(["validate", "--out", out, "--nu-step-hz", "50e3"] + FAST)
@@ -202,6 +215,17 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "o").exists()
+
+
+def test_registry_names_match_the_benchmark():
+    # the benchmark marks every validate run incorrect when a check name
+    # it expects is missing; its list is read without importing its module
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    expected = next(ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and [getattr(t, "id", None) for t in node.targets] == ["VALIDATE_CHECKS"])
+    assert [name for name, _, _ in checks.REGISTRY] == list(expected)
 
 
 def test_cli_imports_without_scipy():

@@ -446,6 +446,22 @@ class TestJointDistribution:
         assert corner < 1e-9
         assert float(pdf.max()) > 0.0
 
+    def test_pair_bound_keeps_the_values(self, cap_equator, monkeypatch):
+        # a bound of 64 pairs splits each block's straddled edges into
+        # many runs; every bin still takes its terms in the same order
+        nu = np.linspace(-1.05, 1.05, 401) * cap_equator.nu_max_hz
+        runs = []
+        inner = np.bincount
+        monkeypatch.setattr(np, "bincount",
+                            lambda *a, **k: runs.append(1) or inner(*a, **k))
+        cdf = dist.doppler_cdf_grid(cap_equator, nu, 1)
+        spec, pdf = dist.joint_pdf_grid(cap_equator)
+        whole = len(runs)
+        monkeypatch.setattr(dist, "_MAX_PAIRS", 64)
+        assert np.array_equal(dist.doppler_cdf_grid(cap_equator, nu, 1), cdf)
+        assert np.array_equal(dist.joint_pdf_grid(cap_equator, spec)[1], pdf)
+        assert len(runs) > 10 * whole
+
 
 class TestRayleighGain:
     def test_limits(self, cap_equator):
@@ -503,6 +519,13 @@ class TestGridSpecs:
         assert spec.tau_edges()[-1] >= tau_hi
         assert spec.nu_edges()[0] <= -cap_midlat.nu_max_hz
         assert spec.nu_edges()[-1] >= cap_midlat.nu_max_hz
+
+    def test_delay_bounds_are_the_caps(self, cap_midlat):
+        spec = dist.JointGridSpec().resolve(cap_midlat)
+        assert (spec.tau_min_s, spec.tau_max_s) == cap_midlat.delay_bounds
+        assert spec.resolve(cap_midlat) is spec
+        with pytest.raises(TypeError):
+            dist.JointGridSpec(tau_min_s=0.0)
 
     def test_bad_steps_rejected(self):
         with pytest.raises(ValueError):

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import central_angle, elevation_from_sigma
+
 from leo_channel.errors import DomainError, NoVisibleSatellites
 from leo_channel.geometry import (
     ShellConfig,
     UserGeometry,
-    central_angle,
     central_angle_bounds,
     clamp_unit,
-    elevation_from_sigma,
     sigma_from_elevation,
     slant_range,
 )

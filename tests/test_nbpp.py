@@ -7,18 +7,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare, ks_2samp
 
-from oracles import sample_visible_rejection
+from oracles import phi_cdf, phi_pdf, sample_visible_rejection
 
 from leo_channel import nbpp
 from leo_channel.errors import DomainError, NoVisibleSatellites
 from leo_channel.geometry import UserGeometry, sigma_from_elevation
-from leo_channel.nbpp import (
-    phi_cdf,
-    phi_pdf,
-    sample_arrays,
-    sample_visible,
-    visible_box,
-)
+from leo_channel.nbpp import sample_arrays, sample_visible, visible_box
 from leo_channel.orbit_sim import ks_distance
 from leo_channel.propagation import doppler_hz_arrays
 

