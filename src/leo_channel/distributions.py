@@ -145,6 +145,22 @@ def _cap_cdf(model: CapModel, x, bounds, inverse, pcap, falling: bool):
     return float(out) if out.ndim == 0 else out
 
 
+def _cap_pdf(model: CapModel, x, bounds, zenith: float, inverse, density):
+    """PDF of gain or delay: density(-p_cap'(sigma(x)), x) on the support,
+    +0 outside it."""
+    x = np.asarray(x, dtype=float)
+    lo, hi = bounds
+    inside = (lo <= x) & (x <= hi)
+    x = np.clip(x, lo, hi)
+    # the zenith end is sigma_min exactly: inverting it would round it, and
+    # where sigma_min > 0 the derivative's band-edge crossing there turns
+    # that rounding into lost digits
+    sigma = np.where(x == zenith, model.user.sigma_min_rad, inverse(model.shell, x))
+    # 0 - p', not -p': where p' is 0 (a support end) the PDF is +0, not -0
+    out = np.where(inside, density(0.0 - model.p_cap_prime(sigma), x), 0.0)
+    return float(out) if out.ndim == 0 else out
+
+
 def gain_cdf(model: CapModel, g, pcap=None):
     """Gain CDF, exact; pcap (a sigma -> p_cap callable, such as
     pcap_interpolator's table) replaces model.p_cap for the KS checks."""
@@ -152,17 +168,9 @@ def gain_cdf(model: CapModel, g, pcap=None):
 
 
 def gain_pdf(model: CapModel, g):
-    g_min, g_max = model.gain_bounds
-    g = np.clip(np.asarray(g, dtype=float), g_min, g_max)
     r, big_r = model.shell.earth_radius_m, model.shell.shell_radius_m
-    # the support end is sigma_min exactly; gain_inverse would round it to
-    # ~1e-8 rad, where the zenith-edge derivative loses digits
-    sigma = np.where(g == g_max, model.user.sigma_min_rad,
-                     gain_inverse(model.shell, g))
-    # 0 - p', not -p': where p' is 0 (a support end) the PDF is +0, not -0
-    out = ((0.0 - model.p_cap_prime(sigma))
-           / (2.0 * g * g * r * big_r * model.p_sat))
-    return float(out) if out.ndim == 0 else out
+    return _cap_pdf(model, g, model.gain_bounds, model.gain_bounds[1], gain_inverse,
+                    lambda dp, x: dp / (2.0 * x * x * r * big_r * model.p_sat))
 
 
 def delay_cdf(model: CapModel, tau, pcap=None):
@@ -171,15 +179,10 @@ def delay_cdf(model: CapModel, tau, pcap=None):
 
 
 def delay_pdf(model: CapModel, tau):
-    tau_lo, tau_hi = model.delay_bounds
-    tau = np.clip(np.asarray(tau, dtype=float), tau_lo, tau_hi)
     shell = model.shell
-    sigma = np.where(tau == tau_lo, model.user.sigma_min_rad,
-                     delay_inverse(shell, tau))
-    c = shell.light_speed_mps
-    out = ((0.0 - model.p_cap_prime(sigma)) * c * c * tau
-           / (shell.earth_radius_m * shell.shell_radius_m * model.p_sat))
-    return float(out) if out.ndim == 0 else out
+    c, rr = shell.light_speed_mps, shell.earth_radius_m * shell.shell_radius_m
+    return _cap_pdf(model, tau, model.delay_bounds, model.delay_bounds[0], delay_inverse,
+                    lambda dp, x: dp * c * c * x / (rr * model.p_sat))
 
 
 # ---------------------------------------------------------------------------

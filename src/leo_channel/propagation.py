@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import ShellConfig, UserGeometry, sigma_from_range2, slant_range
-from .visibility import _POLE_EPS, _active_band, arc_halfwidth_clamped
+from .visibility import _active_band, arc_halfwidth_clamped, ring_bearings
 
 _GRACE = 1e-12
 # seeds per boundary arc, and per axis of the interior grid, of the
@@ -123,8 +123,8 @@ def max_doppler(shell: ShellConfig, user: UserGeometry) -> float:
     The maximum over the cap clipped to the band lies on its boundary or
     at an interior critical point. The boundary is searched as 1-D arcs,
     each seeded on a grid and refined by golden section: the cap rim by
-    bearing alpha from the user, where it lies in the band (cos phi =
-    cos phi_u cos sigma_1 + sin phi_u sin sigma_1 cos alpha), and the
+    bearing alpha from the user, over its in-band arcs (ring_bearings at
+    sigma_1; seen from the pole, the whole circle or nothing), and the
     band-edge latitude lines. A coarse grid over the cap seeds the
     interior, refined by golden section in polar angle over the maxima
     of latitude lines. Every point searched lies in the cap, and the
@@ -138,20 +138,15 @@ def max_doppler(shell: ShellConfig, user: UserGeometry) -> float:
     # the Doppler slope along these arcs is below scale * speed per radian
     tol = _MAX_DOPPLER_TOL_HZ / (4.0 * scale * shell.sat_speed_mps)
     cu, su, cs, ss = math.cos(phi_u), math.sin(phi_u), math.cos(s1), math.sin(s1)
+    c, d, a_in, a_out = ring_bearings(shell, user, s1)
 
     def rim(alpha):
         cos_a = np.cos(alpha)
         return (np.arctan2(su * cs - cu * ss * cos_a, ss * np.sin(alpha)),
-                np.arccos(np.clip(cu * cs + su * ss * cos_a, -1.0, 1.0)))
+                np.arccos(np.clip(c + d * cos_a, -1.0, 1.0)))
 
-    if phi_u < _POLE_EPS:  # the rim is the latitude line phi = sigma_1
-        arcs = ([(lambda t: (t, s1), theta_u - math.pi, theta_u + math.pi)]
-                if b_bar <= s1 <= math.pi - b_bar else [])
-    else:  # the rim is in the band for a_in <= |alpha| <= a_out
-        a_in, a_out = np.arccos(np.clip(
-            (np.array([1.0, -1.0]) * math.cos(b_bar) - cu * cs) / (su * ss),
-            -1.0, 1.0))
-        arcs = [(rim, a_in, a_out), (rim, -a_out, -a_in)] if a_in < a_out else []
+    # the rim is in the band for a_in <= |alpha| <= a_out
+    arcs = [(rim, a_in, a_out), (rim, -a_out, -a_in)] if a_in < a_out else []
     for p in (b_bar, math.pi - b_bar):
         h = float(arc_halfwidth_clamped(user, p, s1))
         if h > 0.0:

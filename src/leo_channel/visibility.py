@@ -6,14 +6,18 @@ the backbone of every distribution in the package: gain and delay CDFs are
 reparameterisations of it, and its derivative (taken with respect to
 cos sigma, which removes the arccos from the inverse maps) yields the PDFs.
 
-Integration strategy: conditioned on polar angle phi, the azimuth interval
-inside the cap has length L(phi; sigma); integrating f(phi)*L/(2pi) over
-the band gives p_cap. The substitution to argument-of-latitude space (see
-quadrature.py) removes the density's edge singularity, and the piecewise
-breakpoints of L are passed to the integrator as panel boundaries.
+p_cap integrates over polar angle: conditioned on polar angle phi, the
+azimuth interval inside the cap has length L(phi; sigma), and f(phi)*L/(2pi)
+integrated over the band, in argument-of-latitude space (quadrature.py)
+with the breakpoints of L as panel boundaries, gives p_cap. p_cap_prime
+integrates the density per unit area along the ring of angle sigma, by
+bearing from the user (ring_bearings), over one sine-mapped panel between
+its band crossings. Nothing in it cancels as sigma -> 0, so it keeps its
+relative accuracy down to the zenith limit. max_doppler searches the same
+arcs of the rim.
 
-p_cap and p_cap_prime take arrays: the fixed rule runs on a (sigma x node)
-matrix, in blocks of rows. Both are exact up to that rule, and the gain
+p_cap and p_cap_prime take arrays: each fixed rule runs on a (sigma x
+node) matrix, in blocks of rows. Both are exact up to their rule, and the gain
 and delay laws call them directly. Only the KS checks interpolate p_cap
 in a table (distributions.pcap_interpolator): they evaluate a CDF at
 1e4-1e6 samples, each of which would cost one rule.
@@ -29,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import ShellConfig, UserGeometry
-from .quadrature import _N_NODES, density_integral
+from .quadrature import _N_NODES, density_integral, sine_mapped_panels
 
 _POLE_EPS = 1e-12
 # bound on the (sigma x polar node) elements of one p_cap or p_cap' block
@@ -63,36 +67,41 @@ def _active_band(shell: ShellConfig, user: UserGeometry, sigma):
             np.minimum(math.pi - b_bar, phi_u + sigma), sigma - phi_u)
 
 
-def _polar_limit(shell: ShellConfig, x):
-    """-1 / (pi sqrt(sin^2 i - cos^2 x)) inside the band, 0 outside: the
-    band density per unit area times -2pi, d(cap area) / d cos(sigma)."""
-    c = np.cos(x)
-    q = math.sin(shell.inclination_rad) ** 2 - c * c
+def ring_bearings(shell: ShellConfig, user: UserGeometry, sigma):
+    """The ring of central angle sigma around the user, by bearing alpha
+    from the user's meridian: cos(phi) = c + d cos(alpha), with
+    c = cos phi_u cos sigma and d = sin phi_u sin sigma. Returns c, d and
+    the bearings a_in <= a_out in [0, pi] between which the ring lies in
+    the band (both |alpha| ranges). Where d = 0 (sigma = 0, or a user at
+    the pole) the ring is one latitude line, wholly in the band (0, pi)
+    or not at all. Any shape of sigma."""
+    phi_u = user.user_polar_rad
+    c = math.cos(phi_u) * np.cos(sigma)
+    d = math.sin(phi_u) * np.sin(sigma)
+    edge = math.cos(shell.polar_inclination_rad)
+    gap = np.stack([edge - c, -edge - c])  # d cos(alpha) at the band edges
+    ratio = np.where(d > 0.0, gap / np.where(d > 0.0, d, 1.0),
+                     np.copysign(np.inf, gap))
+    a_in, a_out = np.arccos(np.clip(ratio, -1.0, 1.0))
+    return c, d, a_in, a_out
+
+
+def _polar_limit(shell: ShellConfig, cos_phi):
+    """-1 / (pi sqrt(sin^2 i - cos^2 phi)) of cos(phi) inside the band, 0
+    outside: the band density per unit area times -2pi, d(cap area) /
+    d cos(sigma)."""
+    q = math.sin(shell.inclination_rad) ** 2 - cos_phi * cos_phi
     return np.where(q > 0.0, -1.0 / (math.pi * np.sqrt(np.where(q > 0.0, q, 1.0))),
                     0.0)
 
 
-def _cap_integral(shell: ShellConfig, integrand, sigma, lo, hi, edge=None):
-    """density_integral of integrand(phi, sigma) / 2pi over [lo, hi], split
-    at edge where it lies inside, for every sigma whose interval is
-    non-empty, 0 elsewhere; the arguments are 1-D arrays of one length.
-
-    A row's panel count depends on its own sigma alone, and rows go to
-    density_integral in blocks of _BLOCK_ELEMENTS nodes, so a row's value
-    does not depend on the block it lands in.
-    """
-    out = np.zeros(sigma.shape)
-    live = lo < hi
-    split = np.zeros_like(live) if edge is None else live & (lo < edge) & (edge < hi)
-    for rows, panels in ((live & ~split, 1), (split, 2)):
-        idx = np.flatnonzero(rows)
-        step = max(1, _BLOCK_ELEMENTS // (panels * _N_NODES))
-        for k in range(0, idx.size, step):
-            r = idx[k:k + step]
-            out[r] = density_integral(lambda phi: integrand(phi, sigma[r, None]),
-                                      lo[r], hi[r], shell,
-                                      edge[r] if panels == 2 else None)
-    return out / (2.0 * math.pi)
+def _row_blocks(rows, width: int):
+    """Indices of the true entries of rows, in blocks of at most
+    _BLOCK_ELEMENTS / width rows (at least one). Each caller computes a
+    row on its own nodes, so its value does not depend on its block."""
+    idx = np.flatnonzero(rows)
+    step = max(1, _BLOCK_ELEMENTS // width)
+    return (idx[k:k + step] for k in range(0, idx.size, step))
 
 
 @dataclass(frozen=True)
@@ -101,7 +110,7 @@ class CapModel:
 
     Immutable after construction; all methods are pure. p_cap and
     p_cap_prime take sigma of any shape and return an array of that shape,
-    or a float for a scalar; both are exact up to the fixed rule.
+    or a float for a scalar; both are exact up to their fixed rules.
     """
 
     shell: ShellConfig
@@ -116,52 +125,43 @@ class CapModel:
 
         The integrand is the arc 2 * arc_halfwidth_clamped; latitude lines
         fully inside the cap contribute through its clamp saturating at 2pi,
-        so a single integral covers all cases of the piecewise rule.
+        so a single integral covers all cases of the piecewise rule. A
+        row's panel count depends on its own sigma alone.
         """
         s = np.asarray(sigma, dtype=float)
         user, flat = self.user, np.minimum(s.ravel(), math.pi)
         lo, hi, edge = _active_band(self.shell, user, flat)
-        hi = np.where(s.ravel() > user.sigma_min_rad, hi, lo)  # empty: no mass
-        out = _cap_integral(
-            self.shell, lambda phi, col: 2.0 * arc_halfwidth_clamped(user, phi, col),
-            flat, lo, hi, edge).reshape(s.shape)
+        live = (lo < hi) & (flat > user.sigma_min_rad)  # else: no mass
+        split = live & (lo < edge) & (edge < hi)
+        out = np.zeros(flat.shape)
+        for rows, panels in ((live & ~split, 1), (split, 2)):
+            for r in _row_blocks(rows, panels * _N_NODES):
+                out[r] = density_integral(
+                    lambda phi: 2.0 * arc_halfwidth_clamped(user, phi, flat[r, None]),
+                    lo[r], hi[r], self.shell, edge[r] if panels == 2 else None)
+        out = (out / (2.0 * math.pi)).reshape(s.shape)
         return float(out) if out.ndim == 0 else out
 
     def p_cap_prime(self, sigma):
         """d p_cap / d cos(sigma); negative on the open support.
 
-        Per latitude line, d(arc length)/d cos(sigma) is
-        -2 / sqrt([cos(phi - phi_u) - cos sigma][cos sigma - cos(phi + phi_u)]),
-        evaluated as a product of four sines so that it keeps its relative
-        accuracy in small caps. Its inverse-square-root endpoints are the
-        ends of the integration interval, where the sine map absorbs them.
-        At sigma = 0 an in-band user gets the limit, the density per unit
-        area times d(cap area)/d cos(sigma) = -2pi. For a user at the pole
-        the cap is the polar cap phi <= sigma and the interval collapses;
-        the derivative is that limit at phi = sigma, -f(sigma) / sin(sigma).
+        The area element is d(cos sigma) d(alpha), so this is (1/pi) times
+        the integral of _polar_limit(c + d cos alpha) over the ring's
+        in-band arc [a_in, a_out] (ring_bearings): one sine-mapped panel,
+        whose map absorbs the density's inverse-square-root singularity at
+        the band crossings. Where d = 0 the integrand is constant and the
+        value (a_out - a_in) / pi * _polar_limit(c) exactly: the zenith
+        limit at sigma = 0, and the polar cap's derivative at the pole.
         """
-        shell, phi_u = self.shell, self.user.user_polar_rad
-        s = np.asarray(sigma, dtype=float)
-        flat = s.ravel()
-
-        def dlen(phi, col):
-            prod = (np.sin(0.5 * (col + phi - phi_u))
-                    * np.sin(0.5 * (col - phi + phi_u))
-                    * np.sin(0.5 * (phi + phi_u + col))
-                    * np.sin(0.5 * (phi + phi_u - col)))
-            # a node within rounding of an endpoint can land outside it
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.where(prod > 0.0, -1.0 / np.sqrt(prod), 0.0)
-
-        if phi_u < _POLE_EPS:
-            out = _polar_limit(shell, flat)
-        else:
-            b_bar = shell.polar_inclination_rad
-            lo = np.maximum(b_bar, np.abs(phi_u - flat))
-            hi = np.where(flat > 0.0,
-                          np.minimum(math.pi - b_bar, phi_u + flat), lo)
-            out = np.where(flat > 0.0, _cap_integral(shell, dlen, flat, lo, hi),
-                           _polar_limit(shell, phi_u))
+        shell, s = self.shell, np.asarray(sigma, dtype=float)
+        c, d, a_in, a_out = ring_bearings(shell, self.user, s.ravel())
+        # + 0.0: an empty arc gives +0, not -0
+        out = (a_out - a_in) / math.pi * _polar_limit(shell, c) + 0.0
+        for r in _row_blocks((d > 0.0) & (a_in < a_out), _N_NODES):
+            alpha, w = sine_mapped_panels(np.stack([a_in[r], a_out[r]], axis=-1),
+                                          _N_NODES)
+            v = _polar_limit(shell, c[r, None] + d[r, None] * np.cos(alpha))
+            out[r] = (w[:, None, :] @ v[:, :, None])[:, 0, 0] / math.pi
         out = out.reshape(s.shape)
         return float(out) if out.ndim == 0 else out
 

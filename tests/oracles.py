@@ -10,7 +10,8 @@ grid from one such sub-cap row per delay edge, and the largest Doppler
 shift by a brute-force scan of the cap. The cap probability, its
 derivative, the path-loss integral and the Rayleigh-faded gain CDF are
 recomputed by adaptive QUADPACK quadrature in place of the package's
-fixed rule. The visible-cap sampler is checked against whole-shell
+fixed rule, and the derivative also by a 30-digit mpmath integral in
+polar angle, which shares no formula with the package's bearing form. The visible-cap sampler is checked against whole-shell
 rejection, and the Walker snapshot sampler against a loop over every
 satellite at every snapshot. Routes that only the tests use live here
 too: the closed-form polar-angle density and CDF of the shell, the
@@ -21,6 +22,7 @@ point and the Cartesian positions of a Walker constellation.
 import math
 import warnings
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 
@@ -268,6 +270,36 @@ def p_cap_prime_adaptive(model: CapModel, sigma: float) -> float:
     val = density_integral_adaptive(dlen, lo, hi, model.shell,
                                     abs_tol=1e-12, limit=400)
     return val / (2.0 * math.pi)
+
+
+def p_cap_prime_mp(model: CapModel, sigma: float) -> float:
+    """d p_cap / d cos(sigma) as a 30-digit mpmath integral over polar
+    angle: (1/2pi) times the integral of f(phi) * (-2 / sqrt(D)), D as in
+    p_cap_prime_adaptive (a product of four sines), from
+    max(band edge, |phi_u - sigma|) to min(pi - band edge, phi_u + sigma).
+    Tanh-sinh quadrature takes the inverse-square-root endpoints of both
+    factors as they are. Users off the pole with sigma > 0 only."""
+    with mpmath.workdps(30):
+        incl = mpmath.mpf(model.shell.inclination_rad)
+        phi_u, s = mpmath.mpf(model.user.user_polar_rad), mpmath.mpf(sigma)
+        b_bar, cos2_i = mpmath.pi / 2 - incl, mpmath.cos(incl) ** 2
+        lo = max(b_bar, abs(phi_u - s))
+        hi = min(mpmath.pi - b_bar, phi_u + s)
+        if lo >= hi:
+            return 0.0
+
+        def integrand(phi):
+            q = mpmath.sin(phi) ** 2 - cos2_i
+            d = 4 * (mpmath.sin((s + phi - phi_u) / 2)
+                     * mpmath.sin((s - phi + phi_u) / 2)
+                     * mpmath.sin((phi + phi_u + s) / 2)
+                     * mpmath.sin((phi + phi_u - s) / 2))
+            # a node rounded onto an endpoint carries no weight to speak of
+            if q <= 0 or d <= 0:
+                return mpmath.mpf(0)
+            return -2 * mpmath.sin(phi) / (mpmath.pi * mpmath.sqrt(q * d))
+
+        return float(mpmath.quad(integrand, [lo, hi]) / (2 * mpmath.pi))
 
 
 def path_loss_rho2_adaptive(model: CapModel) -> float:

@@ -166,6 +166,17 @@ class TestArrayLaws:
             assert np.any(pdf == 0.0)
             assert not np.any(np.signbit(pdf))
 
+    @pytest.mark.parametrize("lat,mask", [(0.0, 30.0), (60.0, 10.0)])
+    def test_pdfs_vanish_outside_the_support(self, shell, lat, mask):
+        # +0 beyond both ends, the support ends themselves unchanged
+        cap = _cap(shell, lat, mask)
+        for pdf, (lo, hi) in ((dist.gain_pdf, cap.gain_bounds),
+                              (dist.delay_pdf, cap.delay_bounds)):
+            out = pdf(cap, np.array([0.5 * lo, 0.999 * lo, 1.001 * hi, 2.0 * hi]))
+            assert np.all(out == 0.0) and not np.any(np.signbit(out))
+            ends = pdf(cap, np.array([lo, hi]))
+            assert np.all(ends >= 0.0) and np.any(ends > 0.0)
+
     @pytest.mark.parametrize("lat,mask", ORACLE_USERS)
     def test_table_error_is_below_ks_resolution(self, shell, lat, mask):
         # the table's linear interpolation error (measured 6.3e-8 at the

@@ -141,6 +141,17 @@ class TestMaxDoppler:
         assert max_doppler(shell, user) == pytest.approx(
             max_doppler_scan(shell, user), abs=1.0)
 
+    @pytest.mark.parametrize("incl_deg, lat_deg, mask_deg", [
+        (89.0, 90.0, 30.0),  # the pole: the rim is one latitude line
+        (85.0, 80.0, 0.0),   # a cap over the pole, its whole rim in the band
+    ])
+    def test_other_shells_match_brute_force_scan(self, incl_deg, lat_deg, mask_deg):
+        shell = ShellConfig(inclination_rad=math.radians(incl_deg))
+        user = UserGeometry.for_shell(shell, math.pi / 2 - math.radians(lat_deg),
+                                      math.radians(mask_deg))
+        assert max_doppler(shell, user) == pytest.approx(
+            max_doppler_scan(shell, user), abs=1.0)
+
 
 @given(sigma=st.floats(1e-6, 0.4))
 @example(sigma=1.0429293343797008e-06)  # 1.6e-10 rad off by the arccos form

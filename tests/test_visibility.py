@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from oracles import arc_fraction_scan, p_cap_adaptive, p_cap_prime_adaptive
+from oracles import (
+    arc_fraction_scan, p_cap_adaptive, p_cap_prime_adaptive, p_cap_prime_mp)
 
 from leo_channel import distributions as dist
 from leo_channel.errors import DomainError, NoVisibleSatellites
@@ -154,6 +155,15 @@ class TestPCapPrime:
             math.sin(shell.inclination_rad) ** 2 - math.cos(phi_u) ** 2))
         assert cap_equator.p_cap_prime(0.0) == limit
         assert cap_equator.p_cap_prime(1e-4) == pytest.approx(limit, rel=1e-7)
+        # tiny caps keep every digit of the limit at each user whose
+        # sigma_min is 0
+        for lat, mask in ((0.0, 30.0), (45.0, 25.0), (50.0, 10.0)):
+            cap = _cap(shell, lat, mask)
+            zenith = -1.0 / (math.pi * math.sqrt(
+                math.sin(shell.inclination_rad) ** 2
+                - math.cos(cap.user.user_polar_rad) ** 2))
+            for s in (1e-12, 1e-9):
+                assert abs(cap.p_cap_prime(s) / zenith - 1.0) <= 1e-12
 
     def test_zenith_edge_pdfs(self, cap_equator):
         # both zenith ends of the equator user's support take the limit
@@ -168,6 +178,25 @@ class TestPCapPrime:
         assert dist.delay_pdf(cap, tau_lo) == pytest.approx(
             -limit * c * c * tau_lo / (r * big_r * cap.p_sat), rel=1e-12)
         assert dist.delay_pdf(cap, tau_lo) == pytest.approx(481.28, abs=0.01)
+        # one step of delay rounding off the end, sigma ~ 1e-8 rad
+        assert dist.delay_pdf(cap, tau_lo + 1.8e-15) == pytest.approx(
+            dist.delay_pdf(cap, tau_lo), rel=1e-9)
+
+    @pytest.mark.parametrize("lat,mask", ORACLE_USERS)
+    def test_matches_mp_oracle(self, shell, lat, mask):
+        # from sigma = 1e-12 to 0.95 sigma_max; where sigma_min > 0, from
+        # sigma_min + 1e-2, as the ring that only grazes the band just past
+        # sigma_min loses digits to the rounding of its band crossings
+        cap = _cap(shell, lat, mask)
+        lo, hi = cap.user.sigma_min_rad, 0.95 * cap.user.sigma_max_rad
+        if lo == 0.0:
+            sig = np.concatenate([[1e-12, 1e-9, 1e-6, 1e-3],
+                                  np.linspace(0.05, 1.0, 6) * hi])
+        else:
+            sig = np.linspace(lo + 1e-2, hi, 10)
+        got = cap.p_cap_prime(sig)
+        want = np.array([p_cap_prime_mp(cap, s) for s in sig.tolist()])
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-9
 
     @settings(max_examples=40, deadline=None)
     @given(mask=st.floats(0.0, 60.0), reach=st.floats(0.0, 0.999))
