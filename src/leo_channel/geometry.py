@@ -22,10 +22,10 @@ MEAN_EARTH_RADIUS_M = 6_371_000.0
 _CLAMP_GRACE = 1e-12
 
 
-def clamp_unit(x, grace: float = _CLAMP_GRACE):
+def clamp_unit(x):
     """Clamp x into [-1, 1], raising DomainError beyond the grace band."""
     xa = np.asarray(x, dtype=float)
-    if np.any(np.abs(xa) > 1.0 + grace):
+    if np.any(np.abs(xa) > 1.0 + _CLAMP_GRACE):
         raise DomainError(f"argument {x!r} outside [-1, 1] beyond grace band")
     out = np.clip(xa, -1.0, 1.0)
     return float(out) if np.isscalar(x) or xa.ndim == 0 else out
@@ -128,7 +128,9 @@ class UserGeometry:
     """User position plus derived visible-cap angles.
 
     Southern-hemisphere users are reflected to the north at construction;
-    the user sits at azimuth theta_u = pi/2 by convention.
+    the user sits at azimuth theta_u = pi/2 by convention, which the
+    Doppler, the samplers and the ring map assume: a fixed field, not a
+    constructor argument.
     """
 
     user_polar_rad: float
@@ -136,7 +138,7 @@ class UserGeometry:
     sigma1_rad: float
     sigma_min_rad: float
     sigma_max_rad: float
-    user_azimuth_rad: float = math.pi / 2
+    user_azimuth_rad: float = field(default=math.pi / 2, init=False)
 
     @classmethod
     def for_shell(cls, shell: ShellConfig, user_polar_rad: float,

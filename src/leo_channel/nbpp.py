@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, NoVisibleSatellites
 from .geometry import ShellConfig
-from .visibility import _POLE_EPS, arc_halfwidth_clamped
+from .visibility import _active_band, arc_halfwidth_clamped
 
 # sample_visible: points per draw block, and draws allowed per requested
 # sample (the box keeps 0.6-0.8 of its draws at the reference users)
@@ -74,18 +74,13 @@ def visible_box(shell: ShellConfig, user) -> SampleBox:
     Raises NoVisibleSatellites when the clipped range is empty.
     """
     phi_u, s1 = user.user_polar_rad, user.sigma_max_rad
-    b_bar = shell.polar_inclination_rad
-    phi_lo = max(b_bar, phi_u - s1)
-    phi_hi = min(math.pi - b_bar, phi_u + s1)
+    phi_lo, phi_hi, _ = _active_band(shell, user, s1)
     if phi_lo >= phi_hi:
         raise NoVisibleSatellites(
             f"the visible cap of the user at polar angle {phi_u:.6g} rad "
             "does not reach into the inclination band")
-    if phi_u < _POLE_EPS:
-        half = math.pi
-    else:
-        peak = math.acos(min(1.0, math.cos(phi_u) / math.cos(s1)))
-        half = float(arc_halfwidth_clamped(user, min(max(peak, phi_lo), phi_hi), s1))
+    peak = math.acos(min(1.0, math.cos(phi_u) / math.cos(s1)))
+    half = float(arc_halfwidth_clamped(user, min(max(peak, phi_lo), phi_hi), s1))
     half += _BOX_SLACK
     if half >= math.pi:
         theta_lo, theta_hi = 0.0, 2.0 * math.pi

@@ -15,13 +15,13 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import ShellConfig, UserGeometry, sigma_from_range2, slant_range
-from .visibility import _active_band, arc_halfwidth_clamped, ring_bearings
+from .visibility import ring_bearings
 
 _GRACE = 1e-12
-# seeds per boundary arc, and per axis of the interior grid, of the
-# max_doppler search, and the distance below the maximum its golden
-# sections stop at
+# max_doppler: points per axis of its seed grid and of each zoom grid,
+# and the distance below the maximum it stops at
 _MAX_DOPPLER_GRID = 257
+_ZOOM = 9
 _MAX_DOPPLER_TOL_HZ = 1.0
 
 
@@ -87,95 +87,66 @@ def doppler_hz_arrays(shell: ShellConfig, user: UserGeometry, theta, phi, mark):
     return scale * _radial_speed(shell, user, theta, phi, mark)
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximum of a scalar function on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    xs = [(a, f(a)), (c, fc), (d, fd), (b, f(b))]
-    return max(xs, key=lambda p: p[1])
-
-
-def _arc_max(f, lo: float, hi: float, tol: float) -> float:
-    """Maximum of a vectorised f on [lo, hi]: the best of _MAX_DOPPLER_GRID
-    seeds, refined by golden section between its two neighbours."""
-    x = np.linspace(lo, hi, _MAX_DOPPLER_GRID)
-    v = f(x)
-    k = int(np.argmax(v))
-    a, b = x[max(k - 1, 0)], x[min(k + 1, x.size - 1)]
-    return max(float(v[k]), _golden_max(lambda t: float(f(t)), a, b, tol)[1])
-
-
 def max_doppler(shell: ShellConfig, user: UserGeometry) -> float:
     """Largest Doppler magnitude over the visible cap.
 
-    The maximum over the cap clipped to the band lies on its boundary or
-    at an interior critical point. The boundary is searched as 1-D arcs,
-    each seeded on a grid and refined by golden section: the cap rim by
-    bearing alpha from the user, over its in-band arcs (ring_bearings at
-    sigma_1; seen from the pole, the whole circle or nothing), and the
-    band-edge latitude lines. A coarse grid over the cap seeds the
-    interior, refined by golden section in polar angle over the maxima
-    of latitude lines. Every point searched lies in the cap, and the
-    golden tolerance puts the result within _MAX_DOPPLER_TOL_HZ below the
-    maximum.
+    The search runs on the rectangle (sigma, u) in [sigma_min, sigma_1] x
+    [0, 1], with bearing |alpha| = a_in + u (a_out - a_in) on the ring of
+    angle sigma (ring_bearings): exactly the visible, in-band part of the
+    cap. Mirroring alpha and flipping the mark negates the Doppler, so the
+    maximum over both marks is that of |nu| of the ascending mark at
+    +-alpha. A _MAX_DOPPLER_GRID^2 grid seeds the search; each zoom lays a
+    _ZOOM^2 grid on the box one step around the best point, clipped to the
+    rectangle, until both steps are below tol. A ridge slanting across the
+    grid can put the best point more than a step from the maximiser, so
+    where it lies on an inner side of its box and beats every earlier
+    point, the box moves onto it at the same step instead. Moves need a
+    strict gain, so the search ends even where nu is flat.
+
+    The maximiser lies at a corner, on an edge or inside. Every edge (the
+    rim, sigma_min and the band crossings u = 0, 1) is a grid line of any
+    box that touches it, so the grid point nearest the maximiser shares its
+    edges and lies less than a step from it along the rest, where nu is
+    smooth and stationary at the maximiser: the band crossings are
+    latitude lines, along which the travel direction is constant. The
+    shortfall is second order in the step: a last step moves the
+    satellite at most pi * tol radians (tol is 8e-7 at the default shell)
+    and nu curves by at most about scale * speed * (R/h)^2 per rad^2, so
+    it is below 1e-3 Hz, far inside _MAX_DOPPLER_TOL_HZ. Like any zoom
+    search it assumes the seed grid resolves the peak; the tests check it
+    against a brute-force scan.
     """
-    b_bar = shell.polar_inclination_rad
-    phi_u, s1 = user.user_polar_rad, user.sigma_max_rad
-    theta_u = user.user_azimuth_rad
+    phi_u = user.user_polar_rad
+    cu, su = math.cos(phi_u), math.sin(phi_u)
     scale = shell.carrier_hz / shell.light_speed_mps
-    # the Doppler slope along these arcs is below scale * speed per radian
     tol = _MAX_DOPPLER_TOL_HZ / (4.0 * scale * shell.sat_speed_mps)
-    cu, su, cs, ss = math.cos(phi_u), math.sin(phi_u), math.cos(s1), math.sin(s1)
-    c, d, a_in, a_out = ring_bearings(shell, user, s1)
 
-    def rim(alpha):
+    def nu(sigma, u):
+        c, d, a_in, a_out = ring_bearings(shell, user, sigma)
+        alpha = a_in + u * (a_out - a_in)
         cos_a = np.cos(alpha)
-        return (np.arctan2(su * cs - cu * ss * cos_a, ss * np.sin(alpha)),
-                np.arccos(np.clip(c + d * cos_a, -1.0, 1.0)))
+        # the ring point at bearing alpha, with theta_u = pi/2
+        y = su * np.cos(sigma) - cu * np.sin(sigma) * cos_a
+        x = np.sin(sigma) * np.sin(alpha)
+        phi = np.arccos(np.clip(c + d * cos_a, -1.0, 1.0))
+        v = _radial_speed(shell, user, np.arctan2(y, np.stack([x, -x])), phi, 1)
+        return scale * np.abs(v).max(axis=0)
 
-    # the rim is in the band for a_in <= |alpha| <= a_out
-    arcs = [(rim, a_in, a_out), (rim, -a_out, -a_in)] if a_in < a_out else []
-    for p in (b_bar, math.pi - b_bar):
-        h = float(arc_halfwidth_clamped(user, p, s1))
-        if h > 0.0:
-            arcs.append((lambda t, p=p: (t, p), theta_u - h, theta_u + h))
-
-    phi_lo, phi_hi, _ = _active_band(shell, user, s1)
-    phi = np.linspace(phi_lo, phi_hi, _MAX_DOPPLER_GRID)
-    half = arc_halfwidth_clamped(user, phi, s1)
-    tt, pp = np.meshgrid(
-        theta_u + half.max() * np.linspace(-1.0, 1.0, _MAX_DOPPLER_GRID), phi)
-    outside = np.abs(tt - theta_u) > half[:, None]
-    d_phi = 2.0 * (phi_hi - phi_lo) / (_MAX_DOPPLER_GRID - 1)
-
-    best = -math.inf
-    for mark in (1, -1):
-        def nu(theta, phi):
-            return scale * _radial_speed(shell, user, theta, phi, mark)
-
-        def line_max(p: float) -> float:
-            h = float(arc_halfwidth_clamped(user, p, s1))
-            return _golden_max(lambda t: float(nu(t, p)),
-                               theta_u - h, theta_u + h, tol)[1]
-
-        for coords, lo, hi in arcs:
-            best = max(best, _arc_max(lambda x: nu(*coords(x)), lo, hi, tol))
-        v = np.where(outside, -np.inf, nu(tt, pp))
+    lo = np.array([user.sigma_min_rad, 0.0])
+    hi = np.array([user.sigma_max_rad, 1.0])
+    box_lo, box_hi, n, top = lo, hi, _MAX_DOPPLER_GRID, -math.inf
+    while True:
+        sigma, u = (np.linspace(a, b, n) for a, b in zip(box_lo, box_hi))
+        v = nu(sigma[:, None], u)
         k = np.unravel_index(np.argmax(v), v.shape)
-        p = float(pp[k])
-        best = max(best, float(v[k]),
-                   _golden_max(line_max, max(phi_lo, p - d_phi),
-                               min(phi_hi, p + d_phi), tol)[1])
-    return best
+        best = np.array([sigma[k[0]], u[k[1]]])
+        step = (box_hi - box_lo) / (n - 1)
+        i = np.array(k)
+        inner = ((i == 0) & (box_lo > lo)) | ((i == n - 1) & (box_hi < hi))
+        moved = inner & (v[k] > top)
+        top = max(top, float(v[k]))
+        if np.all(step < tol) and not moved.any():
+            return top
+        half = np.where(moved, 0.5 * (box_hi - box_lo), step)
+        box_lo, box_hi = np.maximum(lo, best - half), np.minimum(hi, best + half)
+        n = _ZOOM

@@ -13,8 +13,9 @@ with the breakpoints of L as panel boundaries, gives p_cap. p_cap_prime
 integrates the density per unit area along the ring of angle sigma, by
 bearing from the user (ring_bearings), over one sine-mapped panel between
 its band crossings. Nothing in it cancels as sigma -> 0, so it keeps its
-relative accuracy down to the zenith limit. max_doppler searches the same
-arcs of the rim.
+relative accuracy down to the zenith limit. max_doppler searches the
+visible, in-band cap as the rectangle of (sigma, fraction of the in-band
+arc) of the same rings.
 
 p_cap and p_cap_prime take arrays: each fixed rule runs on a (sigma x
 node) matrix, in blocks of rows. Both are exact up to their rule, and the gain
@@ -26,7 +27,7 @@ in a table (distributions.pcap_interpolator): they evaluate a CDF at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -115,7 +116,7 @@ class CapModel:
 
     shell: ShellConfig
     user: UserGeometry
-    p_sat: float = None
+    p_sat: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "p_sat", self.p_cap(self.user.sigma_max_rad))

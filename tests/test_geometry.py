@@ -155,6 +155,14 @@ class TestUserGeometry:
         with pytest.raises(NoVisibleSatellites):
             make_user(shell, math.radians(20), elev_deg=30.0)
 
+    def test_user_azimuth_is_fixed(self, midlat_user):
+        # the Doppler, the samplers and the ring map assume theta_u = pi/2
+        assert midlat_user.user_azimuth_rad == math.pi / 2
+        u = midlat_user
+        with pytest.raises(TypeError):
+            UserGeometry(u.user_polar_rad, u.min_elevation_rad, u.sigma1_rad,
+                         u.sigma_min_rad, u.sigma_max_rad, user_azimuth_rad=0.0)
+
 
 class TestClamp:
     def test_grace_band(self):

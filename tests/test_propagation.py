@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import doppler_cartesian, max_doppler_scan
 
-from leo_channel.errors import DomainError
-from leo_channel.geometry import ShellConfig, UserGeometry
+from leo_channel.errors import DomainError, NoVisibleSatellites
+from leo_channel.geometry import ShellConfig, UserGeometry, sigma_from_elevation
 from leo_channel.propagation import (
     delay,
     delay_inverse,
@@ -151,6 +151,41 @@ class TestMaxDoppler:
                                       math.radians(mask_deg))
         assert max_doppler(shell, user) == pytest.approx(
             max_doppler_scan(shell, user), abs=1.0)
+
+    # about 0.3 s an example, 10 s in all: the scan dominates
+    @given(incl=st.floats(20.0, 89.0), lat=st.floats(0.0, 90.0),
+           mask=st.floats(0.0, 60.0))
+    @example(incl=53.0, lat=63.1134, mask=20.0)  # near the coverage cutoff
+    @example(incl=53.0, lat=0.0, mask=0.0)
+    @example(incl=53.0, lat=53.0, mask=0.0)
+    @settings(max_examples=30, deadline=None)
+    def test_property_matches_brute_force_scan(self, incl, lat, mask):
+        shell = ShellConfig(inclination_rad=math.radians(incl))
+        try:
+            user = UserGeometry.for_shell(shell, math.pi / 2 - math.radians(lat),
+                                          math.radians(mask))
+        except NoVisibleSatellites:
+            assume(False)
+        assert max_doppler(shell, user) == pytest.approx(
+            max_doppler_scan(shell, user, n_grid=1001, n_arc=50001), abs=1.0)
+
+    @pytest.mark.parametrize("overlap", [1e-12, 1e-9])
+    def test_band_grazing_user(self, shell, overlap):
+        # the cap overlaps the band by a sliver on which nu is flat to
+        # rounding: a zoom box that moves without a strict gain never stops
+        mask = math.radians(10.0)
+        phi_u = shell.polar_inclination_rad - sigma_from_elevation(shell, mask)
+        user = UserGeometry.for_shell(shell, phi_u + overlap, mask)
+        assert max_doppler(shell, user) == pytest.approx(
+            max_doppler_scan(shell, user), abs=1.0)
+
+    def test_rim_peak_with_inward_ridge(self):
+        # the peak lies on the rim and its ridge runs inwards: a zoom box
+        # that never moves along it loses the rim, 2.4e-3 Hz low
+        shell = ShellConfig(inclination_rad=math.radians(25.0))
+        user = UserGeometry.for_shell(shell, math.radians(80.0), 0.0)
+        assert max_doppler(shell, user) >= max_doppler_scan(
+            shell, user, n_grid=1001, n_arc=50001) - 1e-6
 
 
 @given(sigma=st.floats(1e-6, 0.4))

@@ -85,6 +85,10 @@ class TestPCap:
         cap = CapModel(shell, user)
         assert cap.p_sat == pytest.approx(25.6 / 3168, rel=0.02)
 
+    def test_p_sat_is_derived(self, shell, equator_user):
+        with pytest.raises(TypeError):
+            CapModel(shell, equator_user, p_sat=0.5)
+
     def test_below_sigma_min_is_zero(self, cap_midlat):
         assert cap_midlat.p_cap(cap_midlat.user.sigma_min_rad * 0.5) == 0.0
 
