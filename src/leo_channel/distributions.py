@@ -12,16 +12,13 @@ space for the polar integral, and per node an azimuth sampling of the cap
 slice whose cells are uniform laws in nu, each deposited exactly onto the
 nu values it lies below or straddles.
 
-One pass makes that deposit, _annulus_pass. Delay is a function of the
-central angle, so a delay cell is an annulus of the cap; cutting every
-slice at the rings' closed-form boundaries puts each azimuth cell in
-exactly one annulus. The joint delay-Doppler PDF grid is the pass with a
-ring at every delay edge; the Doppler CDF of a (sub-)cap is the pass
-with the one ring at its edge, summed over the annuli. The test suite
-checks the Doppler CDF against an adaptive scan-plus-bisection route, a
-brute-force Riemann sum and the loop over cap slices it replaced, and
-the joint grid against one such sub-cap row per delay edge with four
-times the polar nodes.
+One pass makes that deposit, _annulus_pass. A delay cell is an annulus of
+the cap, and cutting each slice at the rings' closed-form boundaries puts
+every azimuth cell in one annulus: the joint delay-Doppler PDF grid is the
+pass with a ring at every delay edge, the Doppler CDF of a (sub-)cap the
+pass with one ring. An azimuth value costs two sines, one Doppler
+evaluation and one nu lookup, a floor division on uniform nu axes. The
+test suite checks both against independent routes.
 
 Mirroring the azimuth about the user's meridian and flipping the mark
 negates the Doppler shift and keeps the central angle, so each mark-mixed
@@ -36,8 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .propagation import (
-    delay_inverse, doppler_hz_arrays, gain as gain_fn, gain_inverse)
+from .propagation import _radial_speed, delay_inverse, gain as gain_fn, gain_inverse
 from . import parallel
 from .quadrature import _N_NODES, density_nodes, sine_mapped_panels
 from .visibility import CapModel, _active_band, arc_halfwidth_clamped
@@ -188,9 +184,24 @@ def delay_pdf(model: CapModel, tau):
 # ---------------------------------------------------------------------------
 # Doppler
 
+def _edge_index(e: np.ndarray, v: np.ndarray):
+    """searchsorted(e, v, "right") and "left", exactly, for strictly ascending e:
+    a floor division fixed up by one step where e is uniform within step/4."""
+    n = int(np.isfinite(e).sum())  # a trailing +inf may follow
+    pad = np.concatenate(([np.nan], e, [np.nan]))  # compares false
+    step = (e[n - 1] - e[0]) / (n - 1) if n > 1 else 0.0  # inf after a -inf
+    if 0.0 < step < math.inf and np.all(np.abs(e[:n] - (e[0] + step * np.arange(n))) <= step / 4):
+        k = np.clip((v - e[0]) / step + 1.0, 0, n).astype(np.intp)  # >= 0: floor
+        k += pad[1:][k] <= v
+        k -= pad[k] > v
+    else:
+        k = np.searchsorted(e, v, "right")
+    return k, k - (pad[k] == v)
+
+
 def _cell_shares(v: np.ndarray, e: np.ndarray, row, n_rows: int,
                  weight=1.0) -> np.ndarray:
-    """Deposit the cells of v onto sorted edges, summed per output row.
+    """Deposit the cells of v onto strictly ascending edges, per output row.
 
     Row i of v holds Doppler values along one cap slice; each pair of
     neighbours bounds a cell, a uniform law between its two values that
@@ -201,11 +212,12 @@ def _cell_shares(v: np.ndarray, e: np.ndarray, row, n_rows: int,
     edge) pairs go in runs of edges of at most _MAX_PAIRS pairs; a bin takes
     all its terms in one run, in order, so the bound changes no bit.
     """
+    first, last = _edge_index(e, v)  # per value: edges at or below, below
+    first = np.minimum(first[:, :-1], first[:, 1:]).ravel()  # first edge above lo
+    last = np.maximum(last[:, :-1], last[:, 1:]).ravel()  # first edge at or above hi
     lo = np.minimum(v[:, :-1], v[:, 1:]).ravel()
     hi = np.maximum(v[:, :-1], v[:, 1:]).ravel()
     weight = np.broadcast_to(weight, v[:, 1:].shape).ravel()
-    first = np.searchsorted(e, lo, side="right")  # first edge above lo
-    last = np.searchsorted(e, hi, side="left")    # first edge at or above hi
     width = e.size + 1
     row = np.broadcast_to(row, v[:, 1:].shape).ravel() * width
     # the cells that straddle edges, and those edges in runs that hold at
@@ -253,21 +265,22 @@ def _annulus_pass(model: CapModel, sigmas, nu_edges: np.ndarray, mark: int,
     """Masses of the annuli of the rings sigmas on the nu cells, in one
     pass over the cap of the outermost ring.
 
-    sigmas ascend (repeats allowed) and nu_edges are sorted. Row j of the
-    result holds the annulus sigma_j-1 < sigma <= sigma_j (row 0 the cap
-    of sigma_0, the last row what lies beyond sigma_-1); column k covers
-    (e[k-1], e[k]], the last column everything above e[-1].
+    sigmas ascend (repeats allowed) and nu_edges strictly ascend. Row j of
+    the result holds the annulus sigma_j-1 < sigma <= sigma_j (row 0 the
+    cap of sigma_0, the last row what lies beyond sigma_-1); column k
+    covers (e[k-1], e[k]], the last column everything above e[-1].
 
     Polar panels break where a ring meets a latitude line tangentially or
     closes it (phi_u +- sigma_j, sigma_j - phi_u), n_nodes sine-mapped
     nodes each. Each slice's azimuth range is cut at _N_THETA uniform
     samples and at the ring boundaries +-arc_halfwidth_clamped, so every
-    cell lies in one annulus, found from its midpoint. Doppler is taken
-    linear in azimuth across a cell, so a cell is a uniform law on
-    [lo, hi] between its end values, deposited by _cell_shares: every
-    mass is non-negative. A block is _N_ANNULUS_NODES polar nodes, whose
-    cells are summed into each bin in turn: with one ring and few nu
-    edges a bin takes up to 66k terms.
+    cell lies in one annulus, found from the mean of cos(sigma) at its
+    ends (monotone in |offset|). Doppler is taken linear in azimuth across
+    a cell: a uniform law between its end values, deposited by
+    _cell_shares, so no mass is negative. A point costs two sines, a
+    Doppler value (factors of phi alone per row) and a nu lookup. A block
+    is _N_ANNULUS_NODES polar nodes, whose cells are summed into each bin
+    in turn: up to 66k terms with one ring and few nu edges.
     """
     shell, user = model.shell, model.user
     phi_u = user.user_polar_rad
@@ -282,17 +295,15 @@ def _annulus_pass(model: CapModel, sigmas, nu_edges: np.ndarray, mark: int,
     def block(k: int) -> np.ndarray:
         phi = phi_k[k:k + _N_ANNULUS_NODES, None]
         ring = arc_halfwidth_clamped(user, phi, sigmas)
-        off = np.sort(np.concatenate((ring[:, -1:] * t, ring, -ring), axis=1),
-                      axis=1)
-        v = doppler_hz_arrays(shell, user, user.user_azimuth_rad + off, phi,
-                              mark)
-        cos_mid = (math.cos(phi_u) * np.cos(phi) + math.sin(phi_u)
-                   * np.sin(phi) * np.cos(0.5 * (off[:, 1:] + off[:, :-1])))
-        row = np.searchsorted(-np.cos(sigmas), -cos_mid.ravel())
-        weight = (w_k[k:k + _N_ANNULUS_NODES, None]
-                  / (2.0 * math.pi * model.p_sat)) * np.diff(off, axis=1)
-        return _cell_shares(v, nu_edges, row.reshape(cos_mid.shape), n_rows,
-                            weight)
+        off = np.sort(np.concatenate((ring[:, -1:] * t, ring, -ring), axis=1), axis=1)
+        # theta = pi/2 + off; a cell's annulus from twice its mean cos(sigma)
+        v, cos_s = _radial_speed(shell, user, np.cos(off), -np.sin(off), phi, mark)
+        v *= shell.carrier_hz / shell.light_speed_mps
+        row = np.searchsorted(-2.0 * np.cos(sigmas), -(cos_s[:, 1:] + cos_s[:, :-1]))
+        weight = np.diff(off, axis=1)
+        del off, cos_s
+        weight *= w_k[k:k + _N_ANNULUS_NODES, None] / (2.0 * math.pi * model.p_sat)
+        return _cell_shares(v, nu_edges, row, n_rows, weight)
 
     # blocks go to the worker threads eight at a time, which bounds the
     # partial sums held at once; they are added in block order, so the
@@ -312,19 +323,16 @@ def doppler_cdf_grid(model: CapModel, nu_edges, mark: int,
     With cap_sigma set, conditions on the sub-cap of that central angle
     while keeping the full-cap normalisation (the joint-CDF convention).
 
-    The annulus pass with the one ring cap_sigma, _N_NODES polar nodes per
-    panel: the CDF is the running sum of its column totals, so it never
-    decreases along ascending nu, not even by rounding.
+    The one-ring annulus pass over the distinct values, _N_NODES polar
+    nodes per panel: the CDF is the running sum of its column totals, so it
+    never decreases along ascending nu, not even by rounding.
     """
     if cap_sigma is None:
         cap_sigma = model.user.sigma_max_rad
     nu = np.asarray(nu_edges, dtype=float)
-    order = np.argsort(nu.ravel(), kind="stable")
-    mass = _annulus_pass(model, [cap_sigma], nu.ravel()[order], mark,
-                         _N_NODES).sum(axis=0)
-    out = np.empty(nu.size)
-    out[order] = np.cumsum(mass[:-1])
-    return out.reshape(nu.shape)
+    e, back = np.unique(nu.ravel(), return_inverse=True)
+    mass = _annulus_pass(model, [cap_sigma], e, mark, _N_NODES).sum(axis=0)
+    return np.cumsum(mass[:-1])[back.ravel()].reshape(nu.shape)
 
 
 def doppler_cdf(model: CapModel, nu_hz: float, mark: int,
@@ -340,9 +348,7 @@ def doppler_cdf_marks(model: CapModel, nu_hz) -> tuple[np.ndarray, np.ndarray]:
     F_-(nu) = T - F_+(-nu), T the value at +inf, so F_- is exactly 0 below
     the support and never negative."""
     nu = np.asarray(nu_hz, dtype=float).ravel()
-    e, back = np.unique(np.concatenate((nu, -nu, [math.inf])),
-                        return_inverse=True)
-    f = doppler_cdf_grid(model, e, 1)[back]
+    f = doppler_cdf_grid(model, np.concatenate((nu, -nu, [math.inf])), 1)
     return f[:nu.size], f[-1] - f[nu.size:-1]
 
 

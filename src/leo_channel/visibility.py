@@ -45,17 +45,26 @@ def arc_halfwidth_clamped(user: UserGeometry, phi, sigma):
     """Half the azimuth arc (radians in [0, pi]) of the latitude line at
     polar angle phi lying inside the user's cap of central angle sigma.
 
-    One clamped closed form covers every case on (0, pi): the clamp
-    saturates to pi below sigma - phi_u, where the line lies fully inside
-    the cap, and to 0 beyond phi_u + sigma. A user at the pole sees
+    With arg = (cos phi_u cos phi - cos sigma) / (sin phi_u sin phi) it is
+    2 atan2(sqrt(1 + arg), sqrt(1 - arg)), with 1 +- arg products of sines
+    (from tan(phi/2), up to a positive factor) that lose no digits next to
+    arg = +-1, where 0.5 pi + asin(arg) cancels. Clamping them at 0 covers
+    every case on (0, pi): pi below sigma - phi_u, where the line lies fully
+    inside the cap, and 0 beyond phi_u + sigma. A user at the pole sees
     rotationally symmetric caps: pi inside sigma and 0 outside."""
     phi = np.asarray(phi, dtype=float)
     phi_u = user.user_polar_rad
     if phi_u < _POLE_EPS:
         return np.where(phi <= sigma, np.pi, 0.0)
-    arg = (math.cos(phi_u) * np.cos(phi) - np.cos(sigma)) / (
-        math.sin(phi_u) * np.sin(phi))
-    return 0.5 * np.pi + np.arcsin(np.clip(arg, -1.0, 1.0))
+    p, q = 0.5 * (sigma + phi_u), 0.5 * (sigma - phi_u)
+    u = np.cos(q) * np.tan(0.5 * phi)
+    near = (np.sin(p) - np.cos(p) / np.cos(q) * u) * (np.sin(q) + u)  # 1 + arg
+    far = np.sin(p) + np.cos(p) / np.cos(q) * u
+    u -= np.sin(q)
+    far *= u  # 1 - arg
+    del u  # freed before the roots: a longer-lived temporary made glibc trim the heap
+    near = np.sqrt(np.maximum(near, 0.0))
+    return 2.0 * np.arctan2(near, np.sqrt(np.maximum(far, 0.0)))
 
 
 def _active_band(shell: ShellConfig, user: UserGeometry, sigma):

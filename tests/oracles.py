@@ -1,22 +1,26 @@
 """Independent verification routes used by the tests.
 
 Each oracle deliberately avoids the code path it checks: Doppler is
-rebuilt from Cartesian vectors, the cap arc length from a brute-force
-azimuth scan, and the Doppler CDF from a naive two-dimensional Riemann
-sum over the cap, from an adaptive route that locates each sublevel set
-by scan plus bisection and from a loop over cap slices that shares no
-code with the annulus pass but the cell deposit; the joint delay-Doppler
-grid from one such sub-cap row per delay edge, and the largest Doppler
-shift by a brute-force scan of the cap. The cap probability, its
-derivative, the path-loss integral and the Rayleigh-faded gain CDF are
-recomputed by adaptive QUADPACK quadrature in place of the package's
-fixed rule, and the derivative also by a 30-digit mpmath integral in
-polar angle, which shares no formula with the package's bearing form. The visible-cap sampler is checked against whole-shell
-rejection, and the Walker snapshot sampler against a loop over every
-satellite at every snapshot. Routes that only the tests use live here
-too: the closed-form polar-angle density and CDF of the shell, the
-bisection inverse of sigma_from_elevation, the central angle of a shell
-point and the Cartesian positions of a Walker constellation.
+rebuilt from Cartesian vectors and from the central difference of the
+slant range along the satellite's great circle, the cap arc length from
+a brute-force azimuth scan, and the Doppler CDF from a naive
+two-dimensional Riemann sum over the cap, from an adaptive route that
+locates each sublevel set by scan plus bisection and from a loop over
+cap slices that shares no code with the annulus pass but the cell
+deposit; the joint delay-Doppler grid from one such sub-cap row per
+delay edge, the annulus of each of the pass's azimuth cells from the
+central angle at the cell's midpoint, and the largest Doppler shift by a
+brute-force scan of the cap. The cap probability, its derivative, the
+path-loss integral and the Rayleigh-faded gain CDF are recomputed by
+adaptive QUADPACK quadrature in place of the package's fixed rule, and
+the derivative also by a 30-digit mpmath integral in polar angle, which
+shares no formula with the package's bearing form. The visible-cap
+sampler is checked against whole-shell rejection, and the Walker
+snapshot sampler against a loop over every satellite at every snapshot.
+Routes that only the tests use live here too: the closed-form
+polar-angle density and CDF of the shell, the bisection inverse of
+sigma_from_elevation, the central angle of a shell point and the
+Cartesian positions of a Walker constellation.
 """
 
 import math
@@ -45,15 +49,10 @@ _BISECT_ITERS = 48
 _WORKSPACE = 1 << 20
 
 
-def doppler_cartesian(shell: ShellConfig, user: UserGeometry,
-                      theta: float, phi: float, mark: int) -> float:
-    """Doppler in Hz from explicit velocity / line-of-sight vectors.
-
-    The satellite moves at speed v along the heading set by its direction
-    angle in the local tangent frame; positive Doppler means the range is
-    shrinking, so the projection onto the user-to-satellite vector enters
-    with a minus sign.
-    """
+def _sat_state(shell: ShellConfig, theta: float, phi: float, mark: int):
+    """Satellite position and velocity vectors, metres and m/s: the
+    velocity lies along the heading set by the direction angle in the
+    local tangent frame."""
     b = shell.inclination_rad
     beta = mark * math.acos(min(1.0, max(-1.0, math.cos(b) / math.sin(phi))))
     east = np.array([-math.sin(theta), math.cos(theta), 0.0])
@@ -61,18 +60,45 @@ def doppler_cartesian(shell: ShellConfig, user: UserGeometry,
                       math.cos(phi) * math.sin(theta),
                       -math.sin(phi)])
     vel = shell.sat_speed_mps * (math.cos(beta) * east - math.sin(beta) * south)
+    sat = shell.shell_radius_m * np.array([math.sin(phi) * math.cos(theta),
+                                           math.sin(phi) * math.sin(theta),
+                                           math.cos(phi)])
+    return sat, vel
 
-    big_r, r = shell.shell_radius_m, shell.earth_radius_m
-    sat = big_r * np.array([math.sin(phi) * math.cos(theta),
-                            math.sin(phi) * math.sin(theta),
-                            math.cos(phi)])
+
+def _user_position(shell: ShellConfig, user: UserGeometry) -> np.ndarray:
     tu, pu = user.user_azimuth_rad, user.user_polar_rad
-    usr = r * np.array([math.sin(pu) * math.cos(tu),
-                        math.sin(pu) * math.sin(tu),
-                        math.cos(pu)])
-    los = sat - usr
+    return shell.earth_radius_m * np.array([math.sin(pu) * math.cos(tu),
+                                            math.sin(pu) * math.sin(tu),
+                                            math.cos(pu)])
+
+
+def doppler_cartesian(shell: ShellConfig, user: UserGeometry,
+                      theta: float, phi: float, mark: int) -> float:
+    """Doppler in Hz from explicit velocity / line-of-sight vectors.
+
+    Positive Doppler means the range is shrinking, so the projection of
+    the velocity onto the user-to-satellite vector enters with a minus
+    sign.
+    """
+    sat, vel = _sat_state(shell, theta, phi, mark)
+    los = sat - _user_position(shell, user)
     range_rate = float(np.dot(vel, los) / np.linalg.norm(los))
     return -shell.carrier_hz / shell.light_speed_mps * range_rate
+
+
+def doppler_finite_difference(shell: ShellConfig, user: UserGeometry,
+                              theta: float, phi: float, mark: int,
+                              dt: float = 5e-4) -> float:
+    """Doppler in Hz as minus the central difference of the slant range
+    over +-dt, the satellite moving on the great circle of its position
+    and velocity."""
+    sat, vel = _sat_state(shell, theta, phi, mark)
+    rate = shell.sat_speed_mps / shell.shell_radius_m
+    usr = _user_position(shell, user)
+    d = [np.linalg.norm(math.cos(rate * t) * sat
+                        + math.sin(rate * t) / rate * vel - usr) for t in (-dt, dt)]
+    return -shell.carrier_hz / shell.light_speed_mps * (d[1] - d[0]) / (2.0 * dt)
 
 
 def phi_pdf(shell: ShellConfig, phi):
@@ -129,6 +155,16 @@ def central_angle(user: UserGeometry, theta, phi):
     cos_sigma = (np.cos(phi_u) * np.cos(phi)
                  + np.sin(phi_u) * np.sin(phi) * np.sin(theta))
     return np.arccos(clamp_unit(cos_sigma))
+
+
+def ring_index_midpoint(user: UserGeometry, phi, off, sigmas) -> np.ndarray:
+    """Annulus of each azimuth cell of the slices at phi (a column) whose
+    ends lie at the offsets off from the user's meridian: cos(sigma) at
+    the cell's midpoint, looked up among the rings sigmas."""
+    phi_u = user.user_polar_rad
+    cos_mid = (math.cos(phi_u) * np.cos(phi) + math.sin(phi_u) * np.sin(phi)
+               * np.cos(0.5 * (off[:, 1:] + off[:, :-1])))
+    return np.searchsorted(-np.cos(sigmas), -cos_mid)
 
 
 def positions_cartesian(constellation, t: float) -> np.ndarray:
@@ -393,13 +429,14 @@ def _doppler_cdf_row(model: CapModel, e: np.ndarray, mark: int,
     """Doppler CDF on the sub-cap of cap_sigma at sorted edges e, by a loop
     over cap slices with n_nodes polar nodes per panel: each slice's
     _N_THETA uniform azimuth samples make cells of equal width, deposited
-    slice by slice. The reference route for the annulus pass of
-    doppler_cdf_grid, which at 384 nodes matches it up to summation
-    order."""
+    slice by slice on the distinct edges. The reference route for the
+    annulus pass of doppler_cdf_grid, which at 384 nodes matches it up to
+    summation order."""
     shell, user = model.shell, model.user
     phi_lo, phi_hi, edge = _active_band(shell, user, cap_sigma)
     if phi_lo >= phi_hi:
         return np.zeros(e.size)
+    e, back = np.unique(e, return_inverse=True)
     phi_k, w_k = density_nodes(phi_lo, phi_hi, shell, [edge], n_nodes)
     half = arc_halfwidth_clamped(user, phi_k, cap_sigma)
     n_theta = dist._N_THETA
@@ -415,7 +452,7 @@ def _doppler_cdf_row(model: CapModel, e: np.ndarray, mark: int,
         shares = dist._cell_shares(v, e, np.arange(v.shape[0])[:, None],
                                    v.shape[0])
         mass += (cell_mass[rows, None] * shares).sum(axis=0)
-    return np.cumsum(mass[:-1])
+    return np.cumsum(mass[:-1])[back.ravel()]
 
 
 def joint_pdf_grid_rows(model: CapModel, spec=None, mark: int = 1,

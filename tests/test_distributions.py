@@ -1,6 +1,8 @@
 import functools
 import logging
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ from scipy.integrate import quad
 
 from oracles import (
     _doppler_cdf_row, doppler_cdf_adaptive, doppler_cdf_riemann,
-    joint_pdf_grid_rows, p_cap_adaptive, rayleigh_gain_cdf)
+    joint_pdf_grid_rows, p_cap_adaptive, rayleigh_gain_cdf,
+    ring_index_midpoint)
 
 from leo_channel import distributions as dist
 from leo_channel.geometry import ShellConfig, UserGeometry, sigma_from_elevation
@@ -472,6 +475,96 @@ class TestJointDistribution:
         assert np.array_equal(dist.doppler_cdf_grid(cap_equator, nu, 1), cdf)
         assert np.array_equal(dist.joint_pdf_grid(cap_equator, spec)[1], pdf)
         assert len(runs) > 10 * whole
+
+
+def _lookup_edges(kind: int, step: float, m: int, cap) -> np.ndarray:
+    """The kernel's edge sets: the joint nu axis, the mark-mixed Doppler
+    grid's pass edges, the 2001-edge table's and mark_symmetry's 10
+    points, all uniform; kind 4 is quadratically spaced, not uniform, and
+    kind 5 the joint axis between -inf and +inf, as doppler_cdf_marks
+    passes it for infinite values."""
+    if kind == 0:
+        return dist.JointGridSpec(nu_step_hz=step).resolve(cap).nu_edges()
+    if kind == 1:
+        nu = dist.DopplerGridSpec(nu_step_hz=step).resolve(cap).nu_edges()
+    elif kind == 2:
+        nu = (1.0001 * cap.nu_max_hz / m) * np.arange(-m, m + 1)
+    elif kind == 3:
+        return np.linspace(-0.9, 0.9, 10) * cap.nu_max_hz
+    elif kind == 4:
+        return step * np.cumsum(np.arange(1.0, 2 * m + 2)) - 1e3
+    else:
+        return np.concatenate(([-math.inf], _lookup_edges(0, step, m, cap)))
+    return np.unique(np.concatenate((nu, -nu, [math.inf])))
+
+
+class TestKernelLookups:
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from([0, 1, 2, 3, 4, 5]), step=st.floats(500.0, 2e4),
+           m=st.integers(2, 1000), seed=st.integers(0, 2 ** 32 - 1))
+    @example(kind=2, step=1.0, m=1000, seed=0)  # the 2001-edge table
+    @example(kind=0, step=2.61e3, m=2, seed=0)  # the default joint axis
+    @example(kind=1, step=2.65e3, m=2, seed=0)  # the default Doppler grid
+    @example(kind=3, step=1.0, m=2, seed=0)
+    @example(kind=4, step=1.0, m=5, seed=0)
+    @example(kind=5, step=2.61e3, m=2, seed=0)
+    def test_nu_lookup_is_searchsorted(self, cap_midlat, kind, step, m, seed):
+        e = _lookup_edges(kind, step, m, cap_midlat)
+        assert np.all(np.diff(e) > 0.0)
+        finite = e[np.isfinite(e)]
+        rng = np.random.default_rng(seed)
+        v = np.concatenate((
+            finite, np.nextafter(finite, -math.inf), np.nextafter(finite, math.inf),
+            [0.0, -0.0, -1e300, 1e300, -math.inf, math.inf],
+            rng.uniform(-1.2, 1.2, 500) * np.abs(finite).max()))
+        with mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as spy, \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")  # no spurious RuntimeWarning
+            right, left = dist._edge_index(e, v[None])
+        assert np.array_equal(right[0], np.searchsorted(e, v, "right"))
+        assert np.array_equal(left[0], np.searchsorted(e, v, "left"))
+        # uniform edge sets take the floor division, the rest searchsorted
+        assert spy.call_count == (kind >= 4)
+
+    @pytest.mark.parametrize("incl, lat, mask", [
+        (53.0, 0.0, 30.0), (53.0, 60.0, 10.0),
+        (53.0, 63.05, 20.0),  # a cap that grazes the band
+        (89.0, 90.0, 30.0),   # the pole
+    ])
+    def test_ring_index_matches_midpoint_lookup(self, monkeypatch, incl, lat,
+                                                mask):
+        # every cell of positive width of every block of the joint pass and
+        # of a one-ring pass gets the annulus of its midpoint; on one thread
+        # each block's ring half-widths pair with its deposit
+        cap = _shell_cap(incl, lat, mask)
+        monkeypatch.setenv("LEO_CHANNEL_THREADS", "1")
+        rings, deposits = [], []
+        arc, shares = dist.arc_halfwidth_clamped, dist._cell_shares
+
+        def spy_arc(user, phi, sigmas):
+            rings.append((phi, sigmas, arc(user, phi, sigmas)))
+            return rings[-1][2]
+
+        def spy_shares(v, e, row, n_rows, weight):
+            deposits.append((row, weight))
+            return shares(v, e, row, n_rows, weight)
+
+        monkeypatch.setattr(dist, "arc_halfwidth_clamped", spy_arc)
+        monkeypatch.setattr(dist, "_cell_shares", spy_shares)
+        dist.joint_pdf_grid(cap)
+        lo, hi = cap.user.sigma_min_rad, cap.user.sigma_max_rad
+        dist.doppler_cdf_grid(cap, np.linspace(-1.0, 1.0, 11) * cap.nu_max_hz, 1,
+                              cap_sigma=0.5 * (lo + hi))
+        assert rings and len(rings) == len(deposits)
+        t = np.linspace(-1.0, 1.0, dist._N_THETA)
+        for (phi, sigmas, ring), (row, weight) in zip(rings, deposits):
+            # the block's cell ends, as the pass sorts them
+            off = np.sort(np.concatenate((ring[:, -1:] * t, ring, -ring), axis=1),
+                          axis=1)
+            wide = np.diff(off, axis=1) > 0.0
+            assert np.array_equal(wide, weight > 0.0)
+            want = ring_index_midpoint(cap.user, phi, off, sigmas)
+            assert np.array_equal(row[wide], want[wide])
 
 
 class TestRayleighGain:

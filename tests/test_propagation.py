@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import doppler_cartesian, max_doppler_scan
+from oracles import doppler_cartesian, doppler_finite_difference, max_doppler_scan
 
 from leo_channel.errors import DomainError, NoVisibleSatellites
 from leo_channel.geometry import ShellConfig, UserGeometry, sigma_from_elevation
@@ -92,6 +92,34 @@ class TestDoppler:
             want = [doppler_cartesian(shell, user, t, p, m)
                     for t, p, m in zip(theta, phi, mark.tolist())]
             assert got == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("incl_deg, lat_deg, mask_deg", [
+        (53.0, 0.0, 30.0), (53.0, 60.0, 10.0),
+        (89.0, 90.0, 30.0),  # the pole user of an 89 degree shell
+    ])
+    def test_row_broadcast_matches_finite_difference(self, incl_deg, lat_deg,
+                                                     mask_deg):
+        # the annulus pass's shapes: phi a column, theta a matrix, so the
+        # factors of phi alone are taken once per row
+        shell = ShellConfig(inclination_rad=math.radians(incl_deg))
+        user = UserGeometry.for_shell(shell, math.pi / 2 - math.radians(lat_deg),
+                                      math.radians(mask_deg))
+        rng = np.random.default_rng(9)
+        b_bar = shell.polar_inclination_rad
+        phi = rng.uniform(b_bar + 1e-6, math.pi - b_bar - 1e-6, (6, 1))
+        theta = rng.uniform(0.0, 2.0 * math.pi, (6, 9))
+        for mark in (1, -1):
+            got = doppler_hz_arrays(shell, user, theta, phi, mark)
+            assert got.shape == theta.shape
+            worst = 0.0
+            for (i, j), an in np.ndenumerate(got):
+                fd = doppler_finite_difference(shell, user, theta[i, j],
+                                               phi[i, 0], mark)
+                worst = max(worst, abs(fd - an) / max(abs(an), 1.0))
+            assert worst < 1e-3
+            full = doppler_hz_arrays(shell, user, theta,
+                                     np.repeat(phi, theta.shape[1], axis=1), mark)
+            assert got == pytest.approx(full, rel=1e-12, abs=1e-6)
 
     def test_pointwise_antisymmetry_at_equator(self, shell, equator_user):
         tu = equator_user.user_azimuth_rad

@@ -206,6 +206,7 @@ class TestPCapPrime:
     @given(mask=st.floats(0.0, 60.0), reach=st.floats(0.0, 0.999))
     @example(mask=10.0, reach=0.999)
     @example(mask=30.0, reach=0.999)
+    @example(mask=60.0, reach=0.999)  # arg near -1 at the cap's far edge
     def test_property_matches_adaptive_oracle(self, shell, mask, reach):
         # reach runs the latitude from the equator to the coverage cutoff,
         # past band-crossing caps to caps that barely touch the band
