@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResolutionError
-from .distributions import JointGridSpec, gain_nodes, joint_pdf_grid
+from .distributions import (JointGridSpec, centers, gain_nodes, joint_pdf_grid,
+                            nu_edges, tau_edges)
 from .visibility import CapModel
 
 # the normalisation budget of a scattering grid (global_params, validate)
@@ -28,11 +29,14 @@ MAX_NORMALIZATION_ERROR = 0.02
 
 @dataclass(frozen=True)
 class ScatteringGrid:
-    """Binned scattering function: power density per (s * Hz) cell."""
+    """Binned scattering function: power density per (s * Hz) cell, with
+    the delay and Doppler centres of its rows and columns."""
 
     spec: JointGridSpec
     values: np.ndarray  # shape (n_tau_cells, n_nu_cells)
     p_a: float
+    tau_s: np.ndarray
+    nu_hz: np.ndarray
 
     def cell_sum(self) -> float:
         """Plain binned integral: sum of values times the cell area."""
@@ -42,9 +46,8 @@ class ScatteringGrid:
         """Trapezoid-rule integral over cell centres; unlike the cell sum
         it degrades when the grid under-resolves the support edges, which
         makes it the resolution check."""
-        tau_c = self.spec.tau_centers()
-        nu_c = self.spec.nu_centers()
-        return float(np.trapezoid(np.trapezoid(self.values, nu_c, axis=1), tau_c))
+        return float(np.trapezoid(np.trapezoid(self.values, self.nu_hz, axis=1),
+                                  self.tau_s))
 
     def dual_path_loss_gap(self, rho2: float) -> float:
         """Relative gap of the cell sum to rho^2 from the proposition."""
@@ -97,21 +100,20 @@ def scattering_function(model: CapModel, spec: JointGridSpec | None = None,
     spec, pdf_up = joint_pdf_grid(model, spec, mark=1)
     p_a = model.availability
     c = model.shell.light_speed_mps
-    tau_c = spec.tau_centers()
+    tau_c = centers(tau_edges(model, spec.tau_step_s))
     gain_at_tau = 1.0 / (c * tau_c) ** 2
     # the descending grid is the ascending one reversed in nu
     values = ((fading_mean_power * p_a / 2.0) * gain_at_tau[:, None]
               * (pdf_up + pdf_up[:, ::-1]))
-    return ScatteringGrid(spec=spec, values=values, p_a=p_a)
+    return ScatteringGrid(spec=spec, values=values, p_a=p_a, tau_s=tau_c,
+                          nu_hz=centers(nu_edges(model, spec.nu_step_hz, 0)))
 
 
 def grid_moments(grid: ScatteringGrid, rho2: float):
     """(mean delay, rms delay spread, rms doppler spread, grid mean doppler)
     of the grid normalised by rho2."""
-    spec = grid.spec
-    cell = spec.nu_step_hz * spec.tau_step_s
-    tau_c = spec.tau_centers()
-    nu_c = spec.nu_centers()
+    cell = grid.spec.nu_step_hz * grid.spec.tau_step_s
+    tau_c, nu_c = grid.tau_s, grid.nu_hz
     mass_tau = grid.values.sum(axis=1) * cell / rho2
     mass_nu = grid.values.sum(axis=0) * cell / rho2
     mean_tau = float(np.dot(mass_tau, tau_c))

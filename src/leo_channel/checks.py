@@ -67,9 +67,9 @@ def pdf_vs_cdf_error(cap: CapModel, law: str) -> float:
     return _worst((cdf(cap, x + h) - cdf(cap, x - h)) / (2 * h), pdf(cap, x))
 
 
-def doppler_pdf_normalization(cap: CapModel, spec: dist.DopplerGridSpec) -> float:
+def doppler_pdf_normalization(cap: CapModel, nu_step_hz: float) -> float:
     """|integral - 1| of the mark-mixed Doppler PDF grid."""
-    return abs(float(dist.doppler_pdf_grid(cap, spec)[1].sum()) * spec.nu_step_hz - 1.0)
+    return abs(float(dist.doppler_pdf_grid(cap, nu_step_hz)[3].sum()) * nu_step_hz - 1.0)
 
 
 def mark_symmetry(cap: CapModel) -> float:
@@ -125,7 +125,7 @@ REGISTRY = (
     ("scattering_normalization",
      lambda x: (x.grid.normalization_error(x.rho2), ch.MAX_NORMALIZATION_ERROR), ""),
     ("doppler_pdf_normalization", lambda x: (doppler_pdf_normalization(
-        x.cap, dist.DopplerGridSpec(nu_step_hz=x.cfg.doppler_nu_step_hz)), 1e-3), ""),
+        x.cap, x.cfg.doppler_nu_step_hz), 1e-3), ""),
     ("doppler_mark_symmetry", lambda x: (mark_symmetry(x.cap), 1e-6), "10 points"),
     ("orbit_gain_ks", lambda x: (x.orbit_ks[0], x.range_tol), "n={n_obs}"),
     ("orbit_delay_ks", lambda x: (x.orbit_ks[1], x.range_tol), "n={n_obs}"),

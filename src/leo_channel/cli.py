@@ -118,17 +118,12 @@ def cmd_distributions(cfg: RunConfig) -> list[Path]:
         table(f"distributions_{name}",
               [unit, "cdf", "pdf"] + ["mc_cdf"] * (sig is not None), *columns)
 
-    # Doppler: per-mark and mixed CDF on the PDF grid edges from one kernel
-    # pass, PDF by forward differences of the mixed CDF (doppler_pdf_grid)
-    spec = dist.DopplerGridSpec(nu_step_hz=cfg.doppler_nu_step_hz).resolve(cap)
-    edges = spec.nu_edges()
-    up, down = dist.doppler_cdf_marks(cap, edges)
-    mixed = 0.5 * (up + down)
+    # Doppler: per-mark and mixed CDF on the PDF grid edges, and the PDF
+    edges, up, down, pdf = dist.doppler_pdf_grid(cap, cfg.doppler_nu_step_hz)
     table("distributions_doppler_cdf",
           ["nu_hz", "cdf_ascending", "cdf_descending", "cdf_mixed"],
-          edges, up, down, mixed)
-    table("distributions_doppler_pdf", ["nu_hz", "pdf"], spec.nu_centers(),
-          np.diff(mixed) / spec.nu_step_hz)
+          edges, up, down, 0.5 * (up + down))
+    table("distributions_doppler_pdf", ["nu_hz", "pdf"], dist.centers(edges), pdf)
     return paths
 
 
@@ -136,15 +131,12 @@ def cmd_scattering(cfg: RunConfig) -> list[Path]:
     shell = cfg.shell()
     user = cfg.user(shell)
     cap = CapModel(shell, user)
-    spec = dist.JointGridSpec(nu_step_hz=cfg.nu_step_hz,
-                              tau_step_s=cfg.tau_step_s).resolve(cap)
+    spec = dist.JointGridSpec(nu_step_hz=cfg.nu_step_hz, tau_step_s=cfg.tau_step_s)
     grid = ch.scattering_function(cap, spec)
     summary = ch.global_params(cap, grid=grid)
 
-    nu_c = grid.spec.nu_centers()
-    tau_c = grid.spec.tau_centers()
-    header = ["tau_s"] + [f"nu_{_fmt(n)}" for n in nu_c]
-    rows = [[t] + list(v) for t, v in zip(tau_c, grid.values)]
+    header = ["tau_s"] + [f"nu_{_fmt(n)}" for n in grid.nu_hz]
+    rows = [[t] + list(v) for t, v in zip(grid.tau_s, grid.values)]
     path = _out_path(cfg, "scattering")
     _write_table(path, cfg, header, rows, cfg.out_format)
 
@@ -192,8 +184,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lat-deg", type=float, default=None)
         p.add_argument("--min-elev-deg", type=float, default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", metavar="DIR", default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+        p.add_argument("--out", dest="out_dir", metavar="DIR", default=None)
+        p.add_argument("--format", dest="out_format", choices=("csv", "json"),
+                       default=None)
         p.add_argument("--mc-samples", type=int, default=None)
         p.add_argument("--snapshots", type=int, default=None)
         p.add_argument("--nu-step-hz", type=float, default=None)
@@ -203,17 +196,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {
-        "lat_deg": args.lat_deg,
-        "min_elev_deg": args.min_elev_deg,
-        "seed": args.seed,
-        "out_dir": args.out,
-        "out_format": args.format,
-        "mc_samples": args.mc_samples,
-        "snapshots": args.snapshots,
-        "nu_step_hz": args.nu_step_hz,
-        "tau_step_s": args.tau_step_s,
-    }
+    # every flag but --config parses to its RunConfig field
+    overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     try:
         cfg = load_config(args.config, overrides)
         if args.command == "coverage":

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 
+from .distributions import DOPPLER_NU_STEP_HZ, JointGridSpec
 from .errors import ConfigError
 from .geometry import MEAN_EARTH_RADIUS_M, ShellConfig, UserGeometry
 
@@ -25,9 +26,9 @@ class RunConfig:
     lat_deg: float = 0.0
     min_elev_deg: float = 30.0
     # grid.*
-    nu_step_hz: float = 2.61e3
-    tau_step_s: float = 2.8e-5
-    doppler_nu_step_hz: float = 2.65e3
+    nu_step_hz: float = JointGridSpec.nu_step_hz
+    tau_step_s: float = JointGridSpec.tau_step_s
+    doppler_nu_step_hz: float = DOPPLER_NU_STEP_HZ
     cdf_points: int = 200
     # mc.*
     mc_samples: int = 200_000

@@ -24,12 +24,15 @@ Mirroring the azimuth about the user's meridian and flipping the mark
 negates the Doppler shift and keeps the central angle, so each mark-mixed
 quantity takes one ascending pass: F_-(nu) = T - F_+(-nu), T the pass's
 total, and the descending joint grid is the ascending one reversed in nu.
+
+Both grids are uniform: a JointGridSpec holds two steps and nothing of a
+user, and nu_edges and tau_edges build the edges from (model, step).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,78 +57,44 @@ _DOPPLER_TABLE = 2001
 
 
 # ---------------------------------------------------------------------------
-# grid specifications
+# grids: a spec holds steps only; edges are built from (model, step) at each use
 
-@dataclass(frozen=True)
-class _NuAxis:
-    """nu edges nu_step_hz * k for |k| <= nu_half_cells, which resolve sets:
-    exactly antisymmetric, so one mark's grid is the other's nu-mirror."""
-
-    nu_step_hz: float
-    nu_half_cells: int | None = field(default=None, init=False)
-
-    def _cover(self, model: CapModel, pad: int, **resolved):
-        """Copy with nu_half_cells (pad beyond nu_max) and resolved set."""
-        if self.nu_half_cells is not None:
-            return self
-        out = replace(self)
-        resolved["nu_half_cells"] = math.ceil(model.nu_max_hz / self.nu_step_hz) + pad
-        for name, value in resolved.items():
-            object.__setattr__(out, name, value)
-        return out
-
-    def nu_edges(self) -> np.ndarray:
-        m = self.nu_half_cells
-        return self.nu_step_hz * np.arange(-m, m + 1)
-
-    def nu_centers(self) -> np.ndarray:
-        e = self.nu_edges()
-        return 0.5 * (e[:-1] + e[1:])
+# default nu step of the mark-mixed Doppler PDF grid
+DOPPLER_NU_STEP_HZ = 2.65e3
 
 
 @dataclass(frozen=True)
-class DopplerGridSpec(_NuAxis):
-    """Uniform nu grid; one padding cell strictly covers the support."""
-
-    nu_step_hz: float = 2.65e3
-
-    def __post_init__(self):
-        if self.nu_step_hz <= 0:
-            raise ValueError("nu_step_hz must be positive")
-
-    def resolve(self, model: CapModel) -> "DopplerGridSpec":
-        return self._cover(model, 1)
-
-
-@dataclass(frozen=True)
-class JointGridSpec(_NuAxis):
-    """Uniform (tau, nu) grid covering the full delay-Doppler support,
-    whose delay bounds resolve sets."""
+class JointGridSpec:
+    """Steps of the uniform (tau, nu) grid over the delay-Doppler support."""
 
     nu_step_hz: float = 2.61e3
     tau_step_s: float = 2.8e-5
-    tau_min_s: float | None = field(default=None, init=False)
-    tau_max_s: float | None = field(default=None, init=False)
 
     def __post_init__(self):
         if self.nu_step_hz <= 0 or self.tau_step_s <= 0:
             raise ValueError("grid steps must be positive")
 
-    def resolve(self, model: CapModel) -> "JointGridSpec":
-        # tight nu cover: trapezoid integrals then lose half the mass a too
-        # coarse step leaves in the outer columns, which the check detects
-        lo, hi = model.delay_bounds
-        return self._cover(model, 0, tau_min_s=lo, tau_max_s=hi)
 
-    def tau_edges(self) -> np.ndarray:
-        # one padding cell each side: the outermost rows carry no mass, so
-        # trapezoid integrals see the support edges instead of cutting them
-        n = math.ceil((self.tau_max_s - self.tau_min_s) / self.tau_step_s - 1e-9)
-        return self.tau_min_s + self.tau_step_s * (np.arange(n + 3) - 1)
+def nu_edges(model: CapModel, step: float, pad: int) -> np.ndarray:
+    """nu edges step * k for |k| <= ceil(nu_max / step) + pad: exactly
+    antisymmetric, so one mark's grid is the other's nu-mirror."""
+    if not step > 0:
+        raise ValueError("nu step must be positive")
+    m = math.ceil(model.nu_max_hz / step) + pad
+    return step * np.arange(-m, m + 1)
 
-    def tau_centers(self) -> np.ndarray:
-        e = self.tau_edges()
-        return 0.5 * (e[:-1] + e[1:])
+
+def tau_edges(model: CapModel, step: float) -> np.ndarray:
+    """Delay edges step apart from the cap's shortest delay, with one
+    padding cell each side: the outermost rows carry no mass, so trapezoid
+    integrals see the support edges instead of cutting them."""
+    lo, hi = model.delay_bounds
+    n = math.ceil((hi - lo) / step - 1e-9)
+    return lo + step * (np.arange(n + 3) - 1)
+
+
+def centers(edges: np.ndarray) -> np.ndarray:
+    return 0.5 * (edges[:-1] + edges[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -352,16 +321,16 @@ def doppler_cdf_marks(model: CapModel, nu_hz) -> tuple[np.ndarray, np.ndarray]:
     return f[:nu.size], f[-1] - f[nu.size:-1]
 
 
-def doppler_pdf_grid(model: CapModel, spec: DopplerGridSpec | None = None
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Mark-mixed Doppler PDF by forward differences of the grid CDF.
+def doppler_pdf_grid(model: CapModel, nu_step_hz: float = DOPPLER_NU_STEP_HZ):
+    """Doppler CDFs and mark-mixed PDF on the nu edges that pad one cell
+    beyond the support: (edges, ascending CDF, descending CDF, pdf).
 
-    Returns (nu_centers, pdf); the pdf is non-negative because the grid
-    CDF never decreases.
+    The pdf is the forward difference of the mixed CDF over each cell,
+    non-negative because the grid CDF never decreases.
     """
-    spec = (spec or DopplerGridSpec()).resolve(model)
-    up, down = doppler_cdf_marks(model, spec.nu_edges())
-    return spec.nu_centers(), np.diff(0.5 * (up + down)) / spec.nu_step_hz
+    edges = nu_edges(model, nu_step_hz, 1)
+    up, down = doppler_cdf_marks(model, edges)
+    return edges, up, down, np.diff(0.5 * (up + down)) / nu_step_hz
 
 
 def joint_pdf_grid(model: CapModel, spec: JointGridSpec | None = None,
@@ -374,14 +343,16 @@ def joint_pdf_grid(model: CapModel, spec: JointGridSpec | None = None,
     polar nodes per panel. A pdf cell is a deposited mass: none is
     negative, the padding rows outside the delay support are exactly
     zero, and the joint CDF, the cumulative sum of the cells, rises in
-    tau and nu by construction.
+    tau and nu by construction. The nu edges pad no cell: trapezoid
+    integrals then lose half the mass a too coarse step leaves in the
+    outer columns, which the normalisation check detects.
 
-    Returns (resolved spec, pdf matrix with shape (n_tau_cells, n_nu_cells)).
+    Returns (spec, pdf matrix with shape (n_tau_cells, n_nu_cells)).
     """
-    spec = (spec or JointGridSpec()).resolve(model)
-    sigmas = delay_inverse(model.shell,
-                           np.clip(spec.tau_edges(), *model.delay_bounds))
-    mass = _annulus_pass(model, sigmas, spec.nu_edges(), mark,
+    spec = spec or JointGridSpec()
+    sigmas = delay_inverse(model.shell, np.clip(tau_edges(model, spec.tau_step_s),
+                                                *model.delay_bounds))
+    mass = _annulus_pass(model, sigmas, nu_edges(model, spec.nu_step_hz, 0), mark,
                          _N_ANNULUS_NODES)
     return spec, mass[1:-1, 1:-1] / (spec.nu_step_hz * spec.tau_step_s)
 

@@ -43,7 +43,7 @@ class ShellConfig:
     n_sats: int = 3168
     n_per_orbit: int = 22
     orbit_spacing_rad: float = math.radians(2.5)
-    light_speed_mps: float = field(default=LIGHT_SPEED_MPS)
+    light_speed_mps: float = field(default=LIGHT_SPEED_MPS, init=False)
 
     def __post_init__(self):
         if self.earth_radius_m <= 0 or self.altitude_m <= 0:

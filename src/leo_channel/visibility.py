@@ -36,7 +36,6 @@ from .errors import DomainError
 from .geometry import ShellConfig, UserGeometry
 from .quadrature import _N_NODES, density_integral, sine_mapped_panels
 
-_POLE_EPS = 1e-12
 # bound on the (sigma x polar node) elements of one p_cap or p_cap' block
 _BLOCK_ELEMENTS = 1 << 15
 
@@ -50,12 +49,11 @@ def arc_halfwidth_clamped(user: UserGeometry, phi, sigma):
     (from tan(phi/2), up to a positive factor) that lose no digits next to
     arg = +-1, where 0.5 pi + asin(arg) cancels. Clamping them at 0 covers
     every case on (0, pi): pi below sigma - phi_u, where the line lies fully
-    inside the cap, and 0 beyond phi_u + sigma. A user at the pole sees
-    rotationally symmetric caps: pi inside sigma and 0 outside."""
+    inside the cap, and 0 beyond phi_u + sigma. At the pole (phi_u = 0)
+    1 + arg is a positive multiple of sin^2(sigma/2) - cos^2(sigma/2)
+    tan^2(phi/2) and 1 - arg its negative: pi inside sigma, 0 outside."""
     phi = np.asarray(phi, dtype=float)
     phi_u = user.user_polar_rad
-    if phi_u < _POLE_EPS:
-        return np.where(phi <= sigma, np.pi, 0.0)
     p, q = 0.5 * (sigma + phi_u), 0.5 * (sigma - phi_u)
     u = np.cos(q) * np.tan(0.5 * phi)
     near = (np.sin(p) - np.cos(p) / np.cos(q) * u) * (np.sin(q) + u)  # 1 + arg

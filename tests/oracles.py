@@ -460,11 +460,10 @@ def joint_pdf_grid_rows(model: CapModel, spec=None, mark: int = 1,
     """Joint delay-Doppler PDF grid from one nested sub-cap Doppler CDF row
     per distinct delay edge, differenced in delay and then in Doppler; the
     reference for the one-pass annulus kernel of joint_pdf_grid.
-    Returns (resolved spec, pdf)."""
-    spec = (spec or dist.JointGridSpec()).resolve(model)
-    nu_edges = spec.nu_edges()
-    tau_lo, tau_hi = model.delay_bounds
-    tau_edges = np.clip(spec.tau_edges(), tau_lo, tau_hi)
+    Returns (spec, pdf)."""
+    spec = spec or dist.JointGridSpec()
+    nu_edges = dist.nu_edges(model, spec.nu_step_hz, 0)
+    tau_edges = np.clip(dist.tau_edges(model, spec.tau_step_s), *model.delay_bounds)
     sigmas, row_of_edge = np.unique(delay_inverse(model.shell, tau_edges),
                                     return_inverse=True)
     rows = ordered_map(lambda s: _doppler_cdf_row(model, nu_edges, mark,

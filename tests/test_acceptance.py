@@ -243,7 +243,7 @@ def test_criterion_10_normalization_suite(cap_equator, cap_midlat):
         if abs(val - 1.0) > 1e-4:
             problems.append(f"delay pdf integral {val:.6f}")
 
-        if checks.doppler_pdf_normalization(cap, dist.DopplerGridSpec()) > 1e-3:
+        if checks.doppler_pdf_normalization(cap, dist.DOPPLER_NU_STEP_HZ) > 1e-3:
             problems.append("doppler pdf grid normalization")
 
         jspec, jpdf = dist.joint_pdf_grid(cap, mark=1)

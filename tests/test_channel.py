@@ -69,14 +69,13 @@ class TestScatteringGrid:
 
     def test_zero_outside_delay_support(self, cap_equator, grid_equator):
         tau_lo, tau_hi = cap_equator.delay_bounds
-        tau_c = grid_equator.spec.tau_centers()
+        tau_c = grid_equator.tau_s
         outside = (tau_c + grid_equator.spec.tau_step_s / 2 < tau_lo) | (
             tau_c - grid_equator.spec.tau_step_s / 2 > tau_hi)
         assert float(np.abs(grid_equator.values[outside]).sum()) == 0.0
 
     def test_support_box(self, cap_equator, grid_equator):
-        tau_c = grid_equator.spec.tau_centers()
-        nu_c = grid_equator.spec.nu_centers()
+        tau_c, nu_c = grid_equator.tau_s, grid_equator.nu_hz
         occupied = grid_equator.values > 0.0
         tau_occ = tau_c[occupied.any(axis=1)]
         nu_occ = nu_c[occupied.any(axis=0)]
@@ -87,9 +86,7 @@ class TestScatteringGrid:
     def test_density_greatest_near_support_edge(self, cap_equator, grid_equator):
         # the U-curve: each delay row peaks in the outer half of its own
         # Doppler range, and the global maximum sits on the support edge
-        spec = grid_equator.spec
-        tau_c = spec.tau_centers()
-        nu_c = spec.nu_centers()
+        tau_c, nu_c = grid_equator.tau_s, grid_equator.nu_hz
         tau_lo, tau_hi = cap_equator.delay_bounds
         checked = on_ridge = 0
         for i, t in enumerate(tau_c):

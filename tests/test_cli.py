@@ -1,8 +1,10 @@
 import ast
 import csv
+import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +12,8 @@ from pathlib import Path
 import pytest
 
 from leo_channel import checks
-from leo_channel.cli import main
-from leo_channel.config import load_config
+from leo_channel.cli import _build_parser, main
+from leo_channel.config import CONFIG_KEYS, RunConfig, load_config
 from leo_channel.errors import ConfigError
 
 
@@ -191,6 +193,31 @@ class TestValidate:
         assert set(reports[0]) == set(reports[1])
 
 
+@pytest.mark.parametrize("flag,key,value", [
+    # values as the config line renders them
+    ("--lat-deg", "user.lat_deg", "12.5"),
+    ("--min-elev-deg", "user.min_elev_deg", "20"),
+    ("--seed", "mc.seed", "5"),
+    ("--out", "out.dir", "elsewhere"),
+    ("--format", "out.format", "json"),
+    ("--mc-samples", "mc.samples", "1234"),
+    ("--snapshots", "sim.snapshots", "321"),
+    ("--nu-step-hz", "grid.nu_step_hz", "1234.5"),
+    ("--tau-step-s", "grid.tau_step_s", "3.5e-05"),
+])
+def test_flag_lands_in_the_config_line(tmp_path, monkeypatch, flag, key, value):
+    monkeypatch.chdir(tmp_path)
+    argv = ["coverage", flag, value] + (["--out", "o"] if flag != "--out" else [])
+    assert main(argv) == 0
+    out = Path(value if flag == "--out" else "o")
+    if flag == "--format":
+        config = json.loads((out / "coverage.json").read_text())["config"]
+    else:
+        line = (out / "coverage.csv").read_text().splitlines()[0]
+        config = dict(item.split("=", 1) for item in line[2:].split(" "))
+    assert config[key] == value
+
+
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -236,3 +263,24 @@ def test_cli_imports_without_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+def test_config_keys_doc_matches_the_code():
+    # docs/config-keys.txt lists every key with RunConfig's default, and
+    # the flags every subcommand takes
+    text = (Path(__file__).resolve().parents[1] / "docs" / "config-keys.txt"
+            ).read_text(encoding="utf-8")
+    rows = [line.split() for line in text.splitlines()
+            if line.split() and line.split()[0] in CONFIG_KEYS]
+    assert sorted(r[0] for r in rows) == sorted(CONFIG_KEYS)
+    defaults = RunConfig()
+    for row in rows:
+        name, parse = CONFIG_KEYS[row[0]]
+        default = row[3] if row[2] == "list" else row[2]
+        assert parse(default) == getattr(defaults, name), row[0]
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for parser in sub.choices.values():
+        flags = {s for a in parser._actions for s in a.option_strings
+                 if s.startswith("--")} - {"--config", "--help"}
+        assert flags == set(re.findall(r"--[a-z-]+", text[:text.index("\nkey ")]))

@@ -301,16 +301,15 @@ class TestDopplerCdf:
 
 class TestDopplerPdfGrid:
     def test_normalization(self, cap_equator):
-        spec = dist.DopplerGridSpec().resolve(cap_equator)
-        _, pdf = dist.doppler_pdf_grid(cap_equator, spec)
-        assert float(pdf.sum()) * spec.nu_step_hz == pytest.approx(1.0, abs=1e-3)
+        pdf = dist.doppler_pdf_grid(cap_equator)[3]
+        assert float(pdf.sum()) * dist.DOPPLER_NU_STEP_HZ == pytest.approx(1.0, abs=1e-3)
 
     def test_symmetric_at_equator(self, cap_equator):
-        _, pdf = dist.doppler_pdf_grid(cap_equator)
+        pdf = dist.doppler_pdf_grid(cap_equator)[3]
         assert np.max(np.abs(pdf - pdf[::-1])) < 1e-6 * max(pdf.max(), 1e-300) + 1e-12
 
     def test_interior_peaks(self, cap_equator):
-        nu_c, pdf = dist.doppler_pdf_grid(cap_equator)
+        pdf = dist.doppler_pdf_grid(cap_equator)[3]
         peak = int(np.argmax(pdf))
         assert 0 < peak < pdf.size - 1
         # peaks sit near, but strictly inside, the support edges
@@ -318,7 +317,7 @@ class TestDopplerPdfGrid:
         assert peak not in (occupied[0], occupied[-1])
 
     def test_nonnegative(self, cap_midlat):
-        _, pdf = dist.doppler_pdf_grid(cap_midlat)
+        pdf = dist.doppler_pdf_grid(cap_midlat)[3]
         assert np.all(pdf >= 0.0)
 
 
@@ -359,7 +358,7 @@ class TestJointDistribution:
         # and cannot match the point density there
         spec, pdf = dist.joint_pdf_grid(cap_equator, mark=1)
         marg = pdf.sum(axis=1) * spec.nu_step_hz
-        tau_c = spec.tau_centers()
+        tau_c = dist.centers(dist.tau_edges(cap_equator, spec.tau_step_s))
         tau_lo, tau_hi = cap_equator.delay_bounds
         inner = ((tau_c - spec.tau_step_s / 2 >= tau_lo)
                  & (tau_c + spec.tau_step_s / 2 <= tau_hi))
@@ -384,7 +383,7 @@ class TestJointDistribution:
         # one reversed in nu; a direct descending pass checks that
         cap = request.getfixturevalue(cap_name)
         spec, up = dist.joint_pdf_grid(cap, mark=1)
-        e = spec.nu_edges()
+        e = dist.nu_edges(cap, spec.nu_step_hz, 0)
         assert np.array_equal(e, -e[::-1])
         _, down = dist.joint_pdf_grid(cap, spec, mark=-1)
         assert np.max(np.abs(down - up[:, ::-1])) <= 1e-12 * float(up.max())
@@ -400,7 +399,7 @@ class TestJointDistribution:
         # keeps the central angle, so the two grids are mirror images
         # (to 2e-13 of the peak for the row route at lat 60)
         cap = request.getfixturevalue(cap_name)
-        spec = dist.JointGridSpec(tau_step_s=tau_step_s).resolve(cap)
+        spec = dist.JointGridSpec(tau_step_s=tau_step_s)
         _, ref = joint_pdf_grid_rows(cap, spec, 1, n_nodes=4 * 384)
         _, rows = joint_pdf_grid_rows(cap, spec, 1)
         peak = float(ref.max())
@@ -432,7 +431,7 @@ class TestJointDistribution:
         assert not [r for r in caplog.records if "clamped" in r.getMessage()]
         assert np.all(pdf >= 0.0)
         # the other mark is this grid's nu-mirror, on exactly mirrored edges
-        e = spec.nu_edges()
+        e = dist.nu_edges(cap, spec.nu_step_hz, 0)
         assert np.array_equal(e, -e[::-1])
         _, other = dist.joint_pdf_grid(cap, spec, -mark)
         assert np.max(np.abs(other - pdf[:, ::-1])) <= 1e-12 * float(pdf.max())
@@ -440,19 +439,19 @@ class TestJointDistribution:
                * spec.nu_step_hz * spec.tau_step_s)
         assert np.all(np.diff(cdf, axis=0) >= 0.0)
         assert np.all(np.diff(cdf, axis=1) >= 0.0)
-        want = dist.delay_cdf(cap, spec.tau_edges()[1:])
+        want = dist.delay_cdf(cap, dist.tau_edges(cap, spec.tau_step_s)[1:])
         assert np.max(np.abs(cdf[:, -1] - want)) <= 1e-9
         # two fixed-rule grids; with masks down to 0 deg each is within
         # 3.3e-4 of the adaptive Doppler CDF (measured)
-        full = dist.doppler_cdf_grid(cap, spec.nu_edges()[1:], mark)
+        full = dist.doppler_cdf_grid(cap, e[1:], mark)
         assert np.max(np.abs(cdf[-1] - full)) <= 1e-3
 
     def test_u_shaped_support(self, cap_equator):
         # no mass at (short delay, extreme Doppler): the near cap cannot
         # produce large radial speeds
         spec, pdf = dist.joint_pdf_grid(cap_equator, mark=1)
-        nu_c = spec.nu_centers()
-        tau_c = spec.tau_centers()
+        nu_c = dist.centers(dist.nu_edges(cap_equator, spec.nu_step_hz, 0))
+        tau_c = dist.centers(dist.tau_edges(cap_equator, spec.tau_step_s))
         tau_lo, tau_hi = cap_equator.delay_bounds
         near = tau_c < tau_lo + 0.15 * (tau_hi - tau_lo)
         fast = np.abs(nu_c) > 0.85 * cap_equator.nu_max_hz
@@ -484,9 +483,9 @@ def _lookup_edges(kind: int, step: float, m: int, cap) -> np.ndarray:
     kind 5 the joint axis between -inf and +inf, as doppler_cdf_marks
     passes it for infinite values."""
     if kind == 0:
-        return dist.JointGridSpec(nu_step_hz=step).resolve(cap).nu_edges()
+        return dist.nu_edges(cap, step, 0)
     if kind == 1:
-        nu = dist.DopplerGridSpec(nu_step_hz=step).resolve(cap).nu_edges()
+        nu = dist.nu_edges(cap, step, 1)
     elif kind == 2:
         nu = (1.0001 * cap.nu_max_hz / m) * np.arange(-m, m + 1)
     elif kind == 3:
@@ -610,29 +609,38 @@ class TestRayleighGain:
 
 class TestGridSpecs:
     def test_doppler_grid_covers_support(self, cap_equator):
-        spec = dist.DopplerGridSpec().resolve(cap_equator)
-        edges = spec.nu_edges()
+        edges = dist.doppler_pdf_grid(cap_equator)[0]
         assert edges[0] < -cap_equator.nu_max_hz
         assert edges[-1] > cap_equator.nu_max_hz
-        assert np.allclose(np.diff(edges), spec.nu_step_hz)
+        assert np.allclose(np.diff(edges), dist.DOPPLER_NU_STEP_HZ)
 
     def test_joint_grid_covers_support(self, cap_midlat):
-        spec = dist.JointGridSpec().resolve(cap_midlat)
+        spec = dist.JointGridSpec()
+        tau = dist.tau_edges(cap_midlat, spec.tau_step_s)
+        nu = dist.nu_edges(cap_midlat, spec.nu_step_hz, 0)
         tau_lo, tau_hi = cap_midlat.delay_bounds
-        assert spec.tau_edges()[0] <= tau_lo
-        assert spec.tau_edges()[-1] >= tau_hi
-        assert spec.nu_edges()[0] <= -cap_midlat.nu_max_hz
-        assert spec.nu_edges()[-1] >= cap_midlat.nu_max_hz
+        assert tau[0] <= tau_lo
+        assert tau[-1] >= tau_hi
+        assert nu[0] <= -cap_midlat.nu_max_hz
+        assert nu[-1] >= cap_midlat.nu_max_hz
 
-    def test_delay_bounds_are_the_caps(self, cap_midlat):
-        spec = dist.JointGridSpec().resolve(cap_midlat)
-        assert (spec.tau_min_s, spec.tau_max_s) == cap_midlat.delay_bounds
-        assert spec.resolve(cap_midlat) is spec
+    def test_delay_bounds_are_the_caps(self, cap_equator, cap_midlat):
+        # the edges start one padding cell before the model's shortest delay
+        for cap in (cap_equator, cap_midlat):
+            assert dist.tau_edges(cap, 2.8e-5)[1] == cap.delay_bounds[0]
         with pytest.raises(TypeError):
             dist.JointGridSpec(tau_min_s=0.0)
 
-    def test_bad_steps_rejected(self):
+    def test_bad_steps_rejected(self, cap_equator):
         with pytest.raises(ValueError):
-            dist.DopplerGridSpec(nu_step_hz=-1.0)
+            dist.doppler_pdf_grid(cap_equator, -1.0)
         with pytest.raises(ValueError):
             dist.JointGridSpec(tau_step_s=0.0)
+
+    def test_spec_serves_any_user(self, cap_equator, cap_midlat):
+        # a spec holds steps only: the one joint_pdf_grid returned for the
+        # equator user covers the lat-60 user's support in full
+        spec, _ = dist.joint_pdf_grid(cap_equator, dist.JointGridSpec(tau_step_s=8.4e-5))
+        _, pdf = dist.joint_pdf_grid(cap_midlat, spec)
+        mass = float(pdf.sum()) * spec.nu_step_hz * spec.tau_step_s
+        assert mass == pytest.approx(1.0, abs=5e-3)

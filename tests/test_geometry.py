@@ -9,6 +9,7 @@ from oracles import central_angle, elevation_from_sigma
 
 from leo_channel.errors import DomainError, NoVisibleSatellites
 from leo_channel.geometry import (
+    LIGHT_SPEED_MPS,
     ShellConfig,
     UserGeometry,
     central_angle_bounds,
@@ -37,6 +38,11 @@ class TestShellConfig:
             ShellConfig(altitude_m=-1.0)
         with pytest.raises(DomainError):
             ShellConfig(inclination_rad=2.0)
+
+    def test_light_speed_is_not_a_setting(self):
+        assert ShellConfig().light_speed_mps == LIGHT_SPEED_MPS
+        with pytest.raises(TypeError):
+            ShellConfig(light_speed_mps=3e8)
 
 
 class TestCentralAngle:
