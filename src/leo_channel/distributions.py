@@ -2,22 +2,17 @@
 
 Gain and delay depend on the central angle alone, so their CDFs are
 reparameterisations of the cap probability and their PDFs follow from its
-cos-sigma derivative. gain_cdf, delay_cdf, gain_pdf and delay_pdf take
-arrays and are exact; only the KS checks give the two CDFs
-pcap_interpolator's table, because exact evaluation at every one of their
-samples would cost one fixed rule per sample. The Doppler shift also
-depends on azimuth, so its CDF is a double integral over the cap, taken
-by a fixed rule: sine-mapped Gauss-Legendre nodes in argument-of-latitude
-space for the polar integral, and per node an azimuth sampling of the cap
-slice whose cells are uniform laws in nu, each deposited exactly onto the
-nu values it lies below or straddles.
+cos-sigma derivative; all four take arrays and are exact (the KS checks
+give the CDFs pcap_interpolator's table). The Doppler shift also depends
+on azimuth, so its CDF is a double integral over the cap, taken by a fixed
+rule: sine-mapped Gauss-Legendre nodes in argument-of-latitude space for
+the polar integral, and per node _N_THETA azimuth samples of the cap slice,
+whose cells are uniform laws in nu, each deposited exactly onto the nu
+values it lies below or straddles. The polar rule carries the error.
 
 One pass makes that deposit, _annulus_pass. A delay cell is an annulus of
-the cap, and cutting each slice at the rings' closed-form boundaries puts
-every azimuth cell in one annulus: the joint delay-Doppler PDF grid is the
-pass with a ring at every delay edge, the Doppler CDF of a (sub-)cap the
-pass with one ring. An azimuth value costs two sines, one Doppler
-evaluation and one nu lookup, a floor division on uniform nu axes. The
+the cap: the joint delay-Doppler PDF grid is the pass with a ring at every
+delay edge, the Doppler CDF of a (sub-)cap the pass with one ring. The
 test suite checks both against independent routes.
 
 Mirroring the azimuth about the user's meridian and flipping the mark
@@ -25,8 +20,7 @@ negates the Doppler shift and keeps the central angle, so each mark-mixed
 quantity takes one ascending pass: F_-(nu) = T - F_+(-nu), T the pass's
 total, and the descending joint grid is the ascending one reversed in nu.
 
-Both grids are uniform: a JointGridSpec holds two steps and nothing of a
-user, and nu_edges and tau_edges build the edges from (model, step).
+A JointGridSpec holds two steps; nu_edges and tau_edges build edges per user.
 """
 
 from __future__ import annotations
@@ -41,8 +35,13 @@ from . import parallel
 from .quadrature import _N_NODES, density_nodes, sine_mapped_panels
 from .visibility import CapModel, _active_band, arc_halfwidth_clamped
 
-# azimuth samples per cap slice of the Doppler kernel
-_N_THETA = 1024
+# azimuth samples per cap slice of the Doppler kernel: the smallest power of
+# two whose error against 4x the samples is at most 1/3 of the polar rule's
+# (64 against 256 nodes per panel, joint pass at tau step 8.4e-5 s; 384
+# against 1536, full-cap CDF on the 2001 table edges) at both reference
+# users. At 512 the ratios are 0.007/0.054 (joint, equator/lat 60) and
+# 0.013/0.21 (CDF); at 256 the lat-60 CDF's is 0.82 (resolution_budget.py).
+_N_THETA = 512
 # sine-mapped polar nodes per panel of the joint grid, and per block of
 # every annulus pass
 _N_ANNULUS_NODES = 64
@@ -241,15 +240,16 @@ def _annulus_pass(model: CapModel, sigmas, nu_edges: np.ndarray, mark: int,
 
     Polar panels break where a ring meets a latitude line tangentially or
     closes it (phi_u +- sigma_j, sigma_j - phi_u), n_nodes sine-mapped
-    nodes each. Each slice's azimuth range is cut at _N_THETA uniform
-    samples and at the ring boundaries +-arc_halfwidth_clamped, so every
-    cell lies in one annulus, found from the mean of cos(sigma) at its
-    ends (monotone in |offset|). Doppler is taken linear in azimuth across
-    a cell: a uniform law between its end values, deposited by
-    _cell_shares, so no mass is negative. A point costs two sines, a
-    Doppler value (factors of phi alone per row) and a nu lookup. A block
-    is _N_ANNULUS_NODES polar nodes, whose cells are summed into each bin
-    in turn: up to 66k terms with one ring and few nu edges.
+    nodes each; this rule, not the azimuth sampling, sets the error. Each
+    slice is cut at _N_THETA uniform azimuth samples and at the ring
+    boundaries +-arc_halfwidth_clamped, so every cell lies in one annulus,
+    found from the mean of cos(sigma) at its ends (monotone in |offset|).
+    Doppler is taken linear in azimuth across a cell: a uniform law between
+    its end values, deposited by _cell_shares, so no mass is negative. A
+    point costs two sines, a Doppler value (factors of phi alone per row)
+    and a nu lookup. A block is _N_ANNULUS_NODES polar nodes, whose cells
+    are summed into each bin in turn: up to 33k terms with one ring and few
+    nu edges.
     """
     shell, user = model.shell, model.user
     phi_u = user.user_polar_rad

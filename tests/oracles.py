@@ -7,7 +7,8 @@ a brute-force azimuth scan, and the Doppler CDF from a naive
 two-dimensional Riemann sum over the cap, from an adaptive route that
 locates each sublevel set by scan plus bisection and from a loop over
 cap slices that shares no code with the annulus pass but the cell
-deposit; the joint delay-Doppler grid from one such sub-cap row per
+deposit, and the pass itself at finer polar and azimuth resolutions for
+its error budget; the joint delay-Doppler grid from one such sub-cap row per
 delay edge, the annulus of each of the pass's azimuth cells from the
 central angle at the cell's midpoint, and the largest Doppler shift by a
 brute-force scan of the cap. The cap probability, its derivative, the
@@ -25,6 +26,7 @@ Cartesian positions of a Walker constellation.
 
 import math
 import warnings
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -472,6 +474,36 @@ def joint_pdf_grid_rows(model: CapModel, spec=None, mark: int = 1,
     pdf = (np.diff(np.diff(cdf, axis=0), axis=1)
            / (spec.nu_step_hz * spec.tau_step_s))
     return spec, pdf
+
+
+def annulus_pass_at(model: CapModel, sigmas, e: np.ndarray, n_nodes: int,
+                    n_theta: int) -> np.ndarray:
+    """The package's annulus pass, mark +1, at n_nodes polar nodes per
+    panel and n_theta azimuth samples per slice (dist._N_THETA patched)."""
+    with mock.patch.object(dist, "_N_THETA", n_theta):
+        return dist._annulus_pass(model, sigmas, e, 1, n_nodes)
+
+
+def joint_mass_at(model: CapModel, tau_step_s: float, n_nodes: int,
+                  n_theta: int) -> np.ndarray:
+    """Cell masses of joint_pdf_grid (mark +1, default nu step) at the
+    resolutions of annulus_pass_at."""
+    nu_step = dist.JointGridSpec().nu_step_hz
+    tau_edges = np.clip(dist.tau_edges(model, tau_step_s), *model.delay_bounds)
+    mass = annulus_pass_at(model, delay_inverse(model.shell, tau_edges),
+                           dist.nu_edges(model, nu_step, 0), n_nodes, n_theta)
+    return mass[1:-1, 1:-1]
+
+
+def table_cdf_at(model: CapModel, n_nodes: int, n_theta: int):
+    """Full-cap Doppler CDF, mark +1, on the 2001 nu edges of
+    doppler_mixed_interpolator's table at the resolutions of
+    annulus_pass_at."""
+    m = dist._DOPPLER_TABLE // 2
+    e = (1.0001 * model.nu_max_hz / m) * np.arange(-m, m + 1)
+    mass = annulus_pass_at(model, [model.user.sigma_max_rad], e, n_nodes,
+                           n_theta)
+    return np.cumsum(mass.sum(axis=0)[:-1])
 
 
 def max_doppler_scan(shell: ShellConfig, user: UserGeometry,

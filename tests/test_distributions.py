@@ -12,8 +12,8 @@ from scipy.integrate import quad
 
 from oracles import (
     _doppler_cdf_row, doppler_cdf_adaptive, doppler_cdf_riemann,
-    joint_pdf_grid_rows, p_cap_adaptive, rayleigh_gain_cdf,
-    ring_index_midpoint)
+    joint_mass_at, joint_pdf_grid_rows, p_cap_adaptive, rayleigh_gain_cdf,
+    ring_index_midpoint, table_cdf_at)
 
 from leo_channel import distributions as dist
 from leo_channel.geometry import ShellConfig, UserGeometry, sigma_from_elevation
@@ -231,6 +231,12 @@ class TestDopplerCdf:
         scalar = np.array([doppler_cdf_adaptive(cap_equator, float(n), 1) for n in nus])
         assert np.max(np.abs(grid - scalar)) < 5e-5
 
+    def test_grid_route_matches_scalar_at_midlat(self, cap_midlat):
+        nus = np.linspace(-0.95, 0.95, 9) * cap_midlat.nu_max_hz
+        grid = dist.doppler_cdf_grid(cap_midlat, nus, 1)
+        scalar = np.array([doppler_cdf_adaptive(cap_midlat, float(n), 1) for n in nus])
+        assert np.max(np.abs(grid - scalar)) < 5e-5
+
     def test_mixed_median_at_equator(self, cap_equator):
         up, down = dist.doppler_cdf_marks(cap_equator, 0.0)
         assert float(0.5 * (up + down)[0]) == pytest.approx(0.5, abs=1e-9)
@@ -292,8 +298,8 @@ class TestDopplerCdf:
         assert np.max(np.abs(f - single)) <= 1e-12
         # the one-ring annulus pass is the slice loop up to summation order.
         # Its deposit sums a block's cells into each nu bin one after the
-        # other, up to 66k terms where the loop sums a slice's 1023: with
-        # 1-6 edges the two differ by up to 2.1e-13 (measured over 150
+        # other, up to 33k terms where the loop sums a slice's 511: with
+        # 1-6 edges the two differ by up to 1.4e-13 (measured over 150
         # draws), with 401 edges by under 5e-15
         row = _doppler_cdf_row(cap, nus[order], mark, cap_sigma, 384)
         assert np.max(np.abs(f[order] - row)) <= 2e-12
@@ -495,6 +501,35 @@ def _lookup_edges(kind: int, step: float, m: int, cap) -> np.ndarray:
     else:
         return np.concatenate(([-math.inf], _lookup_edges(0, step, m, cap)))
     return np.unique(np.concatenate((nu, -nu, [math.inf])))
+
+
+class TestResolutionBudget:
+    """The azimuth sampling adds at most a third of the polar rule's error.
+
+    The azimuth error is the pass at _N_THETA samples per slice against
+    4x the samples, the polar error the pass at its node count per panel
+    against 4x the nodes, both at the same other resolution.
+    """
+
+    @pytest.mark.parametrize("cap_name", ["cap_equator", "cap_midlat"])
+    def test_joint_pass(self, cap_name, request):
+        # 64 polar nodes per panel, as joint_pdf_grid, at tau step 8.4e-5 s
+        cap = request.getfixturevalue(cap_name)
+        n = dist._N_THETA
+        base = joint_mass_at(cap, 8.4e-5, 64, n)
+        polar = np.max(np.abs(joint_mass_at(cap, 8.4e-5, 4 * 64, n) - base))
+        azimuth = np.max(np.abs(joint_mass_at(cap, 8.4e-5, 64, 4 * n) - base))
+        assert azimuth <= polar / 3
+
+    @pytest.mark.parametrize("cap_name", ["cap_equator", "cap_midlat"])
+    def test_full_cap_cdf(self, cap_name, request):
+        # 384 polar nodes per panel, as doppler_cdf_grid, on the KS table
+        cap = request.getfixturevalue(cap_name)
+        n = dist._N_THETA
+        base = table_cdf_at(cap, 384, n)
+        polar = np.max(np.abs(table_cdf_at(cap, 4 * 384, n) - base))
+        azimuth = np.max(np.abs(table_cdf_at(cap, 384, 4 * n) - base))
+        assert azimuth <= polar / 3
 
 
 class TestKernelLookups:
