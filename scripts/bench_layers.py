@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import platform
 import statistics
@@ -33,7 +32,8 @@ import numpy as np
 from leo_channel import channel as ch
 from leo_channel import distributions as dist
 from leo_channel import orbit_sim as osim
-from leo_channel.geometry import UserGeometry, starlink_shell
+from leo_channel.config import load_config
+from leo_channel.geometry import starlink_shell
 from leo_channel.nbpp import sample_visible
 from leo_channel.propagation import gain as gain_fn, max_doppler
 from leo_channel.visibility import CapModel
@@ -114,8 +114,8 @@ def main() -> None:
     args = ap.parse_args()
 
     shell = starlink_shell()
-    caps = {name: CapModel(shell, UserGeometry.for_shell(
-                shell, math.pi / 2 - math.radians(lat), math.radians(elev)))
+    caps = {name: CapModel(shell, load_config(
+                None, {"lat_deg": lat, "min_elev_deg": elev}).user(shell))
             for name, (lat, elev) in USERS.items()}
     affinity = len(os.sched_getaffinity(0))
     result = {"cpus": affinity, "numpy": np.__version__,

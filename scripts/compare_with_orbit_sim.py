@@ -4,13 +4,13 @@ the deterministic Walker-delta simulator and report Kolmogorov-Smirnov
 distances against the analytic gain, delay and Doppler CDFs."""
 
 import argparse
-import math
 
 import numpy as np
 
 from leo_channel import checks
 from leo_channel import orbit_sim as osim
-from leo_channel.geometry import UserGeometry, starlink_shell
+from leo_channel.config import load_config
+from leo_channel.geometry import starlink_shell
 from leo_channel.visibility import CapModel
 
 
@@ -23,9 +23,8 @@ def main() -> None:
     args = ap.parse_args()
 
     shell = starlink_shell()
-    user = UserGeometry.for_shell(
-        shell, math.pi / 2 - math.radians(args.lat_deg),
-        math.radians(args.min_elev_deg))
+    user = load_config(None, {"lat_deg": args.lat_deg,
+                              "min_elev_deg": args.min_elev_deg}).user(shell)
     cap = CapModel(shell, user)
 
     rng = np.random.default_rng(args.seed)

@@ -3,10 +3,9 @@
 (equator user with a 30 degree mask; latitude-60 user with a 10 degree
 mask) and print them side by side."""
 
-import math
-
 from leo_channel.channel import global_params, scattering_function
-from leo_channel.geometry import UserGeometry, starlink_shell
+from leo_channel.config import load_config
+from leo_channel.geometry import starlink_shell
 from leo_channel.visibility import CapModel
 
 SCENARIOS = {
@@ -19,8 +18,8 @@ def main() -> None:
     shell = starlink_shell()
     results = {}
     for name, (lat_deg, elev_deg) in SCENARIOS.items():
-        user = UserGeometry.for_shell(
-            shell, math.pi / 2 - math.radians(lat_deg), math.radians(elev_deg))
+        user = load_config(None, {"lat_deg": lat_deg,
+                                  "min_elev_deg": elev_deg}).user(shell)
         cap = CapModel(shell, user)
         grid = scattering_function(cap)
         results[name] = global_params(cap, grid=grid)

@@ -28,7 +28,6 @@ two minutes on two CPUs.
 
 from __future__ import annotations
 
-import math
 import os
 import sys
 
@@ -40,7 +39,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 from oracles import doppler_cdf_adaptive, joint_mass_at, table_cdf_at  # noqa: E402
 
 from leo_channel import distributions as dist  # noqa: E402
-from leo_channel.geometry import UserGeometry, starlink_shell  # noqa: E402
+from leo_channel.config import load_config  # noqa: E402
+from leo_channel.geometry import starlink_shell  # noqa: E402
 from leo_channel.visibility import CapModel  # noqa: E402
 
 USERS = [(0.0, 30.0), (60.0, 10.0), (0.0, 0.0), (53.0, 0.0), (36.9, 18.0),
@@ -85,8 +85,8 @@ def main() -> None:
           f"per panel x {REF_THETA} azimuth samples")
     keys = None
     for lat, mask in USERS:
-        cap = CapModel(shell, UserGeometry.for_shell(
-            shell, math.pi / 2 - math.radians(lat), math.radians(mask)))
+        user = load_config(None, {"lat_deg": lat, "min_elev_deg": mask}).user(shell)
+        cap = CapModel(shell, user)
         row = budget(cap)
         if keys is None:
             keys = list(row)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -23,9 +22,8 @@ import numpy as np
 from . import channel as ch
 from . import checks
 from . import distributions as dist
-from .config import RunConfig, load_config, resolved_items
+from .config import PARSERS, RunConfig, load_config, resolved_items
 from .errors import ConfigError, DomainError, NoVisibleSatellites, ResolutionError
-from .geometry import UserGeometry
 from .nbpp import sample_visible
 from .propagation import delay as delay_fn, gain as gain_fn
 from .visibility import CapModel
@@ -37,10 +35,13 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_table(path: Path, cfg: RunConfig, header: list[str], rows,
-                 fmt: str) -> None:
+def _write_table(cfg: RunConfig, name: str, header: list[str], rows) -> Path:
+    """Write out_dir/name.csv or .json, headed by the resolved config."""
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / f"{name}.{cfg.out_format}"
     items = resolved_items(cfg)
-    if fmt == "json":
+    if cfg.out_format == "json":
         doc = {
             "config": dict(items),
             "columns": header,
@@ -48,19 +49,13 @@ def _write_table(path: Path, cfg: RunConfig, header: list[str], rows,
         }
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                         encoding="utf-8")
-        return
+        return path
     lines = ["# " + " ".join(f"{k}={v}" for k, v in items)]
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _out_path(cfg: RunConfig, name: str) -> Path:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    ext = "json" if cfg.out_format == "json" else "csv"
-    return out / f"{name}.{ext}"
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -73,19 +68,15 @@ def cmd_coverage(cfg: RunConfig) -> list[Path]:
     for elev in cfg.sweep_min_elev_deg:
         for lat in lats:
             try:
-                user = UserGeometry.for_shell(
-                    shell, math.pi / 2 - math.radians(float(lat)),
-                    math.radians(elev))
+                user = dataclasses.replace(cfg, lat_deg=float(lat),
+                                           min_elev_deg=elev).user(shell)
                 cap = CapModel(shell, user)
                 rows.append([elev, float(lat), cap.p_sat, cap.avg_visible(),
                              cap.availability])
             except NoVisibleSatellites:
                 rows.append([elev, float(lat), 0.0, 0.0, 0.0])
-    path = _out_path(cfg, "coverage")
-    _write_table(path, cfg, ["min_elev_deg", "latitude_deg", "p_sat",
-                             "avg_visible", "availability"], rows,
-                 cfg.out_format)
-    return [path]
+    return [_write_table(cfg, "coverage", ["min_elev_deg", "latitude_deg", "p_sat",
+                                           "avg_visible", "availability"], rows)]
 
 
 def cmd_distributions(cfg: RunConfig) -> list[Path]:
@@ -99,9 +90,7 @@ def cmd_distributions(cfg: RunConfig) -> list[Path]:
     paths = []
 
     def table(name: str, header: list[str], *columns) -> None:
-        path = _out_path(cfg, name)
-        _write_table(path, cfg, header, zip(*columns), cfg.out_format)
-        paths.append(path)
+        paths.append(_write_table(cfg, name, header, zip(*columns)))
 
     # gain and delay: exact CDF + PDF (+ empirical CDF) on uniform sweeps
     # over the support
@@ -137,8 +126,7 @@ def cmd_scattering(cfg: RunConfig) -> list[Path]:
 
     header = ["tau_s"] + [f"nu_{_fmt(n)}" for n in grid.nu_hz]
     rows = [[t] + list(v) for t, v in zip(grid.tau_s, grid.values)]
-    path = _out_path(cfg, "scattering")
-    _write_table(path, cfg, header, rows, cfg.out_format)
+    path = _write_table(cfg, "scattering", header, rows)
 
     summary_path = Path(cfg.out_dir) / "channel_summary.json"
     doc = dict(dataclasses.asdict(summary))
@@ -181,16 +169,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="PATH", default=None)
-        p.add_argument("--lat-deg", type=float, default=None)
-        p.add_argument("--min-elev-deg", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", dest="out_dir", metavar="DIR", default=None)
-        p.add_argument("--format", dest="out_format", choices=("csv", "json"),
-                       default=None)
-        p.add_argument("--mc-samples", type=int, default=None)
-        p.add_argument("--snapshots", type=int, default=None)
-        p.add_argument("--nu-step-hz", type=float, default=None)
-        p.add_argument("--tau-step-s", type=float, default=None)
+        for f in dataclasses.fields(RunConfig):
+            if f.metadata["flag"]:
+                p.add_argument(f.metadata["flag"], dest=f.name, type=PARSERS[f.type],
+                               default=None)
     return parser
 
 

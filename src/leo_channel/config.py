@@ -1,5 +1,9 @@
 """Run configuration: flat key = value files with section prefixes,
-overridable by CLI flags. Unknown keys are rejected."""
+overridable by CLI flags. Unknown keys are rejected.
+
+Each RunConfig field is the one declaration of its setting: its file key,
+its default and, for the settings the CLI overrides, its flag. CONFIG_KEYS,
+the artifact header and the CLI parser are read off the fields."""
 
 from __future__ import annotations
 
@@ -8,44 +12,44 @@ from dataclasses import dataclass, field, fields, replace
 
 from .distributions import DOPPLER_NU_STEP_HZ, JointGridSpec
 from .errors import ConfigError
-from .geometry import MEAN_EARTH_RADIUS_M, ShellConfig, UserGeometry
+from .geometry import ShellConfig, UserGeometry
+
+
+def _setting(key: str, default, flag: str | None = None):
+    return field(default=default, metadata={"key": key, "flag": flag})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    # shell.*
-    earth_radius_m: float = MEAN_EARTH_RADIUS_M
-    altitude_m: float = 550e3
-    sat_speed_mps: float = 7.29e3
-    carrier_hz: float = 12.7e9
-    inclination_deg: float = 53.0
-    n_sats: int = 3168
-    n_per_orbit: int = 22
-    orbit_spacing_deg: float = 2.5
-    # user.*
-    lat_deg: float = 0.0
-    min_elev_deg: float = 30.0
-    # grid.*
-    nu_step_hz: float = JointGridSpec.nu_step_hz
-    tau_step_s: float = JointGridSpec.tau_step_s
-    doppler_nu_step_hz: float = DOPPLER_NU_STEP_HZ
-    cdf_points: int = 200
-    # mc.*
-    mc_samples: int = 200_000
-    seed: int = 1
-    mc_empirical: bool = False
-    # sim.*
-    snapshots: int = 20_000
-    snapshot_spacing_s: float = 1.0
-    inter_orbit_phase_deg: float = 0.0
-    # sweep.* (coverage command)
-    lat_start_deg: float = 0.0
-    lat_stop_deg: float = 90.0
-    lat_step_deg: float = 1.0
-    sweep_min_elev_deg: tuple = (30.0, 10.0)
-    # out.*
-    out_dir: str = "out"
-    out_format: str = "csv"
+    earth_radius_m: float = _setting("shell.earth_radius_m", ShellConfig.earth_radius_m)
+    altitude_m: float = _setting("shell.altitude_m", ShellConfig.altitude_m)
+    sat_speed_mps: float = _setting("shell.sat_speed_mps", ShellConfig.sat_speed_mps)
+    carrier_hz: float = _setting("shell.carrier_hz", ShellConfig.carrier_hz)
+    inclination_deg: float = _setting("shell.inclination_deg",
+                                      math.degrees(ShellConfig.inclination_rad))
+    n_sats: int = _setting("shell.n_sats", ShellConfig.n_sats)
+    n_per_orbit: int = _setting("shell.n_per_orbit", ShellConfig.n_per_orbit)
+    orbit_spacing_deg: float = _setting("shell.orbit_spacing_deg",
+                                        math.degrees(ShellConfig.orbit_spacing_rad))
+    lat_deg: float = _setting("user.lat_deg", 0.0, "--lat-deg")
+    min_elev_deg: float = _setting("user.min_elev_deg", 30.0, "--min-elev-deg")
+    nu_step_hz: float = _setting("grid.nu_step_hz", JointGridSpec.nu_step_hz, "--nu-step-hz")
+    tau_step_s: float = _setting("grid.tau_step_s", JointGridSpec.tau_step_s, "--tau-step-s")
+    doppler_nu_step_hz: float = _setting("grid.doppler_nu_step_hz", DOPPLER_NU_STEP_HZ)
+    cdf_points: int = _setting("grid.cdf_points", 200)
+    mc_samples: int = _setting("mc.samples", 200_000, "--mc-samples")
+    seed: int = _setting("mc.seed", 1, "--seed")
+    mc_empirical: bool = _setting("mc.empirical", False)
+    snapshots: int = _setting("sim.snapshots", 20_000, "--snapshots")
+    snapshot_spacing_s: float = _setting("sim.snapshot_spacing_s", 1.0)
+    inter_orbit_phase_deg: float = _setting("sim.inter_orbit_phase_deg", 0.0)
+    # the coverage command's latitude sweep
+    lat_start_deg: float = _setting("sweep.lat_start_deg", 0.0)
+    lat_stop_deg: float = _setting("sweep.lat_stop_deg", 90.0)
+    lat_step_deg: float = _setting("sweep.lat_step_deg", 1.0)
+    sweep_min_elev_deg: tuple = _setting("sweep.min_elev_deg", (30.0, 10.0))
+    out_dir: str = _setting("out.dir", "out", "--out")
+    out_format: str = _setting("out.format", "csv", "--format")
 
     def shell(self) -> ShellConfig:
         return ShellConfig(
@@ -67,7 +71,6 @@ class RunConfig:
         )
 
 
-# config-file key -> (RunConfig field, parser)
 def _parse_bool(s: str) -> bool:
     if s.lower() in ("1", "true", "yes", "on"):
         return True
@@ -80,34 +83,13 @@ def _parse_float_list(s: str) -> tuple:
     return tuple(float(p) for p in s.split(",") if p.strip())
 
 
+# RunConfig field annotation -> parser of its file value and CLI flag
+PARSERS = {"float": float, "int": int, "bool": _parse_bool,
+           "tuple": _parse_float_list, "str": str}
+
+# config-file key -> (RunConfig field, parser)
 CONFIG_KEYS: dict[str, tuple[str, object]] = {
-    "shell.earth_radius_m": ("earth_radius_m", float),
-    "shell.altitude_m": ("altitude_m", float),
-    "shell.sat_speed_mps": ("sat_speed_mps", float),
-    "shell.carrier_hz": ("carrier_hz", float),
-    "shell.inclination_deg": ("inclination_deg", float),
-    "shell.n_sats": ("n_sats", int),
-    "shell.n_per_orbit": ("n_per_orbit", int),
-    "shell.orbit_spacing_deg": ("orbit_spacing_deg", float),
-    "user.lat_deg": ("lat_deg", float),
-    "user.min_elev_deg": ("min_elev_deg", float),
-    "grid.nu_step_hz": ("nu_step_hz", float),
-    "grid.tau_step_s": ("tau_step_s", float),
-    "grid.doppler_nu_step_hz": ("doppler_nu_step_hz", float),
-    "grid.cdf_points": ("cdf_points", int),
-    "mc.samples": ("mc_samples", int),
-    "mc.seed": ("seed", int),
-    "mc.empirical": ("mc_empirical", _parse_bool),
-    "sim.snapshots": ("snapshots", int),
-    "sim.snapshot_spacing_s": ("snapshot_spacing_s", float),
-    "sim.inter_orbit_phase_deg": ("inter_orbit_phase_deg", float),
-    "sweep.lat_start_deg": ("lat_start_deg", float),
-    "sweep.lat_stop_deg": ("lat_stop_deg", float),
-    "sweep.lat_step_deg": ("lat_step_deg", float),
-    "sweep.min_elev_deg": ("sweep_min_elev_deg", _parse_float_list),
-    "out.dir": ("out_dir", str),
-    "out.format": ("out_format", str),
-}
+    f.metadata["key"]: (f.name, PARSERS[f.type]) for f in fields(RunConfig)}
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
@@ -133,24 +115,31 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     cfg = RunConfig(**values)
     if overrides:
         cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    key = {f.name: f.metadata["key"] for f in fields(cfg)}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        finite = value if f.type == "tuple" else (value,) if f.type == "float" else ()
+        if not all(map(math.isfinite, finite)):
+            raise ConfigError(f"{key[f.name]} must be finite, got {value!r}")
     if cfg.out_format not in ("csv", "json"):
-        raise ConfigError(f"out.format must be csv or json, got {cfg.out_format!r}")
+        raise ConfigError(f"{key['out_format']} must be csv or json, "
+                          f"got {cfg.out_format!r}")
     for name in ("nu_step_hz", "tau_step_s", "doppler_nu_step_hz",
                  "snapshot_spacing_s", "lat_step_deg"):
-        if getattr(cfg, name) <= 0:
-            raise ConfigError(f"{name} must be positive")
+        if not getattr(cfg, name) > 0:
+            raise ConfigError(f"{key[name]} must be positive")
     if cfg.mc_samples <= 0 or cfg.snapshots <= 0 or cfg.cdf_points < 2:
         raise ConfigError("sample counts must be positive")
+    if cfg.seed < 0:
+        raise ConfigError(f"{key['seed']} must be non-negative, got {cfg.seed}")
     return cfg
 
 
 def resolved_items(cfg: RunConfig) -> list[tuple[str, str]]:
     """(file-key, rendered value) pairs for every setting, sorted by key;
     written into output headers so artifacts record their full provenance."""
-    by_field = {name: key for key, (name, _) in CONFIG_KEYS.items()}
     out = []
     for f in fields(cfg):
-        key = by_field[f.name]
         val = getattr(cfg, f.name)
         if isinstance(val, tuple):
             rendered = ",".join(f"{v:g}" for v in val)
@@ -160,5 +149,5 @@ def resolved_items(cfg: RunConfig) -> list[tuple[str, str]]:
             rendered = f"{val:.12g}"
         else:
             rendered = str(val)
-        out.append((key, rendered))
+        out.append((f.metadata["key"], rendered))
     return sorted(out)

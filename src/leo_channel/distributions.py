@@ -70,15 +70,15 @@ class JointGridSpec:
     tau_step_s: float = 2.8e-5
 
     def __post_init__(self):
-        if self.nu_step_hz <= 0 or self.tau_step_s <= 0:
-            raise ValueError("grid steps must be positive")
+        if not (0 < self.nu_step_hz < math.inf and 0 < self.tau_step_s < math.inf):
+            raise ValueError("grid steps must be positive and finite")
 
 
 def nu_edges(model: CapModel, step: float, pad: int) -> np.ndarray:
     """nu edges step * k for |k| <= ceil(nu_max / step) + pad: exactly
     antisymmetric, so one mark's grid is the other's nu-mirror."""
-    if not step > 0:
-        raise ValueError("nu step must be positive")
+    if not 0 < step < math.inf:
+        raise ValueError("nu step must be positive and finite")
     m = math.ceil(model.nu_max_hz / step) + pad
     return step * np.arange(-m, m + 1)
 

@@ -46,10 +46,13 @@ class ShellConfig:
     light_speed_mps: float = field(default=LIGHT_SPEED_MPS, init=False)
 
     def __post_init__(self):
-        if self.earth_radius_m <= 0 or self.altitude_m <= 0:
-            raise DomainError("earth radius and altitude must be positive")
-        if self.sat_speed_mps <= 0 or self.carrier_hz <= 0:
-            raise DomainError("satellite speed and carrier must be positive")
+        # `not 0 < x < inf` rejects NaN too
+        if not (0 < self.earth_radius_m < math.inf and 0 < self.altitude_m < math.inf):
+            raise DomainError("earth radius and altitude must be positive and finite")
+        if not (0 < self.sat_speed_mps < math.inf and 0 < self.carrier_hz < math.inf):
+            raise DomainError("satellite speed and carrier must be positive and finite")
+        if not 0 < self.orbit_spacing_rad < math.inf:
+            raise DomainError("orbit spacing must be positive and finite")
         if not 0.0 < self.inclination_rad < math.pi / 2:
             raise DomainError("inclination must lie in (0, pi/2)")
         expected = round(2.0 * math.pi / self.orbit_spacing_rad) * self.n_per_orbit
@@ -94,6 +97,12 @@ def sigma_from_range2(shell: ShellConfig, d2):
     if np.any(s2 < -5e-10) or np.any(s2 > 1.0 + 5e-10):
         raise DomainError("slant range outside the reachable range")
     return 2.0 * np.arcsin(np.sqrt(np.clip(s2, 0.0, 1.0)))
+
+
+def cos_central_angle(phi_u: float, phi, theta):
+    """cos sigma between the user at polar angle phi_u (azimuth pi/2) and
+    points at polar angles phi and azimuths theta (arrays)."""
+    return math.cos(phi_u) * np.cos(phi) + math.sin(phi_u) * np.sin(phi) * np.sin(theta)
 
 
 def sigma_from_elevation(shell: ShellConfig, psi: float) -> float:

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NoVisibleSatellites
-from .geometry import ShellConfig
+from .geometry import ShellConfig, cos_central_angle
+from .quadrature import phi_of_omega
 from .visibility import _active_band, arc_halfwidth_clamped
 
 # sample_visible: points per draw block, and draws allowed per requested
@@ -53,7 +54,7 @@ def sample_arrays(shell: ShellConfig, count: int, rng: np.random.Generator,
     width = box.omega_hi - box.omega_lo
     omega = box.omega_lo + rng.uniform(0.0, 2.0 * width, size=count)
     omega = np.where(omega < box.omega_hi, omega, np.pi - (omega - width))
-    phi = np.pi / 2 - np.arcsin(math.sin(shell.inclination_rad) * np.sin(omega))
+    phi = phi_of_omega(omega, shell)
     if physical_marks:
         mark = np.where(np.cos(omega) > 0.0, 1, -1)
     else:
@@ -121,8 +122,7 @@ def sample_visible(shell: ShellConfig, user, count: int,
                 "samples: the cap is too thin to sample")
         theta, phi, mark = sample_arrays(shell, _BLOCK, rng, physical_marks, box)
         drawn += _BLOCK
-        cos_sig = (math.cos(phi_u) * np.cos(phi)
-                   + math.sin(phi_u) * np.sin(phi) * np.sin(theta))
+        cos_sig = cos_central_angle(phi_u, phi, theta)
         sel = cos_sig >= cos_s1
         kept.append((np.arccos(np.clip(cos_sig[sel], -1.0, 1.0)),
                      theta[sel] % (2.0 * np.pi), phi[sel], mark[sel]))

@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .geometry import ShellConfig, UserGeometry, slant_range
+from .geometry import ShellConfig, UserGeometry, cos_central_angle, slant_range
 from .propagation import doppler_hz_arrays
+from .quadrature import phi_of_omega
 
 _TWO_PI = 2.0 * math.pi
 # snapshots per array block of snapshot_sample; margin of its visibility
@@ -76,7 +77,7 @@ def _positions(shell: ShellConfig, nodes, omega):
     of the latitude rate, i.e. of cos(omega).
     """
     b = shell.inclination_rad
-    phi = np.pi / 2 - np.arcsin(math.sin(b) * np.sin(omega))
+    phi = phi_of_omega(omega, shell)
     theta = (nodes + np.arctan2(math.cos(b) * np.sin(omega), np.cos(omega))) % _TWO_PI
     mark = np.where(np.cos(omega) > 0.0, 1, -1)
     return theta, phi, mark
@@ -135,8 +136,7 @@ def snapshot_sample(constellation: WalkerConstellation, user: UserGeometry,
         row, col = np.nonzero(_arg_of_latitude(shell, lag, t[:, None]) <= width)
         theta, phi, mark = _positions(
             shell, node[col], _arg_of_latitude(shell, offset[col], t[row]))
-        cos_sig = (math.cos(phi_u) * np.cos(phi)
-                   + math.sin(phi_u) * np.sin(phi) * np.sin(theta))
+        cos_sig = cos_central_angle(phi_u, phi, theta)
         vis = cos_sig >= cos_s1
         n_vis = np.bincount(row[vis], minlength=t.size)
         counts[k:k + t.size] = n_vis

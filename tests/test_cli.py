@@ -243,6 +243,56 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv,line", [
+        (["scattering", "--tau-step-s", "nan"], None),
+        (["scattering", "--nu-step-hz", "nan"], None),
+        (["scattering", "--tau-step-s", "inf"], None),
+        (["coverage"], "sweep.lat_step_deg = nan"),
+        (["distributions"], "grid.doppler_nu_step_hz = nan"),
+        (["validate"] + FAST, "sim.snapshot_spacing_s = nan"),
+        (["validate", "--seed", "-1"] + FAST, None),
+        (["coverage"], "shell.altitude_m = nan"),
+        (["coverage"], "shell.altitude_m = inf"),
+        (["coverage", "--format", "xml"], None),
+    ], ids=["tau_step_nan", "nu_step_nan", "tau_step_inf", "lat_step_nan",
+            "doppler_step_nan", "snapshot_spacing_nan", "seed_negative",
+            "altitude_nan", "altitude_inf", "format_xml"])
+    def test_bad_setting_is_2(self, tmp_path, capsys, argv, line):
+        # a value that is not finite, a negative seed or an unknown format
+        # is rejected before any work, naming its key
+        if line is not None:
+            p = tmp_path / "bad.cfg"
+            p.write_text(line + "\n")
+            argv = argv + ["--config", str(p)]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "o").exists()
+
+
+# the configuration line of `coverage` at default settings; perfbench/checks.py
+# parses these keys and renderings from every artifact
+DEFAULT_HEADER = (
+    "# grid.cdf_points=200 grid.doppler_nu_step_hz=2650 grid.nu_step_hz=2610 "
+    "grid.tau_step_s=2.8e-05 mc.empirical=false mc.samples=200000 mc.seed=1 "
+    "out.dir={out} out.format={fmt} shell.altitude_m=550000 "
+    "shell.carrier_hz=12700000000 shell.earth_radius_m=6371000 "
+    "shell.inclination_deg=53 shell.n_per_orbit=22 shell.n_sats=3168 "
+    "shell.orbit_spacing_deg=2.5 shell.sat_speed_mps=7290 "
+    "sim.inter_orbit_phase_deg=0 sim.snapshot_spacing_s=1 sim.snapshots=20000 "
+    "sweep.lat_start_deg=0 sweep.lat_step_deg=1 sweep.lat_stop_deg=90 "
+    "sweep.min_elev_deg=30,10 user.lat_deg=0 user.min_elev_deg=30")
+
+
+def test_default_header_is_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["coverage", "--out", "c"]) == 0
+    assert main(["coverage", "--out", "j", "--format", "json"]) == 0
+    line = (tmp_path / "c" / "coverage.csv").read_text().splitlines()[0]
+    assert line == DEFAULT_HEADER.format(out="c", fmt="csv")
+    config = json.loads((tmp_path / "j" / "coverage.json").read_text())["config"]
+    pairs = DEFAULT_HEADER.format(out="j", fmt="json")[2:].split(" ")
+    assert config == dict(item.split("=", 1) for item in pairs)
+
 
 def test_registry_names_match_the_benchmark():
     # the benchmark marks every validate run incorrect when a check name

@@ -667,10 +667,15 @@ class TestGridSpecs:
             dist.JointGridSpec(tau_min_s=0.0)
 
     def test_bad_steps_rejected(self, cap_equator):
-        with pytest.raises(ValueError):
-            dist.doppler_pdf_grid(cap_equator, -1.0)
+        for step in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                dist.doppler_pdf_grid(cap_equator, step)
         with pytest.raises(ValueError):
             dist.JointGridSpec(tau_step_s=0.0)
+        for name in ("nu_step_hz", "tau_step_s"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError):
+                    dist.JointGridSpec(**{name: value})
 
     def test_spec_serves_any_user(self, cap_equator, cap_midlat):
         # a spec holds steps only: the one joint_pdf_grid returned for the

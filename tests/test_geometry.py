@@ -38,6 +38,11 @@ class TestShellConfig:
             ShellConfig(altitude_m=-1.0)
         with pytest.raises(DomainError):
             ShellConfig(inclination_rad=2.0)
+        for name in ("earth_radius_m", "altitude_m", "sat_speed_mps",
+                     "carrier_hz", "inclination_rad", "orbit_spacing_rad"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(DomainError):
+                    ShellConfig(**{name: value})
 
     def test_light_speed_is_not_a_setting(self):
         assert ShellConfig().light_speed_mps == LIGHT_SPEED_MPS
