@@ -35,22 +35,25 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_table(cfg: RunConfig, name: str, header: list[str], rows) -> Path:
-    """Write out_dir/name.csv or .json, headed by the resolved config."""
+def _write_json(cfg: RunConfig, name: str, doc: dict) -> Path:
+    """Write out_dir/name with doc and the resolved config, keys sorted."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{name}.{cfg.out_format}"
-    items = resolved_items(cfg)
+    path = out / name
+    doc = {**doc, "config": dict(resolved_items(cfg))}
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return path
+
+
+def _write_table(cfg: RunConfig, name: str, header: list[str], rows) -> Path:
+    """Write out_dir/name.csv or .json, headed by the resolved config."""
     if cfg.out_format == "json":
-        doc = {
-            "config": dict(items),
-            "columns": header,
-            "rows": [[_fmt(v) for v in row] for row in rows],
-        }
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
-        return path
-    lines = ["# " + " ".join(f"{k}={v}" for k, v in items)]
+        return _write_json(cfg, f"{name}.json", {
+            "columns": header, "rows": [[_fmt(v) for v in row] for row in rows]})
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / f"{name}.csv"
+    lines = ["# " + " ".join(f"{k}={v}" for k, v in resolved_items(cfg))]
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
@@ -126,25 +129,14 @@ def cmd_scattering(cfg: RunConfig) -> list[Path]:
 
     header = ["tau_s"] + [f"nu_{_fmt(n)}" for n in grid.nu_hz]
     rows = [[t] + list(v) for t, v in zip(grid.tau_s, grid.values)]
-    path = _write_table(cfg, "scattering", header, rows)
-
-    summary_path = Path(cfg.out_dir) / "channel_summary.json"
-    doc = dict(dataclasses.asdict(summary))
-    doc["config"] = dict(resolved_items(cfg))
-    summary_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                            encoding="utf-8")
-    return [path, summary_path]
+    return [_write_table(cfg, "scattering", header, rows),
+            _write_json(cfg, "channel_summary.json", dataclasses.asdict(summary))]
 
 
 def cmd_validate(cfg: RunConfig) -> tuple[list[Path], bool]:
     results = checks.run(cfg)
     passed = all(c["passed"] for c in results)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "validation.json"
-    doc = {"passed": passed, "checks": results, "config": dict(resolved_items(cfg))}
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    path = _write_json(cfg, "validation.json", {"passed": passed, "checks": results})
     for c in results:
         status = "PASS" if c["passed"] else "FAIL"
         print(f"{status} {c['name']}: {c['value']:.3e} (threshold {c['threshold']:.3e})")

@@ -256,9 +256,12 @@ def _annulus_pass(model: CapModel, sigmas, nu_edges: np.ndarray, mark: int,
     sigmas = np.asarray(sigmas, dtype=float)
     n_rows = sigmas.size + 1
     phi_lo, phi_hi, _ = _active_band(shell, user, float(sigmas[-1]))
+    phi_hi = max(phi_lo, phi_hi)  # an empty cap: one panel of zero weights
     breaks = np.unique(np.concatenate((phi_u - sigmas, phi_u + sigmas,
                                        sigmas - phi_u)))
-    phi_k, w_k = density_nodes(phi_lo, phi_hi, shell, breaks, n_nodes)
+    breaks = breaks[(phi_lo < breaks) & (breaks < phi_hi)]
+    phi_k, w_k = density_nodes(np.concatenate(([phi_lo], breaks, [phi_hi])), shell,
+                               n_nodes)
     t = np.linspace(-1.0, 1.0, _N_THETA)
 
     def block(k: int) -> np.ndarray:

@@ -1,4 +1,6 @@
-"""Spherical geometry of a user and a circular orbital shell.
+"""Spherical geometry of a user and a circular orbital shell, including
+the ring of central angle sigma around the user by bearing (ring_bearings),
+along which p_cap_prime integrates and max_doppler searches.
 
 Angles are radians, lengths metres, times seconds, frequencies Hz
 throughout the package; only the CLI converts to and from degrees.
@@ -162,3 +164,22 @@ class UserGeometry:
         sigma1 = sigma_from_elevation(shell, min_elevation_rad)
         sigma_min, sigma_max = central_angle_bounds(shell, phi_u, sigma1)
         return cls(phi_u, float(min_elevation_rad), sigma1, sigma_min, sigma_max)
+
+
+def ring_bearings(shell: ShellConfig, user: UserGeometry, sigma):
+    """The ring of central angle sigma around the user, by bearing alpha
+    from the user's meridian: cos(phi) = c + d cos(alpha), with
+    c = cos phi_u cos sigma and d = sin phi_u sin sigma. Returns c, d and
+    the bearings a_in <= a_out in [0, pi] between which the ring lies in
+    the band (both |alpha| ranges). Where d = 0 (sigma = 0, or a user at
+    the pole) the ring is one latitude line, wholly in the band (0, pi)
+    or not at all. Any shape of sigma."""
+    phi_u = user.user_polar_rad
+    c = math.cos(phi_u) * np.cos(sigma)
+    d = math.sin(phi_u) * np.sin(sigma)
+    edge = math.cos(shell.polar_inclination_rad)
+    gap = np.stack([edge - c, -edge - c])  # d cos(alpha) at the band edges
+    ratio = np.where(d > 0.0, gap / np.where(d > 0.0, d, 1.0),
+                     np.copysign(np.inf, gap))
+    a_in, a_out = np.arccos(np.clip(ratio, -1.0, 1.0))
+    return c, d, a_in, a_out

@@ -32,7 +32,6 @@ _WINDOW_SLACK = 1e-9
 @dataclass(frozen=True)
 class WalkerConstellation:
     shell: ShellConfig
-    inter_orbit_phase: float
     ascending_nodes: np.ndarray = field(repr=False)
     phase_offsets: np.ndarray = field(repr=False)  # per (orbit, slot)
 
@@ -53,12 +52,7 @@ def build(shell: ShellConfig, inter_orbit_phase: float = 0.0) -> WalkerConstella
     s_sat = _TWO_PI / shell.n_per_orbit
     slots = s_sat * np.arange(shell.n_per_orbit)
     phases = (slots[None, :] + inter_orbit_phase * np.arange(n_orbits)[:, None]) % _TWO_PI
-    return WalkerConstellation(
-        shell=shell,
-        inter_orbit_phase=inter_orbit_phase,
-        ascending_nodes=nodes,
-        phase_offsets=phases,
-    )
+    return WalkerConstellation(shell=shell, ascending_nodes=nodes, phase_offsets=phases)
 
 
 def _arg_of_latitude(shell: ShellConfig, offsets, t):

@@ -5,6 +5,9 @@ are strictly monotone on it, so both carry closed-form inverses. The
 Doppler shift additionally depends on the satellite's travel direction:
 ascending (+1) and descending (-1) passes project differently onto the
 user-satellite line. Positive Doppler means an approaching satellite.
+max_doppler searches the visible, in-band cap as the rectangle of
+(sigma, fraction of the in-band arc) of the rings of
+geometry.ring_bearings.
 """
 
 from __future__ import annotations
@@ -14,10 +17,9 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .geometry import ShellConfig, UserGeometry, sigma_from_range2, slant_range
-from .visibility import ring_bearings
+from .geometry import (_CLAMP_GRACE, ShellConfig, UserGeometry, ring_bearings,
+                       sigma_from_range2, slant_range)
 
-_GRACE = 1e-12
 # max_doppler: points per axis of its seed grid and of each zoom grid,
 # and the distance below the maximum it stops at
 _MAX_DOPPLER_GRID = 257
@@ -28,7 +30,7 @@ _MAX_DOPPLER_TOL_HZ = 1.0
 def gain(shell: ShellConfig, sigma):
     """Channel gain 1/||d||^2 (inverse free-space path loss), 1/m^2."""
     sigma_arr = np.asarray(sigma, dtype=float)
-    if np.any(sigma_arr < -_GRACE) or np.any(sigma_arr > np.pi + _GRACE):
+    if np.any(sigma_arr < -_CLAMP_GRACE) or np.any(sigma_arr > np.pi + _CLAMP_GRACE):
         raise DomainError("central angle outside [0, pi]")
     d = slant_range(shell, sigma_arr)
     out = 1.0 / (d * d)
@@ -47,7 +49,7 @@ def gain_inverse(shell: ShellConfig, g):
 def delay(shell: ShellConfig, sigma):
     """Propagation delay ||d||/c in seconds."""
     sigma_arr = np.asarray(sigma, dtype=float)
-    if np.any(sigma_arr < -_GRACE) or np.any(sigma_arr > np.pi + _GRACE):
+    if np.any(sigma_arr < -_CLAMP_GRACE) or np.any(sigma_arr > np.pi + _CLAMP_GRACE):
         raise DomainError("central angle outside [0, pi]")
     out = slant_range(shell, sigma_arr) / shell.light_speed_mps
     return float(out) if out.ndim == 0 else out

@@ -6,6 +6,8 @@ Substituting the argument of latitude w (phi = pi/2 - arcsin(sin b sin w))
 turns f(phi) dphi into dw/pi on a half-period, removing the singularity;
 every integral against the density in this package goes through that
 substitution, then through fixed sine-mapped Gauss-Legendre panels.
+density_nodes is the one builder of that polar rule, on panel edges of
+any leading shape; density_integral is the rule applied to an integrand.
 """
 
 from __future__ import annotations
@@ -61,44 +63,28 @@ def sine_mapped_panels(edges, n_nodes: int):
     return (mid + half * s).reshape(shape), (w * j * half).reshape(shape)
 
 
-def density_nodes(phi_lo: float, phi_hi: float, shell: ShellConfig,
-                  breakpoints=(), n_nodes: int = _N_NODES):
-    """Fixed-rule nodes for integrals of f(phi)*g(phi) over [phi_lo, phi_hi]:
-    returns (phi_k, w_k) with sum_k w_k * g(phi_k) approximating the integral.
+def density_nodes(edges, shell: ShellConfig, n_nodes: int = _N_NODES):
+    """The polar rule: nodes phi_k and weights w_k with sum_k w_k g(phi_k)
+    approximating the integral of f(phi) g(phi) between the first and the
+    last of the edges.
 
-    The interval is clipped to the band and split at the breakpoints (in
-    phi) inside it; each panel gets n_nodes sine-mapped nodes in argument
-    of latitude.
+    edges has shape (..., P + 1), ascending polar angles inside the band;
+    nodes and weights have shape (..., P * n_nodes). Each panel between
+    consecutive edges gets n_nodes sine-mapped nodes in argument of
+    latitude, in ascending omega: descending phi. A zero-width panel has
+    zero weights.
     """
-    b_bar = shell.polar_inclination_rad
-    lo = max(phi_lo, b_bar)
-    hi = min(phi_hi, math.pi - b_bar)
-    if lo >= hi:
-        return np.empty(0), np.empty(0)
-    w_lo = float(omega_of_phi(hi, shell))
-    w_hi = float(omega_of_phi(lo, shell))
-    pts = [float(omega_of_phi(p, shell)) for p in breakpoints if lo < p < hi]
-    edges = [w_lo] + sorted(p for p in pts if w_lo < p < w_hi) + [w_hi]
-    w_nodes, w_weights = sine_mapped_panels(edges, n_nodes)
+    omega = omega_of_phi(np.asarray(edges, dtype=float), shell)
+    w_nodes, w_weights = sine_mapped_panels(omega[..., ::-1], n_nodes)
     return phi_of_omega(w_nodes, shell), w_weights / math.pi
 
 
-def density_integral(g, phi_lo, phi_hi, shell: ShellConfig, breaks=None):
-    """Integrals of f(phi) * g(phi) over the intervals [phi_lo, phi_hi],
-    each split at its break, by the fixed rule of density_nodes.
-
-    phi_lo, phi_hi and breaks (optional) are arrays of one shape whose
-    intervals are non-empty after clipping to the band, with each break
-    strictly inside its interval. g is called once, with the nodes of
-    every interval in one array of shape (..., panels * _N_NODES). Each
-    interval's value is one dot product of its weights and g's values, so
-    it does not depend on the other intervals.
+def density_integral(g, edges, shell: ShellConfig):
+    """Integrals of f(phi) * g(phi) by the rule of density_nodes on edges
+    of shape (..., P + 1). g is called once, with every node in one array
+    of shape (..., P * _N_NODES); each value is one dot product of its
+    weights and g's values, so it does not depend on the other rows.
     """
-    b_bar = shell.polar_inclination_rad
-    cols = [np.minimum(phi_hi, math.pi - b_bar), np.maximum(phi_lo, b_bar)]
-    if breaks is not None:  # omega falls as phi rises: breaks go between
-        cols.insert(1, breaks)
-    edges = omega_of_phi(np.stack(cols, axis=-1), shell)
-    w_nodes, w_weights = sine_mapped_panels(edges, _N_NODES)
-    w, v = w_weights / math.pi, g(phi_of_omega(w_nodes, shell))
+    phi, w = density_nodes(edges, shell)
+    v = g(phi)
     return (w[..., None, :] @ v[..., :, None])[..., 0, 0]

@@ -11,11 +11,10 @@ azimuth interval inside the cap has length L(phi; sigma), and f(phi)*L/(2pi)
 integrated over the band, in argument-of-latitude space (quadrature.py)
 with the breakpoints of L as panel boundaries, gives p_cap. p_cap_prime
 integrates the density per unit area along the ring of angle sigma, by
-bearing from the user (ring_bearings), over one sine-mapped panel between
-its band crossings. Nothing in it cancels as sigma -> 0, so it keeps its
-relative accuracy down to the zenith limit. max_doppler searches the
-visible, in-band cap as the rectangle of (sigma, fraction of the in-band
-arc) of the same rings.
+bearing from the user (geometry.ring_bearings), over one sine-mapped
+panel between its band crossings. Nothing in it cancels as sigma -> 0,
+so it keeps its relative accuracy down to the zenith limit. The cap's
+Doppler bound and gain and delay ranges come from propagation.
 
 p_cap and p_cap_prime take arrays: each fixed rule runs on a (sigma x
 node) matrix, in blocks of rows. Both are exact up to their rule, and the gain
@@ -32,8 +31,9 @@ from functools import cached_property
 
 import numpy as np
 
+from . import propagation as prop
 from .errors import DomainError
-from .geometry import ShellConfig, UserGeometry
+from .geometry import ShellConfig, UserGeometry, ring_bearings
 from .quadrature import _N_NODES, density_integral, sine_mapped_panels
 
 # bound on the (sigma x polar node) elements of one p_cap or p_cap' block
@@ -73,25 +73,6 @@ def _active_band(shell: ShellConfig, user: UserGeometry, sigma):
     phi_u = user.user_polar_rad
     return (np.maximum(b_bar, phi_u - sigma),
             np.minimum(math.pi - b_bar, phi_u + sigma), sigma - phi_u)
-
-
-def ring_bearings(shell: ShellConfig, user: UserGeometry, sigma):
-    """The ring of central angle sigma around the user, by bearing alpha
-    from the user's meridian: cos(phi) = c + d cos(alpha), with
-    c = cos phi_u cos sigma and d = sin phi_u sin sigma. Returns c, d and
-    the bearings a_in <= a_out in [0, pi] between which the ring lies in
-    the band (both |alpha| ranges). Where d = 0 (sigma = 0, or a user at
-    the pole) the ring is one latitude line, wholly in the band (0, pi)
-    or not at all. Any shape of sigma."""
-    phi_u = user.user_polar_rad
-    c = math.cos(phi_u) * np.cos(sigma)
-    d = math.sin(phi_u) * np.sin(sigma)
-    edge = math.cos(shell.polar_inclination_rad)
-    gap = np.stack([edge - c, -edge - c])  # d cos(alpha) at the band edges
-    ratio = np.where(d > 0.0, gap / np.where(d > 0.0, d, 1.0),
-                     np.copysign(np.inf, gap))
-    a_in, a_out = np.arccos(np.clip(ratio, -1.0, 1.0))
-    return c, d, a_in, a_out
 
 
 def _polar_limit(shell: ShellConfig, cos_phi):
@@ -142,11 +123,11 @@ class CapModel:
         live = (lo < hi) & (flat > user.sigma_min_rad)  # else: no mass
         split = live & (lo < edge) & (edge < hi)
         out = np.zeros(flat.shape)
-        for rows, panels in ((live & ~split, 1), (split, 2)):
-            for r in _row_blocks(rows, panels * _N_NODES):
+        for rows, cols in ((live & ~split, (lo, hi)), (split, (lo, edge, hi))):
+            for r in _row_blocks(rows, (len(cols) - 1) * _N_NODES):
                 out[r] = density_integral(
                     lambda phi: 2.0 * arc_halfwidth_clamped(user, phi, flat[r, None]),
-                    lo[r], hi[r], self.shell, edge[r] if panels == 2 else None)
+                    np.stack([c[r] for c in cols], axis=-1), self.shell)
         out = (out / (2.0 * math.pi)).reshape(s.shape)
         return float(out) if out.ndim == 0 else out
 
@@ -197,20 +178,14 @@ class CapModel:
 
     @cached_property
     def nu_max_hz(self) -> float:
-        from .propagation import max_doppler
-
-        return max_doppler(self.shell, self.user)
+        return prop.max_doppler(self.shell, self.user)
 
     @cached_property
     def gain_bounds(self) -> tuple[float, float]:
-        from .propagation import gain
-
-        return (gain(self.shell, self.user.sigma_max_rad),
-                gain(self.shell, self.user.sigma_min_rad))
+        return (prop.gain(self.shell, self.user.sigma_max_rad),
+                prop.gain(self.shell, self.user.sigma_min_rad))
 
     @cached_property
     def delay_bounds(self) -> tuple[float, float]:
-        from .propagation import delay
-
-        return (delay(self.shell, self.user.sigma_min_rad),
-                delay(self.shell, self.user.sigma_max_rad))
+        return (prop.delay(self.shell, self.user.sigma_min_rad),
+                prop.delay(self.shell, self.user.sigma_max_rad))

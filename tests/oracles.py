@@ -439,7 +439,8 @@ def _doppler_cdf_row(model: CapModel, e: np.ndarray, mark: int,
     if phi_lo >= phi_hi:
         return np.zeros(e.size)
     e, back = np.unique(e, return_inverse=True)
-    phi_k, w_k = density_nodes(phi_lo, phi_hi, shell, [edge], n_nodes)
+    inner = [edge] if phi_lo < edge < phi_hi else []
+    phi_k, w_k = density_nodes([phi_lo, *inner, phi_hi], shell, n_nodes)
     half = arc_halfwidth_clamped(user, phi_k, cap_sigma)
     n_theta = dist._N_THETA
     cell_mass = (w_k * half * (2.0 / (n_theta - 1))

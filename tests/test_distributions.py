@@ -259,6 +259,17 @@ class TestDopplerCdf:
                    + dist.doppler_cdf_grid(cap_midlat, nus, -1))
         assert np.all(np.diff(f) >= -1e-12)
 
+    def test_empty_sub_cap_is_zero(self, cap_midlat):
+        # no satellite lies within sigma_min of this user: the sub-cap's
+        # polar rule is one panel of zero weights, and the CDF is exactly 0
+        s_min = cap_midlat.user.sigma_min_rad
+        assert s_min > 0.0 and cap_midlat.p_cap(s_min) == 0.0
+        nus = np.append(np.linspace(-1.05, 1.05, 41) * cap_midlat.nu_max_hz, math.inf)
+        for cap_sigma in (s_min, 0.5 * s_min):
+            for mark in (1, -1):
+                f = dist.doppler_cdf_grid(cap_midlat, nus, mark, cap_sigma)
+                assert np.all(f == 0.0), (cap_sigma, mark)
+
     def test_mixed_ks_against_monte_carlo(self, shell, cap_equator, mc_equator):
         _, th, ph, mk = mc_equator
         nu = doppler_hz_arrays(shell, cap_equator.user, th, ph, mk)
