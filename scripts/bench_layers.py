@@ -33,7 +33,7 @@ from leo_channel import channel as ch
 from leo_channel import distributions as dist
 from leo_channel import orbit_sim as osim
 from leo_channel.config import load_config
-from leo_channel.geometry import starlink_shell
+from leo_channel.geometry import ShellConfig
 from leo_channel.nbpp import sample_visible
 from leo_channel.propagation import gain as gain_fn, max_doppler
 from leo_channel.visibility import CapModel
@@ -113,7 +113,7 @@ def main() -> None:
                     help="also time the four CLI commands at their defaults")
     args = ap.parse_args()
 
-    shell = starlink_shell()
+    shell = ShellConfig()
     caps = {name: CapModel(shell, load_config(
                 None, {"lat_deg": lat, "min_elev_deg": elev}).user(shell))
             for name, (lat, elev) in USERS.items()}

@@ -5,7 +5,7 @@ mask) and print them side by side."""
 
 from leo_channel.channel import global_params, scattering_function
 from leo_channel.config import load_config
-from leo_channel.geometry import starlink_shell
+from leo_channel.geometry import ShellConfig
 from leo_channel.visibility import CapModel
 
 SCENARIOS = {
@@ -15,7 +15,7 @@ SCENARIOS = {
 
 
 def main() -> None:
-    shell = starlink_shell()
+    shell = ShellConfig()
     results = {}
     for name, (lat_deg, elev_deg) in SCENARIOS.items():
         user = load_config(None, {"lat_deg": lat_deg,

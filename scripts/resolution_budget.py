@@ -40,7 +40,7 @@ from oracles import doppler_cdf_adaptive, joint_mass_at, table_cdf_at  # noqa: E
 
 from leo_channel import distributions as dist  # noqa: E402
 from leo_channel.config import load_config  # noqa: E402
-from leo_channel.geometry import starlink_shell  # noqa: E402
+from leo_channel.geometry import ShellConfig  # noqa: E402
 from leo_channel.visibility import CapModel  # noqa: E402
 
 USERS = [(0.0, 30.0), (60.0, 10.0), (0.0, 0.0), (53.0, 0.0), (36.9, 18.0),
@@ -80,7 +80,7 @@ def budget(cap: CapModel) -> dict:
 
 
 def main() -> None:
-    shell = starlink_shell()
+    shell = ShellConfig()
     print(f"_N_THETA = {dist._N_THETA}; reference {8 * JOINT_NODES} polar nodes "
           f"per panel x {REF_THETA} azimuth samples")
     keys = None

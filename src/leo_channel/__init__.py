@@ -9,7 +9,7 @@ orbit_sim.
 from .channel import global_params, path_loss_proposition, scattering_function
 from .errors import (ConfigError, DomainError, LeoChannelError,
                      NoVisibleSatellites, ResolutionError)
-from .geometry import ShellConfig, UserGeometry, starlink_shell
+from .geometry import ShellConfig, UserGeometry
 from .visibility import CapModel
 
 __version__ = "0.1.0"
@@ -18,5 +18,4 @@ __all__ = [
     "CapModel", "ConfigError", "DomainError", "LeoChannelError",
     "NoVisibleSatellites", "ResolutionError", "ShellConfig", "UserGeometry",
     "global_params", "path_loss_proposition", "scattering_function",
-    "starlink_shell",
 ]

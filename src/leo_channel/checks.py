@@ -2,8 +2,9 @@
 
 REGISTRY is the report's table: the 13 checks in order, each with its
 value and threshold from the inputs the checks share, which run builds
-once. The acceptance suite calls the same functions with its own
-published thresholds: criteria 5 and 6 ks_tables and ks_triple, 7
+once. Both oracles return satellite positions, which ks_triple alone maps
+to gain, delay and Doppler. The acceptance suite calls the same functions
+with its own published thresholds: criteria 5 and 6 ks_tables and ks_triple, 7
 pcap_derivative_error and pdf_vs_cdf_error, 9 the ScatteringGrid method
 dual_path_loss_gap, 10 doppler_pdf_normalization and mark_symmetry.
 
@@ -25,7 +26,7 @@ from . import channel as ch
 from . import distributions as dist
 from . import nbpp
 from . import orbit_sim as osim
-from .propagation import delay as delay_fn, doppler_hz_arrays, gain as gain_fn
+from . import propagation as prop
 from .visibility import CapModel
 
 
@@ -38,9 +39,12 @@ def ks_tables(cap: CapModel):
     return dist.pcap_interpolator(cap), dist.doppler_mixed_interpolator(cap)
 
 
-def ks_triple(cap: CapModel, tables, gain, delay, nu) -> tuple[float, float, float]:
-    """KS distances of gain, delay and Doppler samples to the analytic CDFs."""
+def ks_triple(cap: CapModel, tables, sigma, theta, phi, mark) -> tuple[float, float, float]:
+    """KS distances to the analytic CDFs of the gain, delay and Doppler of
+    satellites at (sigma, theta, phi, mark), the record of both oracles."""
     pcap, doppler_mixed = tables
+    gain, delay = prop.gain(cap.shell, sigma), prop.delay(cap.shell, sigma)
+    nu = prop.doppler_hz_arrays(cap.shell, cap.user, theta, phi, mark)
     return (osim.ks_distance(gain, lambda x: dist.gain_cdf(cap, x, pcap)),
             osim.ks_distance(delay, lambda x: dist.delay_cdf(cap, x, pcap)),
             osim.ks_distance(nu, doppler_mixed))
@@ -80,8 +84,8 @@ def mark_symmetry(cap: CapModel) -> float:
 
 
 class _Inputs:
-    """What the checks share. One generator draws the sigma samples, the
-    (theta, phi, mark) samples, the snapshot times and picks, in order."""
+    """What the checks share. One generator draws the Monte Carlo sample,
+    the snapshot times and the snapshot picks, in order."""
 
     def __init__(self, cfg):
         shell = cfg.shell()
@@ -90,18 +94,16 @@ class _Inputs:
         self.cfg = cfg
         tables = ks_tables(cap)
         rng = np.random.default_rng(cfg.seed)
-        sig = nbpp.sample_visible(shell, user, cfg.mc_samples, rng)[0]
-        _, th, ph, mk = nbpp.sample_visible(shell, user, cfg.mc_samples, rng)
-        self.mc_ks = ks_triple(cap, tables, gain_fn(shell, sig), delay_fn(shell, sig),
-                               doppler_hz_arrays(shell, user, th, ph, mk))
+        self.mc_ks = ks_triple(cap, tables,
+                               *nbpp.sample_visible(shell, user, cfg.mc_samples, rng))
         self.grid = ch.scattering_function(cap, dist.JointGridSpec(
             nu_step_hz=cfg.nu_step_hz, tau_step_s=cfg.tau_step_s))
         self.rho2 = ch.path_loss_proposition(cap)[0]
         con = osim.build(shell, math.radians(cfg.inter_orbit_phase_deg))
         times = osim.default_snapshot_times(cfg.snapshots, rng, cfg.snapshot_spacing_s)
-        orbit = osim.snapshot_sample(con, user, times, rng)[:3]
+        orbit = osim.snapshot_sample(con, user, times, rng)
         self.n_obs = orbit[0].size
-        self.orbit_ks = ks_triple(cap, tables, *orbit)
+        self.orbit_ks = ks_triple(cap, tables, *orbit[:4])
         self.mc_tol = max(0.005, 2.5 / math.sqrt(cfg.mc_samples))
         # near the equator the deterministic system keeps visible bucketing
         # (few distinct ground tracks cross the small cap), so the

@@ -57,6 +57,8 @@ class ShellConfig:
             raise DomainError("orbit spacing must be positive and finite")
         if not 0.0 < self.inclination_rad < math.pi / 2:
             raise DomainError("inclination must lie in (0, pi/2)")
+        if self.n_sats < 1 or self.n_per_orbit < 1:
+            raise DomainError("n_sats and n_per_orbit must be at least 1")
         expected = round(2.0 * math.pi / self.orbit_spacing_rad) * self.n_per_orbit
         if expected != self.n_sats:
             warnings.warn(
@@ -74,11 +76,6 @@ class ShellConfig:
         """Complement of the inclination: the band of reachable polar angles
         is [polar_inclination, pi - polar_inclination]."""
         return math.pi / 2 - self.inclination_rad
-
-
-def starlink_shell(**overrides) -> ShellConfig:
-    """Shell with the Starlink first/fourth-shell parameters (the defaults)."""
-    return ShellConfig(**overrides)
 
 
 def slant_range(shell: ShellConfig, sigma) -> float:
@@ -146,7 +143,6 @@ class UserGeometry:
 
     user_polar_rad: float
     min_elevation_rad: float
-    sigma1_rad: float
     sigma_min_rad: float
     sigma_max_rad: float
     user_azimuth_rad: float = field(default=math.pi / 2, init=False)
@@ -163,7 +159,7 @@ class UserGeometry:
             phi_u = math.pi - phi_u
         sigma1 = sigma_from_elevation(shell, min_elevation_rad)
         sigma_min, sigma_max = central_angle_bounds(shell, phi_u, sigma1)
-        return cls(phi_u, float(min_elevation_rad), sigma1, sigma_min, sigma_max)
+        return cls(phi_u, float(min_elevation_rad), sigma_min, sigma_max)
 
 
 def ring_bearings(shell: ShellConfig, user: UserGeometry, sigma):

@@ -43,23 +43,16 @@ class SampleBox:
 
 
 def sample_arrays(shell: ShellConfig, count: int, rng: np.random.Generator,
-                  physical_marks: bool = False, box: SampleBox = SampleBox()):
+                  box: SampleBox = SampleBox()):
     """Vectorised i.i.d. draw, uniform in (theta, omega) over the box:
-    returns (theta, phi, mark) arrays.
-
-    physical_marks ties the mark to the drawn argument of latitude
-    (+1 on the northbound half) instead of an independent coin flip.
-    """
+    returns (theta, phi, mark) arrays. The mark is an independent coin:
+    omega and pi - omega are drawn equally often at the same phi, so the
+    sign of cos omega would follow the same law."""
     theta = rng.uniform(box.theta_lo, box.theta_hi, size=count)
     width = box.omega_hi - box.omega_lo
     omega = box.omega_lo + rng.uniform(0.0, 2.0 * width, size=count)
     omega = np.where(omega < box.omega_hi, omega, np.pi - (omega - width))
-    phi = phi_of_omega(omega, shell)
-    if physical_marks:
-        mark = np.where(np.cos(omega) > 0.0, 1, -1)
-    else:
-        mark = rng.choice(np.array([1, -1]), size=count)
-    return theta, phi, mark
+    return theta, phi_of_omega(omega, shell), rng.choice(np.array([1, -1]), size=count)
 
 
 def visible_box(shell: ShellConfig, user) -> SampleBox:
@@ -95,8 +88,7 @@ def visible_box(shell: ShellConfig, user) -> SampleBox:
                      min(math.pi / 2, omega_hi))
 
 
-def sample_visible(shell: ShellConfig, user, count: int,
-                   rng: np.random.Generator, physical_marks: bool = False):
+def sample_visible(shell: ShellConfig, user, count: int, rng: np.random.Generator):
     """`count` i.i.d. satellites conditioned on the user's visible cap;
     returns (sigma, theta, phi, mark) arrays, theta in [0, 2pi).
 
@@ -120,7 +112,7 @@ def sample_visible(shell: ShellConfig, user, count: int,
             raise DomainError(
                 f"{drawn} draws in the visible-cap box gave {got} of {count} "
                 "samples: the cap is too thin to sample")
-        theta, phi, mark = sample_arrays(shell, _BLOCK, rng, physical_marks, box)
+        theta, phi, mark = sample_arrays(shell, _BLOCK, rng, box)
         drawn += _BLOCK
         cos_sig = cos_central_angle(phi_u, phi, theta)
         sel = cos_sig >= cos_s1

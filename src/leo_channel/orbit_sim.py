@@ -4,7 +4,8 @@ Evenly spaced orbital planes of equal inclination, evenly phased
 satellites per plane, all advancing in argument of latitude at the
 constant rate v/R. This is the deterministic system the stochastic model
 abstracts; snapshot observations of a randomly chosen visible satellite
-provide the empirical side of the model-versus-truth comparison.
+provide the empirical side of the model-versus-truth comparison, as
+satellite positions that checks.ks_triple maps to observables.
 
 The user is held static in the constellation frame (no Earth rotation),
 matching the stochastic model's geometry.
@@ -18,8 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .geometry import ShellConfig, UserGeometry, cos_central_angle, slant_range
-from .propagation import doppler_hz_arrays
+from .geometry import ShellConfig, UserGeometry, cos_central_angle
 from .quadrature import phi_of_omega
 
 _TWO_PI = 2.0 * math.pi
@@ -89,9 +89,10 @@ def snapshot_sample(constellation: WalkerConstellation, user: UserGeometry,
                     times, rng: np.random.Generator):
     """One observation per snapshot: a uniformly chosen visible satellite.
 
-    Returns (gain, delay, doppler, mark, visible_count) arrays; the first
-    four hold one entry per snapshot with a visible satellite, the counts
-    one per snapshot. The rng draws one integer per such snapshot, in
+    Returns (sigma, theta, phi, mark, visible_count) arrays: the first
+    four are the record of nbpp.sample_visible, one entry per snapshot
+    with a visible satellite, theta in [0, 2pi); the counts hold one
+    entry per snapshot. The rng draws one integer per such snapshot, in
     time order.
 
     On a plane with node Omega, cos sigma = A cos omega + B sin omega =
@@ -140,11 +141,7 @@ def snapshot_sample(constellation: WalkerConstellation, user: UserGeometry,
         pick = first[rows] + rng.integers(n_vis[rows])
         picked.append([x[vis][pick] for x in (theta, phi, mark, cos_sig)])
     theta, phi, mark, cos_sig = (np.concatenate(x) for x in zip(*picked))
-    dist = slant_range(shell, np.arccos(np.clip(cos_sig, -1.0, 1.0)))
-    gain = 1.0 / (dist * dist)
-    delay = dist / shell.light_speed_mps
-    doppler = doppler_hz_arrays(shell, user, theta, phi, mark)
-    return gain, delay, doppler, mark, counts
+    return np.arccos(np.clip(cos_sig, -1.0, 1.0)), theta, phi, mark, counts
 
 
 def default_snapshot_times(n: int, rng: np.random.Generator,

@@ -2,13 +2,13 @@ import math
 
 import pytest
 
-from leo_channel.geometry import ShellConfig, UserGeometry, starlink_shell
+from leo_channel.geometry import ShellConfig, UserGeometry
 from leo_channel.visibility import CapModel
 
 
 @pytest.fixture(scope="session")
 def shell() -> ShellConfig:
-    return starlink_shell()
+    return ShellConfig()
 
 
 @pytest.fixture(scope="session")

@@ -35,8 +35,7 @@ from scipy.integrate import quad
 from leo_channel import distributions as dist
 from leo_channel.errors import DomainError
 from leo_channel.geometry import (
-    _CLAMP_GRACE, ShellConfig, UserGeometry, clamp_unit, sigma_from_elevation,
-    slant_range)
+    _CLAMP_GRACE, ShellConfig, UserGeometry, clamp_unit, sigma_from_elevation)
 from leo_channel.orbit_sim import propagate_arrays
 from leo_channel.parallel import ordered_map
 from leo_channel.propagation import (
@@ -555,6 +554,8 @@ def sample_visible_rejection(shell: ShellConfig, user: UserGeometry,
     """Whole-shell rejection sampler of the visible cap: draws (theta,
     omega) uniformly over the shell and keeps the points inside the cap.
     Returns (sigma, theta, phi, mark) arrays; costs 1/p_sat draws a sample.
+    The marks are an independent coin, or with physical_marks the sign of
+    cos omega (northbound +1): the second law nbpp's coin stands for.
     """
     sin_i = math.sin(shell.inclination_rad)
     phi_u = user.user_polar_rad
@@ -584,10 +585,9 @@ def snapshot_sample_loop(constellation, user: UserGeometry, times,
     snapshot, propagate the whole constellation, find the visible
     satellites and pick one with rng.integers. Returns the arrays of
     orbit_sim.snapshot_sample."""
-    shell = constellation.shell
     phi_u = user.user_polar_rad
     cos_s1 = math.cos(user.sigma_max_rad)
-    gain, delay, doppler, marks, counts = [], [], [], [], []
+    sigmas, thetas, phis, marks, counts = [], [], [], [], []
     for t in np.asarray(times, dtype=float):
         theta, phi, mark = propagate_arrays(constellation, float(t))
         cos_sig = (math.cos(phi_u) * np.cos(phi)
@@ -598,15 +598,11 @@ def snapshot_sample_loop(constellation, user: UserGeometry, times,
             continue
         pick = int(vis[rng.integers(vis.size)])
         # NumPy's arccos, as in orbit_sim: math.acos differs from it by one
-        # ulp on about a tenth of arguments, which the half-angle slant
-        # range carries into the gain
-        sigma = np.arccos(np.clip(cos_sig[pick], -1.0, 1.0))
-        dist = float(slant_range(shell, sigma))
-        gain.append(1.0 / (dist * dist))
-        delay.append(dist / shell.light_speed_mps)
-        doppler.append(float(doppler_hz_arrays(shell, user, theta[pick],
-                                               phi[pick], int(mark[pick]))))
+        # ulp on about a tenth of arguments
+        sigmas.append(float(np.arccos(np.clip(cos_sig[pick], -1.0, 1.0))))
+        thetas.append(float(theta[pick]))
+        phis.append(float(phi[pick]))
         marks.append(int(mark[pick]))
-    return (np.array(gain, dtype=float), np.array(delay, dtype=float),
-            np.array(doppler, dtype=float), np.array(marks, dtype=np.int64),
+    return (np.array(sigmas, dtype=float), np.array(thetas, dtype=float),
+            np.array(phis, dtype=float), np.array(marks, dtype=np.int64),
             np.array(counts, dtype=np.int64))

@@ -254,12 +254,15 @@ class TestExitCodes:
         (["coverage"], "shell.altitude_m = nan"),
         (["coverage"], "shell.altitude_m = inf"),
         (["coverage", "--format", "xml"], None),
+        (["coverage"], "shell.n_sats = -5"),
+        (["coverage"], "shell.n_per_orbit = 0"),
     ], ids=["tau_step_nan", "nu_step_nan", "tau_step_inf", "lat_step_nan",
             "doppler_step_nan", "snapshot_spacing_nan", "seed_negative",
-            "altitude_nan", "altitude_inf", "format_xml"])
+            "altitude_nan", "altitude_inf", "format_xml", "n_sats_negative",
+            "n_per_orbit_zero"])
     def test_bad_setting_is_2(self, tmp_path, capsys, argv, line):
-        # a value that is not finite, a negative seed or an unknown format
-        # is rejected before any work, naming its key
+        # a value that is not finite, a negative seed, an unknown format or
+        # a satellite count below 1 is rejected before any work
         if line is not None:
             p = tmp_path / "bad.cfg"
             p.write_text(line + "\n")

@@ -43,6 +43,10 @@ class TestShellConfig:
             for value in (math.nan, math.inf):
                 with pytest.raises(DomainError):
                     ShellConfig(**{name: value})
+        for name in ("n_sats", "n_per_orbit"):
+            for value in (0, -5):
+                with pytest.raises(DomainError):
+                    ShellConfig(**{name: value})
 
     def test_light_speed_is_not_a_setting(self):
         assert ShellConfig().light_speed_mps == LIGHT_SPEED_MPS
@@ -156,7 +160,8 @@ class TestUserGeometry:
 
     def test_sigma_ordering(self, shell, midlat_user):
         assert 0.0 <= midlat_user.sigma_min_rad <= midlat_user.sigma_max_rad
-        assert midlat_user.sigma_max_rad == midlat_user.sigma1_rad
+        assert midlat_user.sigma_max_rad == sigma_from_elevation(
+            shell, midlat_user.min_elevation_rad)
 
     def test_sigma1_decreasing_in_elevation(self, shell):
         sig = [sigma_from_elevation(shell, math.radians(e)) for e in (0, 15, 30, 60, 85)]
@@ -171,7 +176,7 @@ class TestUserGeometry:
         assert midlat_user.user_azimuth_rad == math.pi / 2
         u = midlat_user
         with pytest.raises(TypeError):
-            UserGeometry(u.user_polar_rad, u.min_elevation_rad, u.sigma1_rad,
+            UserGeometry(u.user_polar_rad, u.min_elevation_rad,
                          u.sigma_min_rad, u.sigma_max_rad, user_azimuth_rad=0.0)
 
 

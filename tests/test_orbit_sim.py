@@ -9,8 +9,10 @@ from oracles import (central_angle, phi_cdf, positions_cartesian,
 
 from leo_channel import orbit_sim as osim
 from leo_channel.errors import ConfigError, DomainError
-from leo_channel.geometry import ShellConfig, UserGeometry, slant_range
-from leo_channel.propagation import doppler_hz_arrays
+from leo_channel.geometry import (ShellConfig, UserGeometry, cos_central_angle,
+                                  slant_range)
+from leo_channel.nbpp import sample_visible
+from leo_channel.propagation import delay, doppler_hz_arrays
 
 
 @pytest.fixture(scope="module")
@@ -110,18 +112,20 @@ class TestSnapshots:
     def test_delays_inside_support(self, constellation, shell, equator_user):
         rng = np.random.default_rng(53)
         times = osim.default_snapshot_times(2_000, rng)
-        _, tau, nu, _, _ = osim.snapshot_sample(constellation, equator_user, times, rng)
-        from leo_channel.propagation import delay
-
+        sigma, *_ = osim.snapshot_sample(constellation, equator_user, times, rng)
+        tau = delay(shell, sigma)
         lo = delay(shell, equator_user.sigma_min_rad)
         hi = delay(shell, equator_user.sigma_max_rad)
         assert tau.min() >= lo * (1 - 1e-9)
         assert tau.max() <= hi * (1 + 1e-9)
 
-    def test_doppler_bounded_by_maximum(self, constellation, equator_user, cap_equator):
+    def test_doppler_bounded_by_maximum(self, constellation, shell, equator_user,
+                                        cap_equator):
         rng = np.random.default_rng(54)
         times = osim.default_snapshot_times(2_000, rng)
-        _, _, nu, _, _ = osim.snapshot_sample(constellation, equator_user, times, rng)
+        _, theta, phi, mark, _ = osim.snapshot_sample(constellation, equator_user,
+                                                      times, rng)
+        nu = doppler_hz_arrays(shell, equator_user, theta, phi, mark)
         assert np.abs(nu).max() <= cap_equator.nu_max_hz * (1 + 1e-6)
 
     @pytest.mark.parametrize("seed", [58, 59])
@@ -161,6 +165,32 @@ class TestSnapshots:
         expected = np.diff(phi_cdf(shell, edges)) * n
         _, p_value = chisquare(counts, expected * counts.sum() / expected.sum())
         assert p_value > 0.01
+
+
+@pytest.mark.parametrize("oracle", ["sample_visible", "snapshot_sample"])
+@pytest.mark.parametrize("cap_name", ["cap_equator", "cap_midlat"])
+def test_oracles_share_one_record(request, constellation, shell, cap_name, oracle):
+    # both oracles return satellite positions (sigma, theta, phi, mark),
+    # which checks.ks_triple maps to gain, delay and Doppler
+    user = request.getfixturevalue(cap_name).user
+    rng = np.random.default_rng(60)
+    if oracle == "sample_visible":
+        record = sample_visible(shell, user, 2_000, rng)
+    else:
+        times = osim.default_snapshot_times(2_000, rng)
+        record = osim.snapshot_sample(constellation, user, times, rng)[:4]
+    sigma, theta, phi, mark = record
+    assert sigma.size > 0 and all(x.size == sigma.size for x in record)
+    assert [x.dtype for x in record] == [np.float64] * 3 + [np.int64]
+    assert np.all((sigma >= user.sigma_min_rad - 1e-12)
+                  & (sigma <= user.sigma_max_rad + 1e-12))
+    assert np.all((theta >= 0.0) & (theta < 2 * math.pi))
+    b_bar = shell.polar_inclination_rad
+    assert np.all((phi >= b_bar - 1e-12) & (phi <= math.pi - b_bar + 1e-12))
+    assert set(np.unique(mark)) <= {-1, 1}
+    # sigma is the central angle of the user to (theta, phi)
+    cos_sig = cos_central_angle(user.user_polar_rad, phi, theta)
+    assert np.max(np.abs(np.cos(sigma) - cos_sig)) < 1e-12
 
 
 class TestKsDistance:

@@ -1,10 +1,15 @@
-"""The package's import structure: every import sits at module level, and
-the modules of the package import each other without a cycle."""
+"""The package's import structure: every import sits at module level, the
+modules of the package import each other without a cycle, and every name
+the benchmark's tracer patches exists."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "leo_channel"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "leo_channel"
 
 
 def _trees() -> dict[str, ast.Module]:
@@ -49,3 +54,14 @@ def test_module_imports_are_acyclic():
         assert leaves, f"import cycle among {sorted(graph)}"
         for m in leaves:
             del graph[m]
+
+
+def test_benchmark_tracer_installs():
+    # perfbench/spans.py patches the layers by name; a renamed layer is an
+    # AttributeError here. A subprocess, so the patches stay out of the suite.
+    code = ("import sys; sys.path.insert(0, 'perfbench'); import spans; "
+            "spans.install(spans.Tracer())")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
