@@ -52,10 +52,11 @@ def ks_triple(cap: CapModel, tables, sigma, theta, phi, mark) -> tuple[float, fl
 
 def pcap_derivative_error(cap: CapModel) -> float:
     """Worst relative gap of p_cap' to central differences of p_cap in
-    cos(sigma), at 20 points across the middle 90 % of the cap."""
+    cos(sigma), of step 1e-5 of the cap's width in cos(sigma) (a fixed step's
+    truncation error swamps a small cap), at 20 points in the middle 90 %."""
     lo, hi = cap.user.sigma_min_rad, cap.user.sigma_max_rad
     s = np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 20)
-    h, u = 1e-5, np.cos(s)
+    h, u = 1e-5 * (math.cos(lo) - math.cos(hi)), np.cos(s)
     fd = (cap.p_cap(np.arccos(np.minimum(1.0, u + h)))
           - cap.p_cap(np.arccos(np.maximum(-1.0, u - h)))) / (2 * h)
     return _worst(fd, cap.p_cap_prime(s))

@@ -47,8 +47,8 @@ _N_THETA = 512
 _N_ANNULUS_NODES = 64
 # Gauss-Legendre nodes per panel of the gain-support rule
 _N_GAIN_NODES = 64
-# (cell, straddled nu edge) pairs that _cell_shares holds at once; its
-# result does not depend on this bound
+# (cell, straddled nu edge) pairs that _cell_shares holds at once, plus at
+# most one edge's cells; its result does not depend on this bound
 _MAX_PAIRS = 1 << 16
 # sizes of the tables behind the KS checks
 _PCAP_TABLE = 2001
@@ -176,56 +176,45 @@ def _cell_shares(v: np.ndarray, e: np.ndarray, row, n_rows: int,
     carries weight (a scalar or one value per cell). row gives the output
     row of each cell (broadcast to the cells' shape). Column k of the
     result covers (e[k-1], e[k]], the last column everything above e[-1].
-    Every share is non-negative when the weights are. (cell, straddled
-    edge) pairs go in runs of edges of at most _MAX_PAIRS pairs; a bin takes
-    all its terms in one run, in order, so the bound changes no bit.
+    A straddled edge takes the law's mass since the previous edge (all of
+    it below the first), the bin holding hi the rest: each share reads the
+    cell's CDF at its own two edges, is non-negative when the weight is and
+    depends on no other share. Runs of edges, split where the running count
+    of (cell, straddled edge) pairs passes each multiple of _MAX_PAIRS,
+    bound the memory; a bin takes all its terms in one run, in cell order,
+    so the bound changes no bit.
     """
     first, last = _edge_index(e, v)  # per value: edges at or below, below
     first = np.minimum(first[:, :-1], first[:, 1:]).ravel()  # first edge above lo
     last = np.maximum(last[:, :-1], last[:, 1:]).ravel()  # first edge at or above hi
     lo = np.minimum(v[:, :-1], v[:, 1:]).ravel()
-    hi = np.maximum(v[:, :-1], v[:, 1:]).ravel()
+    span = np.maximum(v[:, :-1], v[:, 1:]).ravel() - lo
     weight = np.broadcast_to(weight, v[:, 1:].shape).ravel()
     width = e.size + 1
     row = np.broadcast_to(row, v[:, 1:].shape).ravel() * width
-    # the cells that straddle edges, and those edges in runs that hold at
-    # most _MAX_PAIRS (cell, edge) pairs: one run unless they exceed it
-    cut = np.flatnonzero(last > first)
+
+    def cdf(k, c):  # the law of cell c below an edge k that it straddles
+        return (e[k] - lo[c]) / span[c]
+
+    cut = np.flatnonzero(last > first)  # the cells that straddle edges
     fc, lc = first[cut], last[cut]
-    runs = [0, e.size]
-    if np.sum(lc - fc) > _MAX_PAIRS:
-        straddling = np.cumsum(np.bincount(fc, minlength=width)
-                               - np.bincount(lc, minlength=width))
-        below = np.concatenate(([0], np.cumsum(straddling[:-1])))
-        runs = [0]
-        while runs[-1] < e.size:
-            k = int(np.searchsorted(below, below[runs[-1]] + _MAX_PAIRS, "right"))
-            runs.append(max(runs[-1] + 1, k - 1))
-    top = np.zeros_like(lo)
-    straddled = np.zeros(n_rows * width)
+    rest = np.ones_like(lo)
+    rest[cut] -= cdf(lc - 1, cut)
+    share = np.bincount(row + last, weights=rest * weight, minlength=n_rows * width)
+    pairs = np.cumsum(np.cumsum(np.bincount(fc, minlength=width)
+                                - np.bincount(lc, minlength=width)))  # up to an edge
+    runs = np.searchsorted(pairs, np.arange(0, pairs[-1], _MAX_PAIRS), "right")
+    runs = np.unique(np.append(runs, e.size))  # no cell straddles an edge below runs[0]
     for k0, k1 in zip(runs[:-1], runs[1:]):
-        a, b = np.maximum(fc, k0), np.minimum(lc, k1)
-        keep = b > a if len(runs) > 2 else slice(None)  # one run: every cell
-        c, f, a, n = cut[keep], fc[keep], a[keep], (b - a)[keep]
-        starts = np.cumsum(n) - n
-        cell = np.repeat(c, n)
-        edge = np.repeat(a - starts, n) + np.arange(cell.size)
-        frac = (e[edge] - lo[cell]) / (hi[cell] - lo[cell])
-        # a straddled edge takes the share since the previous straddled
-        # edge, in the run before where this run starts inside the cell's
-        # edges; the first edge at or above hi takes the rest
-        step = np.diff(frac, prepend=0.0)
-        step[starts] = frac[starts]
-        inside = a > f
-        step[starts[inside]] -= ((e[a[inside] - 1] - lo[c[inside]])
-                                 / (hi[c[inside]] - lo[c[inside]]))
-        done = (b == lc)[keep]
-        top[c[done]] = frac[(starts + n - 1)[done]]
-        straddled += np.bincount(row[cell] + edge, weights=step * weight[cell],
-                                 minlength=n_rows * width)
-    share = np.bincount(row + last, weights=(1.0 - top) * weight,
-                        minlength=n_rows * width)
-    return (share + straddled).reshape(n_rows, width)
+        a = np.maximum(fc, k0)
+        n = np.maximum(np.minimum(lc, k1) - a, 0)
+        cell = np.repeat(cut, n)
+        edge = np.repeat(a - np.cumsum(n) + n, n) + np.arange(cell.size)
+        step = cdf(edge, cell)
+        np.subtract(step, cdf(edge - 1, cell), out=step, where=edge > first[cell])
+        step *= weight[cell]
+        share += np.bincount(row[cell] + edge, weights=step, minlength=n_rows * width)
+    return share.reshape(n_rows, width)
 
 
 def _annulus_pass(model: CapModel, sigmas, nu_edges: np.ndarray, mark: int,
@@ -438,7 +427,7 @@ def rayleigh_gain_cdf_grid(model: CapModel, y: np.ndarray) -> np.ndarray:
     g, w, pcap = gain_nodes(model)
     out = np.empty_like(y)
     for lo in range(0, y.size, 65536):  # bound the (chunk, nodes) workspace
-        yy = y[lo:lo + 65536, None]
+        yy = np.maximum(y[lo:lo + 65536, None], 0.0)  # y <= 0 is 0 below; exp stays finite
         integ = np.sum(w * pcap * np.exp(-yy / g) * (yy / (g * g)), axis=1)
         out[lo:lo + 65536] = 1.0 - np.exp(-yy[:, 0] / g_min) - integ / model.p_sat
     return np.where(y <= 0.0, 0.0, np.clip(out, 0.0, 1.0))

@@ -425,6 +425,26 @@ def doppler_cdf_adaptive(model: CapModel, nu_hz: float, mark: int,
     return val / (2.0 * math.pi * model.p_sat)
 
 
+def cell_shares_loop(v: np.ndarray, e: np.ndarray, row, n_rows: int,
+                     weight=1.0) -> np.ndarray:
+    """The deposit of dist._cell_shares by a loop over cells: bin k,
+    (e[k-1], e[k]], takes w (F(e[k]) - F(e[k-1])) of the cell's uniform
+    law F, clipped to [0, 1], where bin 0 starts at -inf and the last bin
+    ends at +inf; a zero-width cell puts all of w in the bin that holds it."""
+    row = np.broadcast_to(row, v[:, 1:].shape)
+    weight = np.broadcast_to(weight, v[:, 1:].shape)
+    upper = np.append(e, math.inf)
+    out = np.zeros((n_rows, e.size + 1))
+    for i, j in np.ndindex(*row.shape):
+        lo, hi = sorted((float(v[i, j]), float(v[i, j + 1])))
+        if lo == hi:
+            out[row[i, j], np.searchsorted(e, lo, "left")] += weight[i, j]
+        else:
+            law = np.clip((upper - lo) / (hi - lo), 0.0, 1.0)
+            out[row[i, j]] += weight[i, j] * np.diff(law, prepend=0.0)
+    return out
+
+
 def _doppler_cdf_row(model: CapModel, e: np.ndarray, mark: int,
                      cap_sigma: float, n_nodes: int) -> np.ndarray:
     """Doppler CDF on the sub-cap of cap_sigma at sorted edges e, by a loop

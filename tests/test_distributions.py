@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from oracles import (
-    _doppler_cdf_row, doppler_cdf_adaptive, doppler_cdf_riemann,
+    _doppler_cdf_row, cell_shares_loop, doppler_cdf_adaptive, doppler_cdf_riemann,
     joint_mass_at, joint_pdf_grid_rows, p_cap_adaptive, rayleigh_gain_cdf,
     ring_index_midpoint, table_cdf_at)
 
@@ -514,6 +514,44 @@ def _lookup_edges(kind: int, step: float, m: int, cap) -> np.ndarray:
     return np.unique(np.concatenate((nu, -nu, [math.inf])))
 
 
+class TestCellShares:
+    @settings(max_examples=80, deadline=None)
+    @given(n_edges=st.integers(1, 30), uniform=st.booleans(), inf_tail=st.booleans(),
+           spread=st.floats(0.0, 4.0), scalar=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(n_edges=30, uniform=True, inf_tail=True, spread=4.0, scalar=False, seed=0)
+    @example(n_edges=1, uniform=False, inf_tail=True, spread=0.0, scalar=True, seed=1)
+    def test_matches_cell_loop(self, n_edges, uniform, inf_tail, spread, scalar, seed):
+        # values on edges, zero-width cells and cells across many edges,
+        # with a bound of 16 pairs: many runs per call
+        rng = np.random.default_rng(seed)
+        e = (np.arange(n_edges, dtype=float) if uniform
+             else np.cumsum(rng.uniform(0.05, 2.0, n_edges)))
+        e -= e[n_edges // 2]
+        v = rng.uniform(-1.0, 1.0, (4, 9)) * (1.0 + spread) * (e[-1] - e[0] + 1.0)
+        on = rng.random(v.shape) < 0.3
+        v[on] = rng.choice(e, on.sum())
+        v[:, 1:] = np.where(rng.random((4, 8)) < 0.2, v[:, :-1], v[:, 1:])
+        if inf_tail:
+            e = np.append(e, math.inf)
+        row, weight = ((np.arange(4)[:, None] % 3, 1.0) if scalar else
+                       (rng.integers(0, 3, (4, 8)), rng.uniform(0.0, 2.0, (4, 8))))
+        sizes, bincount = [], np.bincount
+
+        def spy(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return bincount(x, *args, **kwargs)
+
+        with mock.patch.object(dist, "_MAX_PAIRS", 16), \
+                mock.patch.object(np, "bincount", spy):
+            got = dist._cell_shares(v, e, row, 3, weight)
+        want = cell_shares_loop(v, e, row, 3, weight)
+        assert np.all(got >= 0.0)
+        assert np.all(np.abs(got - want) <= 1e-14 * want.sum(axis=1, keepdims=True))
+        # the runs' memory bound: the bound's pairs plus one edge's cells
+        assert max(sizes) <= 16 + v[:, 1:].size
+
+
 class TestResolutionBudget:
     """The azimuth sampling adds at most a third of the polar rule's error.
 
@@ -615,9 +653,10 @@ class TestKernelLookups:
 class TestRayleighGain:
     def test_limits(self, cap_equator):
         g_min, g_max = cap_equator.gain_bounds
-        y = np.array([0.0, 1e-4 * g_min, 50.0 * g_max])
+        # y = -1 is below -1e3 g_max: exp(-y / g) must not overflow there
+        y = np.array([0.0, 1e-4 * g_min, 50.0 * g_max, -1.0])
         vals = dist.rayleigh_gain_cdf_grid(cap_equator, y)
-        assert vals[0] == 0.0
+        assert vals[0] == 0.0 and vals[3] == 0.0
         assert vals[1] == pytest.approx(0.0, abs=1e-4)
         assert vals[2] == pytest.approx(1.0, abs=1e-6)
 
