@@ -8,7 +8,8 @@ Usage, from the root of a checkout:
 Each layer runs a fixed piece of work (named in its key) at the equator
 user with a 30 degree mask and at the latitude-60 user with a 10 degree
 mask, first on one worker thread and then on as many as the process's CPU
-affinity set allows (LEO_CHANNEL_THREADS is set for each pass). A value is
+affinity set allows: the one-thread pass pins the process to one of its
+CPUs and restores the set afterwards. A value is
 the median wall time in seconds over the repeats. With --cli the four
 commands also run end to end at their default configuration, each in a
 fresh interpreter. The output names the CPU count and the NumPy version;
@@ -67,7 +68,7 @@ def layers(cap: CapModel):
         ("scattering_function, default grid",
          lambda: ch.scattering_function(cap)),
         ("scattering_function, tau step 8.4e-5 s",
-         lambda: ch.scattering_function(cap, dist.JointGridSpec(tau_step_s=8.4e-5))),
+         lambda: ch.scattering_function(cap, tau_step_s=8.4e-5)),
         ("path_loss_proposition", lambda: ch.path_loss_proposition(cap)),
         ("sample_visible, 1e6 samples",
          lambda: sample_visible(shell, user, 1_000_000, np.random.default_rng(1))),
@@ -117,12 +118,13 @@ def main() -> None:
     caps = {name: CapModel(shell, load_config(
                 None, {"lat_deg": lat, "min_elev_deg": elev}).user(shell))
             for name, (lat, elev) in USERS.items()}
-    affinity = len(os.sched_getaffinity(0))
-    result = {"cpus": affinity, "numpy": np.__version__,
+    affinity = os.sched_getaffinity(0)
+    result = {"cpus": len(affinity), "numpy": np.__version__,
               "python": platform.python_version(), "repeat": args.repeat,
               "threads": {}}
-    for threads in sorted({1, affinity}):
-        os.environ["LEO_CHANNEL_THREADS"] = str(threads)
+    passes = {1: {min(affinity)}, len(affinity): affinity}
+    for threads, cpus in sorted(passes.items()):
+        os.sched_setaffinity(0, cpus)  # worker_count and the CLI runs follow it
         per_user = {}
         for name, cap in caps.items():
             per_user[name] = {layer: round(median_time(fn, args.repeat), 4)
@@ -130,6 +132,7 @@ def main() -> None:
         if args.cli:
             per_user["cli"] = {k: round(v, 3) for k, v in time_cli(args.repeat).items()}
         result["threads"][str(threads)] = per_user
+    os.sched_setaffinity(0, affinity)
     print(json.dumps(result, indent=1))
 
 

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResolutionError
-from .distributions import (JointGridSpec, centers, gain_nodes, joint_pdf_grid,
-                            nu_edges, tau_edges)
+# joint_pdf_grid is looked up here, where a profiler patches it
+from .distributions import (NU_STEP_HZ, TAU_STEP_S, centers, gain_nodes,
+                            joint_pdf_grid, nu_edges, tau_edges)
 from .visibility import CapModel
 
 # the normalisation budget of a scattering grid (global_params, validate)
@@ -32,7 +33,8 @@ class ScatteringGrid:
     """Binned scattering function: power density per (s * Hz) cell, with
     the delay and Doppler centres of its rows and columns."""
 
-    spec: JointGridSpec
+    nu_step_hz: float
+    tau_step_s: float
     values: np.ndarray  # shape (n_tau_cells, n_nu_cells)
     p_a: float
     tau_s: np.ndarray
@@ -40,7 +42,7 @@ class ScatteringGrid:
 
     def cell_sum(self) -> float:
         """Plain binned integral: sum of values times the cell area."""
-        return float(self.values.sum() * self.spec.nu_step_hz * self.spec.tau_step_s)
+        return float(self.values.sum() * self.nu_step_hz * self.tau_step_s)
 
     def trapezoid_integral(self) -> float:
         """Trapezoid-rule integral over cell centres; unlike the cell sum
@@ -89,7 +91,8 @@ def path_loss_proposition(model: CapModel) -> tuple[float, float]:
     return rho2, -10.0 * math.log10(rho2)
 
 
-def scattering_function(model: CapModel, spec: JointGridSpec | None = None,
+def scattering_function(model: CapModel, nu_step_hz: float = NU_STEP_HZ,
+                        tau_step_s: float = TAU_STEP_S,
                         fading_mean_power: float = 1.0) -> ScatteringGrid:
     """Binned scattering function over the delay-Doppler support.
 
@@ -97,22 +100,23 @@ def scattering_function(model: CapModel, spec: JointGridSpec | None = None,
     otherwise invisible to second-order statistics, so unit-mean fading
     (the Rayleigh extension) reproduces the unfaded grid exactly.
     """
-    spec, pdf_up = joint_pdf_grid(model, spec, mark=1)
+    pdf_up = joint_pdf_grid(model, nu_step_hz, tau_step_s, mark=1)
     p_a = model.availability
     c = model.shell.light_speed_mps
-    tau_c = centers(tau_edges(model, spec.tau_step_s))
+    tau_c = centers(tau_edges(model, tau_step_s))
     gain_at_tau = 1.0 / (c * tau_c) ** 2
     # the descending grid is the ascending one reversed in nu
     values = ((fading_mean_power * p_a / 2.0) * gain_at_tau[:, None]
               * (pdf_up + pdf_up[:, ::-1]))
-    return ScatteringGrid(spec=spec, values=values, p_a=p_a, tau_s=tau_c,
-                          nu_hz=centers(nu_edges(model, spec.nu_step_hz, 0)))
+    return ScatteringGrid(nu_step_hz=nu_step_hz, tau_step_s=tau_step_s,
+                          values=values, p_a=p_a, tau_s=tau_c,
+                          nu_hz=centers(nu_edges(model, nu_step_hz, 0)))
 
 
 def grid_moments(grid: ScatteringGrid, rho2: float):
     """(mean delay, rms delay spread, rms doppler spread, grid mean doppler)
     of the grid normalised by rho2."""
-    cell = grid.spec.nu_step_hz * grid.spec.tau_step_s
+    cell = grid.nu_step_hz * grid.tau_step_s
     tau_c, nu_c = grid.tau_s, grid.nu_hz
     mass_tau = grid.values.sum(axis=1) * cell / rho2
     mass_nu = grid.values.sum(axis=0) * cell / rho2
@@ -123,16 +127,13 @@ def grid_moments(grid: ScatteringGrid, rho2: float):
     return mean_tau, math.sqrt(max(var_tau, 0.0)), math.sqrt(max(second_nu, 0.0)), mean_nu
 
 
-def global_params(model: CapModel, spec: JointGridSpec | None = None,
-                  grid: ScatteringGrid | None = None) -> ChannelSummary:
-    """Global channel parameters from the scattering grid.
+def global_params(model: CapModel, grid: ScatteringGrid) -> ChannelSummary:
+    """Global channel parameters from a scattering grid of model.
 
     rho^2 is taken from the proposition integral rather than the grid;
     the grid's integrals must agree with it within MAX_NORMALIZATION_ERROR
     or the grid is too coarse (ResolutionError).
     """
-    if grid is None:
-        grid = scattering_function(model, spec)
     rho2, pl_db = path_loss_proposition(model)
     norm_err = grid.normalization_error(rho2)
     if norm_err > MAX_NORMALIZATION_ERROR:

@@ -123,9 +123,8 @@ def cmd_scattering(cfg: RunConfig) -> list[Path]:
     shell = cfg.shell()
     user = cfg.user(shell)
     cap = CapModel(shell, user)
-    spec = dist.JointGridSpec(nu_step_hz=cfg.nu_step_hz, tau_step_s=cfg.tau_step_s)
-    grid = ch.scattering_function(cap, spec)
-    summary = ch.global_params(cap, grid=grid)
+    grid = ch.scattering_function(cap, cfg.nu_step_hz, cfg.tau_step_s)
+    summary = ch.global_params(cap, grid)
 
     header = ["tau_s"] + [f"nu_{_fmt(n)}" for n in grid.nu_hz]
     rows = [[t] + list(v) for t, v in zip(grid.tau_s, grid.values)]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 
-from .distributions import DOPPLER_NU_STEP_HZ, JointGridSpec
+from .distributions import DOPPLER_NU_STEP_HZ, NU_STEP_HZ, TAU_STEP_S
 from .errors import ConfigError
 from .geometry import ShellConfig, UserGeometry
 
@@ -33,8 +33,8 @@ class RunConfig:
                                         math.degrees(ShellConfig.orbit_spacing_rad))
     lat_deg: float = _setting("user.lat_deg", 0.0, "--lat-deg")
     min_elev_deg: float = _setting("user.min_elev_deg", 30.0, "--min-elev-deg")
-    nu_step_hz: float = _setting("grid.nu_step_hz", JointGridSpec.nu_step_hz, "--nu-step-hz")
-    tau_step_s: float = _setting("grid.tau_step_s", JointGridSpec.tau_step_s, "--tau-step-s")
+    nu_step_hz: float = _setting("grid.nu_step_hz", NU_STEP_HZ, "--nu-step-hz")
+    tau_step_s: float = _setting("grid.tau_step_s", TAU_STEP_S, "--tau-step-s")
     doppler_nu_step_hz: float = _setting("grid.doppler_nu_step_hz", DOPPLER_NU_STEP_HZ)
     cdf_points: int = _setting("grid.cdf_points", 200)
     mc_samples: int = _setting("mc.samples", 200_000, "--mc-samples")

@@ -20,13 +20,13 @@ negates the Doppler shift and keeps the central angle, so each mark-mixed
 quantity takes one ascending pass: F_-(nu) = T - F_+(-nu), T the pass's
 total, and the descending joint grid is the ascending one reversed in nu.
 
-A JointGridSpec holds two steps; nu_edges and tau_edges build edges per user.
+A grid is given by its steps alone; nu_edges and tau_edges build its edges
+for each user and are the one place a step is checked.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,22 +56,13 @@ _DOPPLER_TABLE = 2001
 
 
 # ---------------------------------------------------------------------------
-# grids: a spec holds steps only; edges are built from (model, step) at each use
+# grids: a grid is its steps; edges are built from (model, step) at each use
 
-# default nu step of the mark-mixed Doppler PDF grid
+# default steps of the joint (tau, nu) grid and the nu step of the
+# mark-mixed Doppler PDF grid
+NU_STEP_HZ = 2.61e3
+TAU_STEP_S = 2.8e-5
 DOPPLER_NU_STEP_HZ = 2.65e3
-
-
-@dataclass(frozen=True)
-class JointGridSpec:
-    """Steps of the uniform (tau, nu) grid over the delay-Doppler support."""
-
-    nu_step_hz: float = 2.61e3
-    tau_step_s: float = 2.8e-5
-
-    def __post_init__(self):
-        if not (0 < self.nu_step_hz < math.inf and 0 < self.tau_step_s < math.inf):
-            raise ValueError("grid steps must be positive and finite")
 
 
 def nu_edges(model: CapModel, step: float, pad: int) -> np.ndarray:
@@ -87,6 +78,8 @@ def tau_edges(model: CapModel, step: float) -> np.ndarray:
     """Delay edges step apart from the cap's shortest delay, with one
     padding cell each side: the outermost rows carry no mass, so trapezoid
     integrals see the support edges instead of cutting them."""
+    if not 0 < step < math.inf:
+        raise ValueError("tau step must be positive and finite")
     lo, hi = model.delay_bounds
     n = math.ceil((hi - lo) / step - 1e-9)
     return lo + step * (np.arange(n + 3) - 1)
@@ -325,8 +318,8 @@ def doppler_pdf_grid(model: CapModel, nu_step_hz: float = DOPPLER_NU_STEP_HZ):
     return edges, up, down, np.diff(0.5 * (up + down)) / nu_step_hz
 
 
-def joint_pdf_grid(model: CapModel, spec: JointGridSpec | None = None,
-                   mark: int = 1) -> tuple[JointGridSpec, np.ndarray]:
+def joint_pdf_grid(model: CapModel, nu_step_hz: float = NU_STEP_HZ,
+                   tau_step_s: float = TAU_STEP_S, mark: int = 1) -> np.ndarray:
     """Joint delay-Doppler PDF for one mark, in one pass over the cap.
 
     Delay is a function of the central angle, so the delay cell between
@@ -339,14 +332,14 @@ def joint_pdf_grid(model: CapModel, spec: JointGridSpec | None = None,
     integrals then lose half the mass a too coarse step leaves in the
     outer columns, which the normalisation check detects.
 
-    Returns (spec, pdf matrix with shape (n_tau_cells, n_nu_cells)).
+    Returns the pdf matrix, shape (n_tau_cells, n_nu_cells), on the cells
+    of tau_edges(model, tau_step_s) and nu_edges(model, nu_step_hz, 0).
     """
-    spec = spec or JointGridSpec()
-    sigmas = delay_inverse(model.shell, np.clip(tau_edges(model, spec.tau_step_s),
+    sigmas = delay_inverse(model.shell, np.clip(tau_edges(model, tau_step_s),
                                                 *model.delay_bounds))
-    mass = _annulus_pass(model, sigmas, nu_edges(model, spec.nu_step_hz, 0), mark,
+    mass = _annulus_pass(model, sigmas, nu_edges(model, nu_step_hz, 0), mark,
                          _N_ANNULUS_NODES)
-    return spec, mass[1:-1, 1:-1] / (spec.nu_step_hz * spec.tau_step_s)
+    return mass[1:-1, 1:-1] / (nu_step_hz * tau_step_s)
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +365,8 @@ def pcap_interpolator(model: CapModel):
 
 def doppler_mixed_interpolator(model: CapModel):
     """Vectorised nu -> mark-mixed Doppler CDF via a dense grid pass."""
-    m = _DOPPLER_TABLE // 2  # mirrored edges, so the pass takes each once
-    edges = (1.0001 * model.nu_max_hz / m) * np.arange(-m, m + 1)
+    # mirrored edges, so the pass takes each once
+    edges = nu_edges(model, 1.0001 * model.nu_max_hz / (_DOPPLER_TABLE // 2), 0)
     f = 0.5 * sum(doppler_cdf_marks(model, edges))
 
     def interp(nu):
@@ -391,25 +384,29 @@ def doppler_cdf_mixed_batch(model: CapModel, nu) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # integrals over the gain support
 
+def pcap_kinks(model: CapModel) -> list[float]:
+    """The central angles inside (sigma_min, sigma_max) where the cap
+    boundary crosses a band edge, so p_cap' has a kink: phi_u - b,
+    b - phi_u, pi - b - phi_u and phi_u + b (b the polar inclination)."""
+    user = model.user
+    phi_u, b_bar = user.user_polar_rad, model.shell.polar_inclination_rad
+    return [s for s in (phi_u - b_bar, b_bar - phi_u, math.pi - b_bar - phi_u,
+                        phi_u + b_bar)
+            if user.sigma_min_rad < s < user.sigma_max_rad]
+
+
 def gain_nodes(model: CapModel):
     """Fixed rule for integrals over the gain support [g_min, g_max]:
     nodes g_k, weights w_k and the cap probabilities p_cap(G^-1(g_k)).
 
-    p_cap(G^-1(g)) has a kink wherever the cap boundary crosses a band
-    edge, at sigma = phi_u - b, b - phi_u, pi - b - phi_u and phi_u + b
-    (b the polar inclination); the support is split there into
-    sine-mapped panels.
+    p_cap(G^-1(g)) has a kink at each of pcap_kinks; the support is split
+    there into sine-mapped panels.
     """
-    shell, user = model.shell, model.user
-    phi_u, b_bar = user.user_polar_rad, shell.polar_inclination_rad
-    kinks = [gain_fn(shell, s)
-             for s in (phi_u - b_bar, b_bar - phi_u, math.pi - b_bar - phi_u,
-                       phi_u + b_bar)
-             if user.sigma_min_rad < s < user.sigma_max_rad]
+    kinks = [gain_fn(model.shell, s) for s in pcap_kinks(model)]
     g_min, g_max = model.gain_bounds
     edges = [g_min] + sorted(k for k in kinks if g_min < k < g_max) + [g_max]
     g, w = sine_mapped_panels(edges, _N_GAIN_NODES)
-    p = model.p_cap(gain_inverse(shell, g))
+    p = model.p_cap(gain_inverse(model.shell, g))
     return g, w, p
 
 

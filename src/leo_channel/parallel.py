@@ -1,8 +1,8 @@
 """Worker-count control for embarrassingly parallel grid loops.
 
-LEO_CHANNEL_THREADS caps the number of worker threads; unset, the count is
-the number of CPUs the process may run on. Results are collected in
-submission order, so parallel runs are deterministic.
+The number of worker threads is the number of CPUs the process may run on,
+so a process pinned to one core (taskset -c 0) runs one worker. Results are
+collected in submission order, so parallel runs are deterministic.
 """
 
 from __future__ import annotations
@@ -12,17 +12,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 
 def worker_count() -> int:
-    raw = os.environ.get("LEO_CHANNEL_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        if hasattr(os, "sched_getaffinity"):
-            n = len(os.sched_getaffinity(0))
-        else:
-            n = os.cpu_count() or 1
-    return max(1, n)
+    """The size of the process's CPU affinity set, or os.cpu_count() where
+    the platform has no sched_getaffinity."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def ordered_map(fn, items):

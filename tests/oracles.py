@@ -477,23 +477,19 @@ def _doppler_cdf_row(model: CapModel, e: np.ndarray, mark: int,
     return np.cumsum(mass[:-1])[back.ravel()]
 
 
-def joint_pdf_grid_rows(model: CapModel, spec=None, mark: int = 1,
-                        n_nodes: int = 384):
+def joint_pdf_grid_rows(model: CapModel, nu_step_hz: float, tau_step_s: float,
+                        mark: int = 1, n_nodes: int = 384):
     """Joint delay-Doppler PDF grid from one nested sub-cap Doppler CDF row
     per distinct delay edge, differenced in delay and then in Doppler; the
-    reference for the one-pass annulus kernel of joint_pdf_grid.
-    Returns (spec, pdf)."""
-    spec = spec or dist.JointGridSpec()
-    nu_edges = dist.nu_edges(model, spec.nu_step_hz, 0)
-    tau_edges = np.clip(dist.tau_edges(model, spec.tau_step_s), *model.delay_bounds)
+    reference for the one-pass annulus kernel of joint_pdf_grid."""
+    nu_edges = dist.nu_edges(model, nu_step_hz, 0)
+    tau_edges = np.clip(dist.tau_edges(model, tau_step_s), *model.delay_bounds)
     sigmas, row_of_edge = np.unique(delay_inverse(model.shell, tau_edges),
                                     return_inverse=True)
     rows = ordered_map(lambda s: _doppler_cdf_row(model, nu_edges, mark,
                                                   float(s), n_nodes), sigmas)
     cdf = np.vstack(rows)[row_of_edge.ravel()]
-    pdf = (np.diff(np.diff(cdf, axis=0), axis=1)
-           / (spec.nu_step_hz * spec.tau_step_s))
-    return spec, pdf
+    return np.diff(np.diff(cdf, axis=0), axis=1) / (nu_step_hz * tau_step_s)
 
 
 def annulus_pass_at(model: CapModel, sigmas, e: np.ndarray, n_nodes: int,
@@ -508,10 +504,9 @@ def joint_mass_at(model: CapModel, tau_step_s: float, n_nodes: int,
                   n_theta: int) -> np.ndarray:
     """Cell masses of joint_pdf_grid (mark +1, default nu step) at the
     resolutions of annulus_pass_at."""
-    nu_step = dist.JointGridSpec().nu_step_hz
     tau_edges = np.clip(dist.tau_edges(model, tau_step_s), *model.delay_bounds)
     mass = annulus_pass_at(model, delay_inverse(model.shell, tau_edges),
-                           dist.nu_edges(model, nu_step, 0), n_nodes, n_theta)
+                           dist.nu_edges(model, dist.NU_STEP_HZ, 0), n_nodes, n_theta)
     return mass[1:-1, 1:-1]
 
 

@@ -116,7 +116,7 @@ def test_criterion_4_global_parameters(cap_equator, cap_midlat,
     lines = []
     for name, cap, grid in (("equator", cap_equator, scat_equator),
                             ("midlat", cap_midlat, scat_midlat)):
-        s = ch.global_params(cap, grid=grid)
+        s = ch.global_params(cap, grid)
         w = want[name]
         checks += [
             abs(s.path_loss_db - w["pl"]) <= 0.2,
@@ -206,15 +206,13 @@ def test_criterion_8_doppler_function_validation(shell, equator_user):
 
 def test_criterion_9_dual_path_loss(cap_equator, scat_equator):
     rho2, _ = ch.path_loss_proposition(cap_equator)
-    base = dist.JointGridSpec()
     gaps = []
     for factor in (4.0, 2.0, 1.0, 0.5):
         if factor == 1.0:
             grid = scat_equator
         else:
-            spec = dist.JointGridSpec(nu_step_hz=base.nu_step_hz * factor,
-                                      tau_step_s=base.tau_step_s * factor)
-            grid = ch.scattering_function(cap_equator, spec)
+            grid = ch.scattering_function(cap_equator, dist.NU_STEP_HZ * factor,
+                                          dist.TAU_STEP_S * factor)
         gaps.append(grid.dual_path_loss_gap(rho2))
     shrinking = all(a > b for a, b in zip(gaps, gaps[1:]))
     ok = gaps[2] < 0.01 and shrinking
@@ -239,8 +237,8 @@ def test_criterion_10_normalization_suite(cap_equator, cap_midlat):
         if checks.doppler_pdf_normalization(cap, dist.DOPPLER_NU_STEP_HZ) > 1e-3:
             problems.append("doppler pdf grid normalization")
 
-        jspec, jpdf = dist.joint_pdf_grid(cap, mark=1)
-        mass = float(jpdf.sum()) * jspec.nu_step_hz * jspec.tau_step_s
+        jpdf = dist.joint_pdf_grid(cap, mark=1)
+        mass = float(jpdf.sum()) * dist.NU_STEP_HZ * dist.TAU_STEP_S
         if abs(mass - 1.0) > 5e-3:
             problems.append(f"joint pdf mass {mass:.4f}")
 

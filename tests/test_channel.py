@@ -8,7 +8,6 @@ from oracles import max_doppler_scan, path_loss_rho2_adaptive
 
 from leo_channel import channel as ch
 from leo_channel import distributions as dist
-from leo_channel.distributions import JointGridSpec
 from leo_channel.errors import ResolutionError
 from leo_channel.geometry import ShellConfig, UserGeometry
 from leo_channel.nbpp import sample_visible
@@ -70,8 +69,8 @@ class TestScatteringGrid:
     def test_zero_outside_delay_support(self, cap_equator, grid_equator):
         tau_lo, tau_hi = cap_equator.delay_bounds
         tau_c = grid_equator.tau_s
-        outside = (tau_c + grid_equator.spec.tau_step_s / 2 < tau_lo) | (
-            tau_c - grid_equator.spec.tau_step_s / 2 > tau_hi)
+        outside = (tau_c + grid_equator.tau_step_s / 2 < tau_lo) | (
+            tau_c - grid_equator.tau_step_s / 2 > tau_hi)
         assert float(np.abs(grid_equator.values[outside]).sum()) == 0.0
 
     def test_support_box(self, cap_equator, grid_equator):
@@ -122,7 +121,7 @@ class TestScatteringGrid:
 
 class TestGlobalParams:
     def test_equator_summary(self, cap_equator, grid_equator):
-        s = ch.global_params(cap_equator, grid=grid_equator)
+        s = ch.global_params(cap_equator, grid_equator)
         assert s.path_loss_db == pytest.approx(117.6, abs=0.2)
         assert s.mean_delay_s == pytest.approx(2.5e-3, abs=0.1e-3)
         assert s.rms_delay_spread_s == pytest.approx(0.43e-3, abs=0.03e-3)
@@ -132,7 +131,7 @@ class TestGlobalParams:
         assert abs(s.grid_mean_doppler_hz) < 1e3
 
     def test_summary_is_serializable(self, cap_equator, grid_equator):
-        s = ch.global_params(cap_equator, grid=grid_equator)
+        s = ch.global_params(cap_equator, grid_equator)
         d = dataclasses.asdict(s)
         assert set(d) >= {"path_loss_db", "mean_delay_s", "rms_delay_spread_s",
                           "mean_doppler_hz", "rms_doppler_spread_hz",
@@ -140,7 +139,8 @@ class TestGlobalParams:
 
     def test_coarse_grid_raises(self, cap_equator):
         with pytest.raises(ResolutionError):
-            ch.global_params(cap_equator, spec=JointGridSpec(nu_step_hz=50e3))
+            ch.global_params(cap_equator,
+                             ch.scattering_function(cap_equator, nu_step_hz=50e3))
 
     def test_carrier_scaling(self):
         # doubling the carrier doubles the Doppler spread and leaves the
@@ -151,9 +151,9 @@ class TestGlobalParams:
         for shell in (base, doubled):
             user = UserGeometry.for_shell(shell, math.pi / 2, math.radians(30))
             cap = CapModel(shell, user)
-            spec = JointGridSpec(
-                nu_step_hz=2.61e3 * shell.carrier_hz / base.carrier_hz)
-            s[shell.carrier_hz] = ch.global_params(cap, spec=spec)
+            grid = ch.scattering_function(
+                cap, nu_step_hz=2.61e3 * shell.carrier_hz / base.carrier_hz)
+            s[shell.carrier_hz] = ch.global_params(cap, grid)
         lo, hi = s[base.carrier_hz], s[2 * base.carrier_hz]
         assert hi.rms_doppler_spread_hz == pytest.approx(
             2 * lo.rms_doppler_spread_hz, rel=1e-3)
@@ -170,4 +170,4 @@ class TestGlobalParams:
         cap = CapModel(shell, user)
         assert cap.nu_max_hz == pytest.approx(max_doppler_scan(shell, user),
                                               abs=1.0)
-        ch.global_params(cap, spec=JointGridSpec(tau_step_s=8.4e-5))
+        ch.global_params(cap, ch.scattering_function(cap, tau_step_s=8.4e-5))

@@ -318,6 +318,13 @@ def test_cli_imports_without_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_readme_library_sketch_runs():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sketch = text[text.index("## Library sketch"):]
+    block = sketch[sketch.index("```python\n") + 10:sketch.index("\n```")]
+    exec(compile(block, "README.md", "exec"), {})
+
+
 def test_config_keys_doc_matches_the_code():
     # docs/config-keys.txt lists every key with RunConfig's default, and
     # the flags every subcommand takes

@@ -1,6 +1,7 @@
 import functools
 import logging
 import math
+import os
 import warnings
 from unittest import mock
 
@@ -15,6 +16,7 @@ from oracles import (
     joint_mass_at, joint_pdf_grid_rows, p_cap_adaptive, rayleigh_gain_cdf,
     ring_index_midpoint, table_cdf_at)
 
+from leo_channel import channel as ch
 from leo_channel import distributions as dist
 from leo_channel.geometry import ShellConfig, UserGeometry, sigma_from_elevation
 from leo_channel.nbpp import sample_visible
@@ -365,31 +367,30 @@ class TestJointDistribution:
             assert joint == pytest.approx(marg, abs=1e-6)
 
     def test_pdf_grid_normalizes(self, cap_equator):
-        spec, pdf = dist.joint_pdf_grid(cap_equator, mark=1)
-        mass = float(pdf.sum()) * spec.nu_step_hz * spec.tau_step_s
+        pdf = dist.joint_pdf_grid(cap_equator, mark=1)
+        mass = float(pdf.sum()) * dist.NU_STEP_HZ * dist.TAU_STEP_S
         assert mass == pytest.approx(1.0, abs=5e-3)
 
     def test_delay_marginal_recovered(self, cap_equator):
         # compare on cells fully inside the support: a cell straddling a
         # support edge carries the average of a partially covered interval
         # and cannot match the point density there
-        spec, pdf = dist.joint_pdf_grid(cap_equator, mark=1)
-        marg = pdf.sum(axis=1) * spec.nu_step_hz
-        tau_c = dist.centers(dist.tau_edges(cap_equator, spec.tau_step_s))
+        step = dist.TAU_STEP_S
+        pdf = dist.joint_pdf_grid(cap_equator, mark=1)
+        marg = pdf.sum(axis=1) * dist.NU_STEP_HZ
+        tau_c = dist.centers(dist.tau_edges(cap_equator, step))
         tau_lo, tau_hi = cap_equator.delay_bounds
-        inner = ((tau_c - spec.tau_step_s / 2 >= tau_lo)
-                 & (tau_c + spec.tau_step_s / 2 <= tau_hi))
+        inner = (tau_c - step / 2 >= tau_lo) & (tau_c + step / 2 <= tau_hi)
         want = dist.delay_pdf(cap_equator, tau_c[inner])
-        l1 = np.sum(np.abs(marg[inner] - want)) * spec.tau_step_s
+        l1 = np.sum(np.abs(marg[inner] - want)) * step
         assert l1 < 0.02
 
     @pytest.mark.parametrize("cap_name", ["cap_equator", "cap_midlat"])
     def test_pdf_grid_needs_no_clamping(self, cap_name, request, caplog):
         cap = request.getfixturevalue(cap_name)
-        spec = dist.JointGridSpec(tau_step_s=8.4e-5)
         with caplog.at_level(logging.INFO, logger=dist.__name__):
             for mark in (1, -1):
-                _, pdf = dist.joint_pdf_grid(cap, spec, mark=mark)
+                pdf = dist.joint_pdf_grid(cap, tau_step_s=8.4e-5, mark=mark)
                 # the padding rows lie outside the delay support
                 assert np.all(pdf[0] == 0.0) and np.all(pdf[-1] == 0.0)
         assert not [r for r in caplog.records if "clamped" in r.getMessage()]
@@ -399,10 +400,10 @@ class TestJointDistribution:
         # scattering_function takes the descending grid as the ascending
         # one reversed in nu; a direct descending pass checks that
         cap = request.getfixturevalue(cap_name)
-        spec, up = dist.joint_pdf_grid(cap, mark=1)
-        e = dist.nu_edges(cap, spec.nu_step_hz, 0)
+        up = dist.joint_pdf_grid(cap, mark=1)
+        e = dist.nu_edges(cap, dist.NU_STEP_HZ, 0)
         assert np.array_equal(e, -e[::-1])
-        _, down = dist.joint_pdf_grid(cap, spec, mark=-1)
+        down = dist.joint_pdf_grid(cap, mark=-1)
         assert np.max(np.abs(down - up[:, ::-1])) <= 1e-12 * float(up.max())
 
     @pytest.mark.parametrize("cap_name", ["cap_equator", "cap_midlat"])
@@ -416,12 +417,12 @@ class TestJointDistribution:
         # keeps the central angle, so the two grids are mirror images
         # (to 2e-13 of the peak for the row route at lat 60)
         cap = request.getfixturevalue(cap_name)
-        spec = dist.JointGridSpec(tau_step_s=tau_step_s)
-        _, ref = joint_pdf_grid_rows(cap, spec, 1, n_nodes=4 * 384)
-        _, rows = joint_pdf_grid_rows(cap, spec, 1)
+        ref = joint_pdf_grid_rows(cap, dist.NU_STEP_HZ, tau_step_s, 1,
+                                  n_nodes=4 * 384)
+        rows = joint_pdf_grid_rows(cap, dist.NU_STEP_HZ, tau_step_s, 1)
         peak = float(ref.max())
         for mark, want in ((1, ref), (-1, ref[:, ::-1])):
-            _, pdf = dist.joint_pdf_grid(cap, spec, mark)
+            pdf = dist.joint_pdf_grid(cap, dist.NU_STEP_HZ, tau_step_s, mark)
             err = float(np.max(np.abs(pdf - want))) / peak
             assert err < 1e-2
             # no worse than the row route at its own 384 nodes per panel
@@ -441,22 +442,20 @@ class TestJointDistribution:
         cap = CapModel(shell, UserGeometry.for_shell(
             shell, math.pi / 2 - reach * cutoff, math.radians(mask)))
         tau_lo, tau_hi = cap.delay_bounds
-        spec = dist.JointGridSpec(tau_step_s=(tau_hi - tau_lo) / 12,
-                                  nu_step_hz=cap.nu_max_hz / 20)
+        nu_step, tau_step = cap.nu_max_hz / 20, (tau_hi - tau_lo) / 12
         with caplog.at_level(logging.DEBUG, logger=dist.__name__):
-            spec, pdf = dist.joint_pdf_grid(cap, spec, mark)
+            pdf = dist.joint_pdf_grid(cap, nu_step, tau_step, mark)
         assert not [r for r in caplog.records if "clamped" in r.getMessage()]
         assert np.all(pdf >= 0.0)
         # the other mark is this grid's nu-mirror, on exactly mirrored edges
-        e = dist.nu_edges(cap, spec.nu_step_hz, 0)
+        e = dist.nu_edges(cap, nu_step, 0)
         assert np.array_equal(e, -e[::-1])
-        _, other = dist.joint_pdf_grid(cap, spec, -mark)
+        other = dist.joint_pdf_grid(cap, nu_step, tau_step, -mark)
         assert np.max(np.abs(other - pdf[:, ::-1])) <= 1e-12 * float(pdf.max())
-        cdf = (np.cumsum(np.cumsum(pdf, axis=0), axis=1)
-               * spec.nu_step_hz * spec.tau_step_s)
+        cdf = np.cumsum(np.cumsum(pdf, axis=0), axis=1) * nu_step * tau_step
         assert np.all(np.diff(cdf, axis=0) >= 0.0)
         assert np.all(np.diff(cdf, axis=1) >= 0.0)
-        want = dist.delay_cdf(cap, dist.tau_edges(cap, spec.tau_step_s)[1:])
+        want = dist.delay_cdf(cap, dist.tau_edges(cap, tau_step)[1:])
         assert np.max(np.abs(cdf[:, -1] - want)) <= 1e-9
         # two fixed-rule grids; with masks down to 0 deg each is within
         # 3.3e-4 of the adaptive Doppler CDF (measured)
@@ -466,13 +465,13 @@ class TestJointDistribution:
     def test_u_shaped_support(self, cap_equator):
         # no mass at (short delay, extreme Doppler): the near cap cannot
         # produce large radial speeds
-        spec, pdf = dist.joint_pdf_grid(cap_equator, mark=1)
-        nu_c = dist.centers(dist.nu_edges(cap_equator, spec.nu_step_hz, 0))
-        tau_c = dist.centers(dist.tau_edges(cap_equator, spec.tau_step_s))
+        pdf = dist.joint_pdf_grid(cap_equator, mark=1)
+        nu_c = dist.centers(dist.nu_edges(cap_equator, dist.NU_STEP_HZ, 0))
+        tau_c = dist.centers(dist.tau_edges(cap_equator, dist.TAU_STEP_S))
         tau_lo, tau_hi = cap_equator.delay_bounds
         near = tau_c < tau_lo + 0.15 * (tau_hi - tau_lo)
         fast = np.abs(nu_c) > 0.85 * cap_equator.nu_max_hz
-        corner = float(pdf[np.ix_(near, fast)].sum()) * spec.nu_step_hz * spec.tau_step_s
+        corner = float(pdf[np.ix_(near, fast)].sum()) * dist.NU_STEP_HZ * dist.TAU_STEP_S
         assert corner < 1e-9
         assert float(pdf.max()) > 0.0
 
@@ -485,11 +484,11 @@ class TestJointDistribution:
         monkeypatch.setattr(np, "bincount",
                             lambda *a, **k: runs.append(1) or inner(*a, **k))
         cdf = dist.doppler_cdf_grid(cap_equator, nu, 1)
-        spec, pdf = dist.joint_pdf_grid(cap_equator)
+        pdf = dist.joint_pdf_grid(cap_equator)
         whole = len(runs)
         monkeypatch.setattr(dist, "_MAX_PAIRS", 64)
         assert np.array_equal(dist.doppler_cdf_grid(cap_equator, nu, 1), cdf)
-        assert np.array_equal(dist.joint_pdf_grid(cap_equator, spec)[1], pdf)
+        assert np.array_equal(dist.joint_pdf_grid(cap_equator), pdf)
         assert len(runs) > 10 * whole
 
 
@@ -620,7 +619,7 @@ class TestKernelLookups:
         # of a one-ring pass gets the annulus of its midpoint; on one thread
         # each block's ring half-widths pair with its deposit
         cap = _shell_cap(incl, lat, mask)
-        monkeypatch.setenv("LEO_CHANNEL_THREADS", "1")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         rings, deposits = [], []
         arc, shares = dist.arc_halfwidth_clamped, dist._cell_shares
 
@@ -700,9 +699,8 @@ class TestGridSpecs:
         assert np.allclose(np.diff(edges), dist.DOPPLER_NU_STEP_HZ)
 
     def test_joint_grid_covers_support(self, cap_midlat):
-        spec = dist.JointGridSpec()
-        tau = dist.tau_edges(cap_midlat, spec.tau_step_s)
-        nu = dist.nu_edges(cap_midlat, spec.nu_step_hz, 0)
+        tau = dist.tau_edges(cap_midlat, dist.TAU_STEP_S)
+        nu = dist.nu_edges(cap_midlat, dist.NU_STEP_HZ, 0)
         tau_lo, tau_hi = cap_midlat.delay_bounds
         assert tau[0] <= tau_lo
         assert tau[-1] >= tau_hi
@@ -713,24 +711,29 @@ class TestGridSpecs:
         # the edges start one padding cell before the model's shortest delay
         for cap in (cap_equator, cap_midlat):
             assert dist.tau_edges(cap, 2.8e-5)[1] == cap.delay_bounds[0]
-        with pytest.raises(TypeError):
-            dist.JointGridSpec(tau_min_s=0.0)
 
     def test_bad_steps_rejected(self, cap_equator):
-        for step in (-1.0, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                dist.doppler_pdf_grid(cap_equator, step)
-        with pytest.raises(ValueError):
-            dist.JointGridSpec(tau_step_s=0.0)
-        for name in ("nu_step_hz", "tau_step_s"):
-            for value in (math.nan, math.inf):
-                with pytest.raises(ValueError):
-                    dist.JointGridSpec(**{name: value})
+        # nu_edges and tau_edges check every step; the grids build on them
+        # before they divide by a step
+        cap = cap_equator
+        for step in (0.0, -1.0, -2.8e-5, math.nan, math.inf):
+            for call in (lambda: dist.nu_edges(cap, step, 0),
+                         lambda: dist.tau_edges(cap, step),
+                         lambda: dist.doppler_pdf_grid(cap, step),
+                         lambda: dist.joint_pdf_grid(cap, nu_step_hz=step),
+                         lambda: dist.joint_pdf_grid(cap, tau_step_s=step),
+                         lambda: ch.scattering_function(cap, nu_step_hz=step),
+                         lambda: ch.scattering_function(cap, tau_step_s=step)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # no RuntimeWarning first
+                    with pytest.raises(ValueError):
+                        call()
 
-    def test_spec_serves_any_user(self, cap_equator, cap_midlat):
-        # a spec holds steps only: the one joint_pdf_grid returned for the
-        # equator user covers the lat-60 user's support in full
-        spec, _ = dist.joint_pdf_grid(cap_equator, dist.JointGridSpec(tau_step_s=8.4e-5))
-        _, pdf = dist.joint_pdf_grid(cap_midlat, spec)
-        mass = float(pdf.sum()) * spec.nu_step_hz * spec.tau_step_s
-        assert mass == pytest.approx(1.0, abs=5e-3)
+    def test_steps_serve_any_user(self, cap_equator, cap_midlat):
+        # a grid is its steps: the ones that resolve the equator user
+        # cover the lat-60 user's support in full
+        steps = dict(nu_step_hz=dist.NU_STEP_HZ, tau_step_s=8.4e-5)
+        for cap in (cap_equator, cap_midlat):
+            pdf = dist.joint_pdf_grid(cap, **steps)
+            mass = float(pdf.sum()) * steps["nu_step_hz"] * steps["tau_step_s"]
+            assert mass == pytest.approx(1.0, abs=5e-3)

@@ -1,6 +1,6 @@
 """The package's import structure: every import sits at module level, the
-modules of the package import each other without a cycle, and every name
-the benchmark's tracer patches exists."""
+modules of the package import each other without a cycle, no module reads
+the environment, and every name the benchmark's tracer patches exists."""
 
 import ast
 import os
@@ -54,6 +54,18 @@ def test_module_imports_are_acyclic():
         assert leaves, f"import cycle among {sorted(graph)}"
         for m in leaves:
             del graph[m]
+
+
+def test_no_module_reads_the_environment():
+    # every setting is a RunConfig field; the worker count is the affinity set
+    reads = [f"{name}:{node.lineno}"
+             for name, tree in _trees().items()
+             for node in ast.walk(tree)
+             if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+                 and isinstance(node.value, ast.Name) and node.value.id == "os")
+             or (isinstance(node, ast.ImportFrom) and node.module == "os"
+                 and {a.name for a in node.names} & {"environ", "getenv"})]
+    assert reads == []
 
 
 def test_benchmark_tracer_installs():

@@ -137,6 +137,9 @@ class TestPCapPrime:
         pytest.param(53.0, 60.0, 10.0, id="cap_midlat"),
         pytest.param(53.0, 45.0, 25.0, id="lat45_mask25"),
         pytest.param(89.0, 90.0, 30.0, id="pole_incl89"),  # near-polar shell
+        # a point of the even grid lies 4.1e-5 rad from a kink of p_cap'
+        pytest.param(30.0, 25.0, 10.0, id="incl30_lat25_kink"),
+        pytest.param(70.0, 65.0, 10.0, id="incl70_lat65_kink"),
     ])
     def test_matches_central_difference(self, incl, lat, mask):
         # validate's check: its step scales with the cap, so a small cap is
