@@ -92,13 +92,14 @@ def path_loss_proposition(model: CapModel) -> tuple[float, float]:
 
 
 def scattering_function(model: CapModel, nu_step_hz: float = NU_STEP_HZ,
-                        tau_step_s: float = TAU_STEP_S,
-                        fading_mean_power: float = 1.0) -> ScatteringGrid:
+                        tau_step_s: float = TAU_STEP_S) -> ScatteringGrid:
     """Binned scattering function over the delay-Doppler support.
 
-    Fading with the given mean power multiplies the whole surface but is
-    otherwise invisible to second-order statistics, so unit-mean fading
-    (the Rayleigh extension) reproduces the unfaded grid exactly.
+    Rayleigh extension: fading independent of the geometry scales each
+    cell by its mean power and changes nothing else, so unit-mean fading
+    leaves this grid and every global parameter as they are. The faded
+    gain law (distributions.rayleigh_gain_cdf_grid) keeps the mean gain
+    of path_loss_proposition.
     """
     pdf_up = joint_pdf_grid(model, nu_step_hz, tau_step_s, mark=1)
     p_a = model.availability
@@ -106,7 +107,7 @@ def scattering_function(model: CapModel, nu_step_hz: float = NU_STEP_HZ,
     tau_c = centers(tau_edges(model, tau_step_s))
     gain_at_tau = 1.0 / (c * tau_c) ** 2
     # the descending grid is the ascending one reversed in nu
-    values = ((fading_mean_power * p_a / 2.0) * gain_at_tau[:, None]
+    values = ((p_a / 2.0) * gain_at_tau[:, None]
               * (pdf_up + pdf_up[:, ::-1]))
     return ScatteringGrid(nu_step_hz=nu_step_hz, tau_step_s=tau_step_s,
                           values=values, p_a=p_a, tau_s=tau_c,

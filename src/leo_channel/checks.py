@@ -27,6 +27,7 @@ from . import distributions as dist
 from . import nbpp
 from . import orbit_sim as osim
 from . import propagation as prop
+from .errors import ConfigError
 from .visibility import CapModel
 
 
@@ -109,6 +110,9 @@ class _Inputs:
         times = osim.default_snapshot_times(cfg.snapshots, rng, cfg.snapshot_spacing_s)
         orbit = osim.snapshot_sample(con, user, times, rng)
         self.n_obs = orbit[0].size
+        if self.n_obs == 0:
+            raise ConfigError(f"no Walker snapshot saw a visible satellite; "
+                              f"raise sim.snapshots (now {cfg.snapshots})")
         self.orbit_ks = ks_triple(cap, tables, *orbit[:4])
         self.mc_tol = max(0.005, 2.5 / math.sqrt(cfg.mc_samples))
         # near the equator the deterministic system keeps visible bucketing

@@ -35,10 +35,6 @@ class WalkerConstellation:
     ascending_nodes: np.ndarray = field(repr=False)
     phase_offsets: np.ndarray = field(repr=False)  # per (orbit, slot)
 
-    @property
-    def n_total(self) -> int:
-        return self.phase_offsets.size
-
 
 def build(shell: ShellConfig, inter_orbit_phase: float = 0.0) -> WalkerConstellation:
     """Deterministic layout: orbit k has ascending node k*s_orb; slot j on
@@ -75,14 +71,6 @@ def _positions(shell: ShellConfig, nodes, omega):
     theta = (nodes + np.arctan2(math.cos(b) * np.sin(omega), np.cos(omega))) % _TWO_PI
     mark = np.where(np.cos(omega) > 0.0, 1, -1)
     return theta, phi, mark
-
-
-def propagate_arrays(constellation: WalkerConstellation, t: float):
-    """(theta, phi, mark) arrays of every satellite at time t."""
-    omega = _arg_of_latitude(constellation.shell, constellation.phase_offsets, t)
-    theta, phi, mark = _positions(constellation.shell,
-                                  constellation.ascending_nodes[:, None], omega)
-    return theta.ravel(), phi.ravel(), mark.ravel()
 
 
 def snapshot_sample(constellation: WalkerConstellation, user: UserGeometry,

@@ -20,8 +20,10 @@ sampler is checked against whole-shell rejection, and the Walker
 snapshot sampler against a loop over every satellite at every snapshot.
 Routes that only the tests use live here too: the closed-form
 polar-angle density and CDF of the shell, the bisection inverse of
-sigma_from_elevation, the central angle of a shell point and the
-Cartesian positions of a Walker constellation.
+sigma_from_elevation, the central angle of a shell point, and the
+whole-shell state of a Walker constellation at one time:
+propagate_arrays gives every satellite's (theta, phi, mark), which the
+snapshot loop reads, and positions_cartesian its Cartesian position.
 """
 
 import math
@@ -36,7 +38,7 @@ from leo_channel import distributions as dist
 from leo_channel.errors import DomainError
 from leo_channel.geometry import (
     _CLAMP_GRACE, ShellConfig, UserGeometry, clamp_unit, sigma_from_elevation)
-from leo_channel.orbit_sim import propagate_arrays
+from leo_channel.orbit_sim import _arg_of_latitude, _positions
 from leo_channel.parallel import ordered_map
 from leo_channel.propagation import (
     delay_inverse, doppler_hz_arrays, gain_inverse)
@@ -166,6 +168,15 @@ def ring_index_midpoint(user: UserGeometry, phi, off, sigmas) -> np.ndarray:
     cos_mid = (math.cos(phi_u) * np.cos(phi) + math.sin(phi_u) * np.sin(phi)
                * np.cos(0.5 * (off[:, 1:] + off[:, :-1])))
     return np.searchsorted(-np.cos(sigmas), -cos_mid)
+
+
+def propagate_arrays(constellation, t: float):
+    """(theta, phi, mark) arrays of every satellite of a Walker
+    constellation at time t, in (orbit, slot) order."""
+    omega = _arg_of_latitude(constellation.shell, constellation.phase_offsets, t)
+    theta, phi, mark = _positions(constellation.shell,
+                                  constellation.ascending_nodes[:, None], omega)
+    return theta.ravel(), phi.ravel(), mark.ravel()
 
 
 def positions_cartesian(constellation, t: float) -> np.ndarray:

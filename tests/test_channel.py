@@ -30,6 +30,17 @@ class TestPathLoss:
         assert pl == pytest.approx(122.6, abs=0.2)
 
     @pytest.mark.parametrize("cap_name", ["cap_equator", "cap_midlat"])
+    def test_unit_mean_fading_keeps_power(self, request, cap_name):
+        # the Rayleigh extension: the faded gain's mean, the integral of the
+        # tail of rayleigh_gain_cdf_grid, is E[g] = rho^2 / p_a; the
+        # trapezoid over 4e5 points to 40 g_max is far inside the bound
+        cap = request.getfixturevalue(cap_name)
+        rho2, _ = ch.path_loss_proposition(cap)
+        y = np.linspace(0.0, 40.0 * cap.gain_bounds[1], 400_001)
+        mean = float(np.trapezoid(1.0 - dist.rayleigh_gain_cdf_grid(cap, y), y))
+        assert mean * cap.availability / rho2 == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("cap_name", ["cap_equator", "cap_midlat"])
     def test_matches_adaptive_oracle(self, cap_name, request):
         cap = request.getfixturevalue(cap_name)
         rho2, _ = ch.path_loss_proposition(cap)
@@ -113,10 +124,6 @@ class TestScatteringGrid:
         for tau in np.linspace(tau_lo, tau_hi, 50):
             g = gain_fn(shell, delay_inverse(shell, float(tau)))
             assert g == pytest.approx(1.0 / (c * tau) ** 2, rel=1e-12)
-
-    def test_unit_mean_fading_identity(self, cap_equator, grid_equator):
-        faded = ch.scattering_function(cap_equator, fading_mean_power=1.0)
-        assert np.array_equal(faded.values, grid_equator.values)
 
 
 class TestGlobalParams:

@@ -271,6 +271,15 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "o").exists()
 
+    def test_no_snapshot_with_a_satellite_is_2(self, tmp_path, capsys):
+        # at lat 61 with a 25 degree mask none of 3 Walker snapshots sees a
+        # satellite, so there is no orbit sample to compare: too few snapshots
+        assert main(["validate", "--lat-deg", "61", "--min-elev-deg", "25",
+                     "--snapshots", "3", "--mc-samples", "1000",
+                     "--tau-step-s", "1.4e-4", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "sim.snapshots" in err
+
 
 # the configuration line of `coverage` at default settings; perfbench/checks.py
 # parses these keys and renderings from every artifact
@@ -316,6 +325,18 @@ def test_cli_imports_without_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [["reproduce_channel_params.py"],
+                                  ["compare_with_orbit_sim.py", "--snapshots", "2000"]],
+                         ids=["reproduce_channel_params", "compare_with_orbit_sim"])
+def test_script_runs(tmp_path, argv):
+    # the scripts call the library directly; no other test reaches them
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, str(root / "scripts" / argv[0])] + argv[1:],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_readme_library_sketch_runs():

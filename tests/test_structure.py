@@ -1,9 +1,11 @@
 """The package's import structure: every import sits at module level, the
 modules of the package import each other without a cycle, no module reads
-the environment, and every name the benchmark's tracer patches exists."""
+the environment, every public route has a caller outside the tests, and
+every name the benchmark's tracer patches exists."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -66,6 +68,54 @@ def test_no_module_reads_the_environment():
              or (isinstance(node, ast.ImportFrom) and node.module == "os"
                  and {a.name for a in node.names} & {"environ", "getenv"})]
     assert reads == []
+
+
+def _public_routes() -> set[str]:
+    """module.name of every public module-level function and class, and
+    module.Class.name of every public method and property."""
+    routes = set()
+    for name, tree in _trees().items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+                continue
+            routes.add(f"{name}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                routes.update(f"{name}.{node.name}.{m.name}" for m in node.body
+                              if isinstance(m, ast.FunctionDef) and m.name[0] != "_")
+    return routes
+
+
+def _names_used(tree: ast.AST, inside=()) -> set[str]:
+    """Identifiers a tree names (variables, attributes, imported names and
+    strings that are one identifier, as getattr takes them), except inside
+    the definition of the same name; a docstring names nothing."""
+    used = set()
+    if isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        inside = inside + (tree.name,)
+    if isinstance(tree, ast.Name):
+        used.add(tree.id)
+    elif isinstance(tree, ast.Attribute):
+        used.add(tree.attr)
+    elif isinstance(tree, ast.alias):
+        used.add(tree.name.rsplit(".", 1)[-1])
+    elif (isinstance(tree, ast.Constant) and isinstance(tree.value, str)
+          and tree.value.isidentifier()):
+        used.add(tree.value)
+    for child in ast.iter_child_nodes(tree):
+        used |= _names_used(child, inside)
+    return used - set(inside[-1:])
+
+
+def test_every_public_route_has_a_program_caller():
+    # a route that only the tests reach belongs in tests/oracles.py; the
+    # README's library sketch names the results kept as library API
+    used = set()
+    for folder in ("src", "scripts", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            used |= _names_used(ast.parse(path.read_text(encoding="utf-8")))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    used.update(re.findall(r"\w+", readme.split("## Library sketch")[1].split("\n## ")[0]))
+    assert sorted(r for r in _public_routes() if r.rsplit(".", 1)[-1] not in used) == []
 
 
 def test_benchmark_tracer_installs():
