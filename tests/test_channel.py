@@ -125,6 +125,16 @@ class TestScatteringGrid:
             g = gain_fn(shell, delay_inverse(shell, float(tau)))
             assert g == pytest.approx(1.0 / (c * tau) ** 2, rel=1e-12)
 
+    def test_unit_mean_fading_identity(self, cap_equator, grid_equator):
+        # unit-mean fading leaves the grid as it is: its power is p_a times
+        # the mean of the faded gain law, to the grid's own 1% integration
+        g_max = cap_equator.gain_bounds[1]
+        y = np.linspace(0.0, 40.0 * g_max, 400_001)
+        faded_mean = float(np.trapezoid(
+            1.0 - dist.rayleigh_gain_cdf_grid(cap_equator, y), y))
+        assert grid_equator.cell_sum() == pytest.approx(
+            cap_equator.availability * faded_mean, rel=0.01)
+
 
 class TestGlobalParams:
     def test_equator_summary(self, cap_equator, grid_equator):

@@ -679,6 +679,17 @@ class TestRayleighGain:
         d = ks_distance(y, lambda x: dist.rayleigh_gain_cdf_grid(cap_equator, x))
         assert d < 0.005
 
+    def test_first_moment(self, cap_equator):
+        from leo_channel.channel import path_loss_proposition
+
+        rho2, _ = path_loss_proposition(cap_equator)
+        mean_gain = rho2 / cap_equator.availability
+        g_max = cap_equator.gain_bounds[1]
+        y = np.linspace(0.0, 60.0 * g_max, 20_001)
+        tail = 1.0 - dist.rayleigh_gain_cdf_grid(cap_equator, y)
+        moment = float(np.trapezoid(tail, y))
+        assert moment == pytest.approx(mean_gain, rel=0.01)
+
 
 class TestGridSpecs:
     def test_doppler_grid_covers_support(self, cap_equator):
