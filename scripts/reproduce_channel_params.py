@@ -3,7 +3,7 @@
 (equator user with a 30 degree mask; latitude-60 user with a 10 degree
 mask) and print them side by side."""
 
-from leo_channel.channel import global_params, scattering_function
+from leo_channel.channel import global_params
 from leo_channel.config import load_config
 from leo_channel.geometry import ShellConfig
 from leo_channel.visibility import CapModel
@@ -20,9 +20,7 @@ def main() -> None:
     for name, (lat_deg, elev_deg) in SCENARIOS.items():
         user = load_config(None, {"lat_deg": lat_deg,
                                   "min_elev_deg": elev_deg}).user(shell)
-        cap = CapModel(shell, user)
-        grid = scattering_function(cap)
-        results[name] = global_params(cap, grid=grid)
+        results[name] = global_params(CapModel(shell, user))
 
     rows = [
         ("path loss [dB]", "path_loss_db", 1.0),

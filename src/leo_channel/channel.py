@@ -4,11 +4,10 @@ The second-order description is a scattering function on the delay-Doppler
 plane: the mark-mixed joint density scaled by the availability and by the
 instantaneous gain 1/(c tau)^2 (which equals the gain at the central angle
 reached in delay tau). One kernel pass gives both marks: the descending
-joint density is the ascending one mirrored in Doppler. Global channel
-parameters are moments of the normalised scattering function; the
-normalising power gain rho^2 comes from a one-dimensional integral, which
-is far more accurate than the binned grid, and doubles as an independent
-cross-check on it.
+joint density is the ascending one mirrored in Doppler. The global channel
+parameters are read off the model, not off a grid: the path loss from a
+one-dimensional integral in gain, which also checks the grid's cell sum,
+and the delay and Doppler moments from a fixed product rule over the cap.
 """
 
 from __future__ import annotations
@@ -18,14 +17,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResolutionError
 # joint_pdf_grid is looked up here, where a profiler patches it
-from .distributions import (NU_STEP_HZ, TAU_STEP_S, centers, gain_nodes,
+from .distributions import (_N_GAIN_NODES, NU_STEP_HZ, TAU_STEP_S, centers, gain_nodes,
                             joint_pdf_grid, nu_edges, tau_edges)
-from .visibility import CapModel
+from .propagation import _radial_speed
+from .quadrature import density_nodes, sine_mapped_panels
+from .visibility import CapModel, _active_band, arc_halfwidth_clamped
 
-# the normalisation budget of a scattering grid (global_params, validate)
+# the normalisation budget of a scattering grid (scattering's exit 4, validate)
 MAX_NORMALIZATION_ERROR = 0.02
+# the global-parameter rule cuts each polar panel and each cap slice into this
+# many panels of _N_GAIN_NODES nodes: that Gauss rule is built anyway, and a
+# new size (leggauss) spins the BLAS threads for about 0.1 CPU-s
+_MOMENT_SPLIT = 2
 
 
 @dataclass(frozen=True)
@@ -36,7 +40,6 @@ class ScatteringGrid:
     nu_step_hz: float
     tau_step_s: float
     values: np.ndarray  # shape (n_tau_cells, n_nu_cells)
-    p_a: float
     tau_s: np.ndarray
     nu_hz: np.ndarray
 
@@ -63,8 +66,7 @@ class ScatteringGrid:
 
 @dataclass(frozen=True)
 class ChannelSummary:
-    """Global channel parameters; mean Doppler is zero by definition, the
-    grid's own (small, resolution-limited) mean is kept as a diagnostic."""
+    """Global channel parameters; mean Doppler is 0 by the mirror identity."""
 
     path_loss_db: float
     mean_delay_s: float
@@ -73,8 +75,6 @@ class ChannelSummary:
     rms_doppler_spread_hz: float
     channel_spread: float
     availability: float
-    grid_mean_doppler_hz: float
-    normalization_error: float
 
 
 def path_loss_proposition(model: CapModel) -> tuple[float, float]:
@@ -109,48 +109,41 @@ def scattering_function(model: CapModel, nu_step_hz: float = NU_STEP_HZ,
     # the descending grid is the ascending one reversed in nu
     values = ((p_a / 2.0) * gain_at_tau[:, None]
               * (pdf_up + pdf_up[:, ::-1]))
-    return ScatteringGrid(nu_step_hz=nu_step_hz, tau_step_s=tau_step_s,
-                          values=values, p_a=p_a, tau_s=tau_c,
-                          nu_hz=centers(nu_edges(model, nu_step_hz, 0)))
+    return ScatteringGrid(nu_step_hz=nu_step_hz, tau_step_s=tau_step_s, values=values,
+                          tau_s=tau_c, nu_hz=centers(nu_edges(model, nu_step_hz, 0)))
 
 
-def grid_moments(grid: ScatteringGrid, rho2: float):
-    """(mean delay, rms delay spread, rms doppler spread, grid mean doppler)
-    of the grid normalised by rho2."""
-    cell = grid.nu_step_hz * grid.tau_step_s
-    tau_c, nu_c = grid.tau_s, grid.nu_hz
-    mass_tau = grid.values.sum(axis=1) * cell / rho2
-    mass_nu = grid.values.sum(axis=0) * cell / rho2
-    mean_tau = float(np.dot(mass_tau, tau_c))
-    var_tau = float(np.dot(mass_tau, (tau_c - mean_tau) ** 2))
-    second_nu = float(np.dot(mass_nu, nu_c ** 2))
-    mean_nu = float(np.dot(mass_nu, nu_c))
-    return mean_tau, math.sqrt(max(var_tau, 0.0)), math.sqrt(max(second_nu, 0.0)), mean_nu
+def _gain_moments(model: CapModel) -> list[float]:
+    """E[g], E[g tau], E[g tau^2] and E[g nu^2] of a visible satellite: the
+    polar rule on the cap's band, broken where latitude lines touch the rim
+    or fall inside it, times sine-mapped panels across each slice. One mark
+    suffices, as the mirror identity keeps g and negates nu."""
+    shell, user = model.shell, model.user
+    phi_u, sigma = user.user_polar_rad, user.sigma_max_rad
+    lo, hi, _ = _active_band(shell, user, sigma)
+    breaks = sorted(b for b in {phi_u - sigma, phi_u + sigma, sigma - phi_u} if lo < b < hi)
+    e = np.linspace([lo, *breaks], [*breaks, hi], _MOMENT_SPLIT, endpoint=False, axis=1)
+    phi, w_phi = density_nodes(np.append(e, hi), shell, _N_GAIN_NODES)
+    h = arc_halfwidth_clamped(user, phi, sigma)
+    off, w_off = sine_mapped_panels(np.outer(h, np.linspace(-1.0, 1.0, _MOMENT_SPLIT + 1)),
+                                    _N_GAIN_NODES)
+    # theta = pi/2 + off, as in the Doppler kernel
+    v, cos_s = _radial_speed(shell, user, np.cos(off), -np.sin(off), phi[:, None], 1)
+    r, big_r, c = shell.earth_radius_m, shell.shell_radius_m, shell.light_speed_mps
+    d2 = (r * r + big_r * big_r) - (2.0 * r * big_r) * cos_s
+    wg = w_phi[:, None] * w_off / (2.0 * math.pi * model.p_sat * d2)
+    tau, nu = np.sqrt(d2) / c, v * (shell.carrier_hz / c)
+    return [float((wg * x).sum()) for x in (1.0, tau, tau * tau, nu * nu)]
 
 
-def global_params(model: CapModel, grid: ScatteringGrid) -> ChannelSummary:
-    """Global channel parameters from a scattering grid of model.
-
-    rho^2 is taken from the proposition integral rather than the grid;
-    the grid's integrals must agree with it within MAX_NORMALIZATION_ERROR
-    or the grid is too coarse (ResolutionError).
-    """
-    rho2, pl_db = path_loss_proposition(model)
-    norm_err = grid.normalization_error(rho2)
-    if norm_err > MAX_NORMALIZATION_ERROR:
-        raise ResolutionError(
-            f"scattering grid normalization off by {norm_err:.2%} "
-            f"(budget {MAX_NORMALIZATION_ERROR:.0%}); refine the grid"
-        )
-    mean_tau, rms_tau, rms_nu, grid_mean_nu = grid_moments(grid, rho2)
+def global_params(model: CapModel) -> ChannelSummary:
+    """Path loss from the proposition, delay and Doppler moments from
+    _gain_moments; as g tau^2 = 1/c^2, rms^2 + mean^2 of the delay is 1/(c^2 E[g])."""
+    g, g_tau, g_tau2, g_nu2 = _gain_moments(model)
+    mean_tau = g_tau / g
+    rms_tau = math.sqrt(max(g_tau2 / g - mean_tau * mean_tau, 0.0))
+    rms_nu = math.sqrt(g_nu2 / g)
     return ChannelSummary(
-        path_loss_db=pl_db,
-        mean_delay_s=mean_tau,
-        rms_delay_spread_s=rms_tau,
-        mean_doppler_hz=0.0,
-        rms_doppler_spread_hz=rms_nu,
-        channel_spread=2.0 * rms_tau * rms_nu,
-        availability=grid.p_a,
-        grid_mean_doppler_hz=grid_mean_nu,
-        normalization_error=norm_err,
-    )
+        path_loss_db=path_loss_proposition(model)[1], mean_delay_s=mean_tau,
+        rms_delay_spread_s=rms_tau, mean_doppler_hz=0.0, rms_doppler_spread_hz=rms_nu,
+        channel_spread=2.0 * rms_tau * rms_nu, availability=model.availability)

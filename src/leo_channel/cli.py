@@ -124,12 +124,19 @@ def cmd_scattering(cfg: RunConfig) -> list[Path]:
     user = cfg.user(shell)
     cap = CapModel(shell, user)
     grid = ch.scattering_function(cap, cfg.nu_step_hz, cfg.tau_step_s)
-    summary = ch.global_params(cap, grid)
+    rho2 = ch.path_loss_proposition(cap)[0]
+    norm_err = grid.normalization_error(rho2)
+    if norm_err > ch.MAX_NORMALIZATION_ERROR:
+        raise ResolutionError(f"scattering grid normalization off by {norm_err:.2%} "
+                              f"(budget {ch.MAX_NORMALIZATION_ERROR:.0%}); refine the grid")
+    mass_nu = grid.values.sum(axis=0) * (grid.nu_step_hz * grid.tau_step_s) / rho2
+    summary = {**dataclasses.asdict(ch.global_params(cap)), "normalization_error": norm_err,
+               "grid_mean_doppler_hz": float(np.dot(mass_nu, grid.nu_hz))}  # grid diagnostics
 
     header = ["tau_s"] + [f"nu_{_fmt(n)}" for n in grid.nu_hz]
     rows = [[t] + list(v) for t, v in zip(grid.tau_s, grid.values)]
     return [_write_table(cfg, "scattering", header, rows),
-            _write_json(cfg, "channel_summary.json", dataclasses.asdict(summary))]
+            _write_json(cfg, "channel_summary.json", summary)]
 
 
 def cmd_validate(cfg: RunConfig) -> tuple[list[Path], bool]:

@@ -33,7 +33,7 @@ import numpy as np
 from .propagation import _radial_speed, delay_inverse, gain as gain_fn, gain_inverse
 from . import parallel
 from .quadrature import _N_NODES, density_nodes, sine_mapped_panels
-from .visibility import CapModel, _active_band, arc_halfwidth_clamped
+from .visibility import CapModel, _active_band, _row_blocks, arc_halfwidth_clamped
 
 # azimuth samples per cap slice of the Doppler kernel: the smallest power of
 # two whose error against 4x the samples is at most 1/3 of the polar rule's
@@ -104,10 +104,10 @@ def _cap_cdf(model: CapModel, x, bounds, inverse, pcap, falling: bool):
 
 def _cap_pdf(model: CapModel, x, bounds, zenith: float, inverse, density):
     """PDF of gain or delay: density(-p_cap'(sigma(x)), x) on the support,
-    +0 outside it."""
+    +0 outside it, NaN at NaN."""
     x = np.asarray(x, dtype=float)
     lo, hi = bounds
-    inside = (lo <= x) & (x <= hi)
+    inside = ~((x < lo) | (x > hi))  # NaN passes through to p_cap_prime
     x = np.clip(x, lo, hi)
     # the zenith end is sigma_min exactly: inverting it would round it, and
     # where sigma_min > 0 the derivative's band-edge crossing there turns
@@ -279,14 +279,17 @@ def doppler_cdf_grid(model: CapModel, nu_edges, mark: int,
 
     The one-ring annulus pass over the distinct values, _N_NODES polar
     nodes per panel: the CDF is the running sum of its column totals, so it
-    never decreases along ascending nu, not even by rounding.
+    never decreases along ascending nu, not even by rounding. NaN values
+    stay out of the pass (np.unique sorts them last) and give NaN.
     """
     if cap_sigma is None:
         cap_sigma = model.user.sigma_max_rad
     nu = np.asarray(nu_edges, dtype=float)
     e, back = np.unique(nu.ravel(), return_inverse=True)
-    mass = _annulus_pass(model, [cap_sigma], e, mark, _N_NODES).sum(axis=0)
-    return np.cumsum(mass[:-1])[back.ravel()].reshape(nu.shape)
+    n = e.size - int(np.isnan(e).sum())
+    mass = _annulus_pass(model, [cap_sigma], e[:n], mark, _N_NODES).sum(axis=0)
+    cdf = np.append(np.cumsum(mass[:-1]), e[n:])
+    return cdf[back.ravel()].reshape(nu.shape)
 
 
 def doppler_cdf(model: CapModel, nu_hz: float, mark: int,
@@ -422,9 +425,9 @@ def rayleigh_gain_cdf_grid(model: CapModel, y: np.ndarray) -> np.ndarray:
     y = np.atleast_1d(np.asarray(y, dtype=float))
     g_min = model.gain_bounds[0]
     g, w, pcap = gain_nodes(model)
-    out = np.empty_like(y)
-    for lo in range(0, y.size, 65536):  # bound the (chunk, nodes) workspace
-        yy = np.maximum(y[lo:lo + 65536, None], 0.0)  # y <= 0 is 0 below; exp stays finite
+    out = np.zeros_like(y)  # 0 at y <= 0; a NaN y is a row, and gives NaN
+    for r in _row_blocks(~(y <= 0.0), g.size):  # bounds the (rows, nodes) workspace
+        yy = y[r, None]
         integ = np.sum(w * pcap * np.exp(-yy / g) * (yy / (g * g)), axis=1)
-        out[lo:lo + 65536] = 1.0 - np.exp(-yy[:, 0] / g_min) - integ / model.p_sat
-    return np.where(y <= 0.0, 0.0, np.clip(out, 0.0, 1.0))
+        out[r] = np.clip(1.0 - np.exp(-yy[:, 0] / g_min) - integ / model.p_sat, 0.0, 1.0)
+    return out

@@ -99,7 +99,8 @@ class CapModel:
 
     Immutable after construction; all methods are pure. p_cap and
     p_cap_prime take sigma of any shape and return an array of that shape,
-    or a float for a scalar; both are exact up to their fixed rules.
+    or a float for a scalar; both are exact up to their fixed rules, and
+    NaN where sigma is NaN.
     """
 
     shell: ShellConfig
@@ -122,7 +123,7 @@ class CapModel:
         lo, hi, edge = _active_band(self.shell, user, flat)
         live = (lo < hi) & (flat > user.sigma_min_rad)  # else: no mass
         split = live & (lo < edge) & (edge < hi)
-        out = np.zeros(flat.shape)
+        out = np.where(np.isnan(flat), np.nan, 0.0)
         for rows, cols in ((live & ~split, (lo, hi)), (split, (lo, edge, hi))):
             for r in _row_blocks(rows, (len(cols) - 1) * _N_NODES):
                 out[r] = density_integral(
@@ -145,7 +146,8 @@ class CapModel:
         shell, s = self.shell, np.asarray(sigma, dtype=float)
         c, d, a_in, a_out = ring_bearings(shell, self.user, s.ravel())
         # + 0.0: an empty arc gives +0, not -0
-        out = (a_out - a_in) / math.pi * _polar_limit(shell, c) + 0.0
+        out = np.where(np.isnan(c), np.nan,
+                       (a_out - a_in) / math.pi * _polar_limit(shell, c) + 0.0)
         for r in _row_blocks((d > 0.0) & (a_in < a_out), _N_NODES):
             alpha, w = sine_mapped_panels(np.stack([a_in[r], a_out[r]], axis=-1),
                                           _N_NODES)

@@ -24,6 +24,9 @@ sigma_from_elevation, the central angle of a shell point, and the
 whole-shell state of a Walker constellation at one time:
 propagate_arrays gives every satellite's (theta, phi, mark), which the
 snapshot loop reads, and positions_cartesian its Cartesian position.
+The global channel parameters are cross-checked by the binned moments of
+the scattering grid and by a tail identity for E[sqrt(g)] on the gain
+rule.
 """
 
 import math
@@ -360,6 +363,29 @@ def path_loss_rho2_adaptive(model: CapModel) -> float:
         lambda g: p_cap_adaptive(model, gain_inverse(model.shell, g)),
         g_min, g_max, epsabs=1e-15, epsrel=1e-10, limit=200)
     return model.availability * (g_min + integral / model.p_sat)
+
+
+def mean_root_gain(model: CapModel) -> float:
+    """E[sqrt(g)] of a visible satellite by the tail identity
+    E[h(G)] = h(g_min) + integral of h'(g) P(G > g) over the gain support,
+    on the one-dimensional rule of gain_nodes: an independent route to
+    the mean delay E[sqrt(g)] / (c E[g]) of the two-dimensional rule."""
+    g, w, p = dist.gain_nodes(model)
+    return math.sqrt(model.gain_bounds[0]) + float(w @ (p / (2.0 * np.sqrt(g)))) / model.p_sat
+
+
+def grid_moments(grid, rho2: float):
+    """(mean delay, rms delay spread, rms doppler spread) of a scattering
+    grid normalised by rho2: its binned moments, the cross-check of
+    channel.global_params."""
+    cell = grid.nu_step_hz * grid.tau_step_s
+    tau_c, nu_c = grid.tau_s, grid.nu_hz
+    mass_tau = grid.values.sum(axis=1) * cell / rho2
+    mass_nu = grid.values.sum(axis=0) * cell / rho2
+    mean_tau = float(np.dot(mass_tau, tau_c))
+    var_tau = float(np.dot(mass_tau, (tau_c - mean_tau) ** 2))
+    second_nu = float(np.dot(mass_nu, nu_c ** 2))
+    return mean_tau, math.sqrt(max(var_tau, 0.0)), math.sqrt(max(second_nu, 0.0))
 
 
 def rayleigh_gain_cdf(model: CapModel, y: float) -> float:

@@ -43,11 +43,6 @@ def scat_equator(cap_equator):
 
 
 @pytest.fixture(scope="module")
-def scat_midlat(cap_midlat):
-    return ch.scattering_function(cap_midlat)
-
-
-@pytest.fixture(scope="module")
 def mc_million(shell, equator_user):
     """1e6 visible-cap NBPP samples at the equator user."""
     rng = np.random.default_rng(101)
@@ -106,17 +101,15 @@ def test_criterion_3_max_doppler(cap_equator, cap_midlat):
     assert ok_a and ok_b
 
 
-def test_criterion_4_global_parameters(cap_equator, cap_midlat,
-                                       scat_equator, scat_midlat):
+def test_criterion_4_global_parameters(cap_equator, cap_midlat):
     want = {
         "equator": dict(pl=117.6, tbar=2.5e-3, st=0.43e-3, sn=134.5e3),
         "midlat": dict(pl=122.6, tbar=4.5e-3, st=0.80e-3, sn=137.9e3),
     }
     checks = []
     lines = []
-    for name, cap, grid in (("equator", cap_equator, scat_equator),
-                            ("midlat", cap_midlat, scat_midlat)):
-        s = ch.global_params(cap, grid)
+    for name, cap in (("equator", cap_equator), ("midlat", cap_midlat)):
+        s = ch.global_params(cap)
         w = want[name]
         checks += [
             abs(s.path_loss_db - w["pl"]) <= 0.2,

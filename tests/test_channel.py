@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import max_doppler_scan, path_loss_rho2_adaptive
+from oracles import (grid_moments, max_doppler_scan, mean_root_gain,
+                     path_loss_rho2_adaptive)
 
 from leo_channel import channel as ch
 from leo_channel import distributions as dist
-from leo_channel.errors import ResolutionError
+from leo_channel import propagation as prop
+from leo_channel.config import RunConfig
 from leo_channel.geometry import ShellConfig, UserGeometry
 from leo_channel.nbpp import sample_visible
 from leo_channel.propagation import delay_inverse, gain as gain_fn
@@ -136,28 +138,108 @@ class TestScatteringGrid:
             cap_equator.availability * faded_mean, rel=0.01)
 
 
+def _cap(incl: float, lat: float, mask: float) -> CapModel:
+    cfg = RunConfig(inclination_deg=incl, lat_deg=lat, min_elev_deg=mask)
+    shell = cfg.shell()
+    return CapModel(shell, cfg.user(shell))
+
+
+# inclination / latitude / mask: the reference pair, a band-edge user, two
+# zero-mask users, the 89-degree shell's pole user without a mask, and a
+# near-polar shell whose cap crosses the band edge
+RULE_USERS = [(53.0, 0.0, 30.0), (53.0, 60.0, 10.0), (53.0, 45.0, 25.0),
+              (53.0, 0.0, 0.0), (53.0, 36.9, 18.0), (89.0, 90.0, 0.0),
+              (88.94, 22.1, 39.1)]
+REFERENCE_USERS = [(53.0, 0.0, 30.0), (53.0, 60.0, 10.0)]
+
+
+def _moments(s):
+    return np.array([s.mean_delay_s, s.rms_delay_spread_s, s.rms_doppler_spread_hz,
+                     s.channel_spread])
+
+
 class TestGlobalParams:
-    def test_equator_summary(self, cap_equator, grid_equator):
-        s = ch.global_params(cap_equator, grid_equator)
+    def test_equator_summary(self, cap_equator):
+        s = ch.global_params(cap_equator)
         assert s.path_loss_db == pytest.approx(117.6, abs=0.2)
         assert s.mean_delay_s == pytest.approx(2.5e-3, abs=0.1e-3)
         assert s.rms_delay_spread_s == pytest.approx(0.43e-3, abs=0.03e-3)
         assert s.rms_doppler_spread_hz == pytest.approx(134.5e3, abs=3e3)
         assert s.mean_doppler_hz == 0.0
         assert s.channel_spread > 100.0
-        assert abs(s.grid_mean_doppler_hz) < 1e3
 
-    def test_summary_is_serializable(self, cap_equator, grid_equator):
-        s = ch.global_params(cap_equator, grid_equator)
+    def test_summary_is_serializable(self, cap_equator):
+        s = ch.global_params(cap_equator)
         d = dataclasses.asdict(s)
         assert set(d) >= {"path_loss_db", "mean_delay_s", "rms_delay_spread_s",
                           "mean_doppler_hz", "rms_doppler_spread_hz",
                           "channel_spread", "availability"}
 
-    def test_coarse_grid_raises(self, cap_equator):
-        with pytest.raises(ResolutionError):
-            ch.global_params(cap_equator,
-                             ch.scattering_function(cap_equator, nu_step_hz=50e3))
+    @pytest.mark.parametrize("incl,lat,mask", RULE_USERS)
+    def test_rule_converged_at_twice_the_nodes(self, monkeypatch, incl, lat, mask):
+        cap = _cap(incl, lat, mask)
+        base = _moments(ch.global_params(cap))
+        monkeypatch.setattr(ch, "_MOMENT_SPLIT", 2 * ch._MOMENT_SPLIT)
+        fine = _moments(ch.global_params(cap))
+        assert np.all(np.isfinite(base))
+        np.testing.assert_allclose(base, fine, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("incl,lat,mask", REFERENCE_USERS + [(89.0, 90.0, 0.0)])
+    def test_delay_moments_obey_the_gain_identity(self, incl, lat, mask):
+        # g tau^2 = 1/c^2 exactly, so E[g tau^2] / E[g] = p_a / (c^2 rho^2)
+        # with rho^2 from the one-dimensional proposition
+        cap = _cap(incl, lat, mask)
+        s = ch.global_params(cap)
+        rho2, _ = ch.path_loss_proposition(cap)
+        c = cap.shell.light_speed_mps
+        assert s.rms_delay_spread_s ** 2 + s.mean_delay_s ** 2 == pytest.approx(
+            cap.availability / (c * c * rho2), rel=1e-12)
+
+    @pytest.mark.parametrize("incl,lat,mask", REFERENCE_USERS + [(89.0, 90.0, 0.0)])
+    def test_mean_delay_matches_the_tail_identity(self, incl, lat, mask):
+        # g tau = sqrt(g) / c: the mean delay is E[sqrt g] / (c E[g]), both
+        # expectations on the one-dimensional gain rule
+        cap = _cap(incl, lat, mask)
+        rho2, _ = ch.path_loss_proposition(cap)
+        want = mean_root_gain(cap) * cap.availability / (cap.shell.light_speed_mps * rho2)
+        assert ch.global_params(cap).mean_delay_s == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("incl,lat,mask", REFERENCE_USERS)
+    def test_against_gain_weighted_monte_carlo(self, incl, lat, mask):
+        # each moment is a ratio of sample means; its standard error is the
+        # delta method's, and the rule must lie within 4 of them
+        cap = _cap(incl, lat, mask)
+        shell, user = cap.shell, cap.user
+        sigma, theta, phi, mark = sample_visible(shell, user, 1_000_000,
+                                                 np.random.default_rng(41))
+        g, tau = prop.gain(shell, sigma), prop.delay(shell, sigma)
+        nu = prop.doppler_hz_arrays(shell, user, theta, phi, mark)
+        g_bar = g.mean()
+        mean = (g * tau).mean() / g_bar
+        var = (g * (tau - mean) ** 2).mean() / g_bar
+        nu2 = (g * nu * nu).mean() / g_bar
+        s = ch.global_params(cap)
+        for est, rule, influence in (
+                (mean, s.mean_delay_s, g * (tau - mean)),
+                (var, s.rms_delay_spread_s ** 2, g * ((tau - mean) ** 2 - var)),
+                (nu2, s.rms_doppler_spread_hz ** 2, g * (nu * nu - nu2))):
+            se = float(np.std(influence / g_bar)) / math.sqrt(g.size)
+            assert abs(est - rule) <= 4.0 * se
+
+    @pytest.mark.parametrize("incl,lat,mask", REFERENCE_USERS)
+    def test_grid_moments_converge_to_the_rule(self, incl, lat, mask):
+        # the binned grid's moments carry its binning error: at most 2e-4 at
+        # the default steps, and less at half of both steps
+        cap = _cap(incl, lat, mask)
+        rho2, _ = ch.path_loss_proposition(cap)
+        rule = _moments(ch.global_params(cap))[:3]
+        gaps = []
+        for scale in (1.0, 0.5):
+            grid = ch.scattering_function(cap, scale * dist.NU_STEP_HZ,
+                                          scale * dist.TAU_STEP_S)
+            gaps.append(np.abs(np.array(grid_moments(grid, rho2)) / rule - 1.0))
+        assert np.all(gaps[0] <= 2e-4)
+        assert np.all(gaps[1] < gaps[0])
 
     def test_carrier_scaling(self):
         # doubling the carrier doubles the Doppler spread and leaves the
@@ -167,10 +249,7 @@ class TestGlobalParams:
         s = {}
         for shell in (base, doubled):
             user = UserGeometry.for_shell(shell, math.pi / 2, math.radians(30))
-            cap = CapModel(shell, user)
-            grid = ch.scattering_function(
-                cap, nu_step_hz=2.61e3 * shell.carrier_hz / base.carrier_hz)
-            s[shell.carrier_hz] = ch.global_params(cap, grid)
+            s[shell.carrier_hz] = ch.global_params(CapModel(shell, user))
         lo, hi = s[base.carrier_hz], s[2 * base.carrier_hz]
         assert hi.rms_doppler_spread_hz == pytest.approx(
             2 * lo.rms_doppler_spread_hz, rel=1e-3)
@@ -187,4 +266,12 @@ class TestGlobalParams:
         cap = CapModel(shell, user)
         assert cap.nu_max_hz == pytest.approx(max_doppler_scan(shell, user),
                                               abs=1.0)
-        ch.global_params(cap, ch.scattering_function(cap, tau_step_s=8.4e-5))
+        ch.scattering_function(cap, tau_step_s=8.4e-5)
+        assert np.all(np.isfinite(_moments(ch.global_params(cap))))
+
+    def test_pole_user_without_a_mask(self):
+        # the scattering grid of this user fails its normalisation check
+        # at the default steps; its global parameters need no grid
+        s = ch.global_params(_cap(89.0, 90.0, 0.0))
+        assert np.all(np.isfinite(_moments(s)))
+        assert s.rms_delay_spread_s > 0.0 and s.rms_doppler_spread_hz > 0.0

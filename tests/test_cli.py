@@ -140,6 +140,9 @@ class TestScattering:
         doc = json.loads((Path(out) / "channel_summary.json").read_text())
         assert doc["path_loss_db"] == pytest.approx(117.6, abs=0.2)
         assert doc["channel_spread"] > 100.0
+        # the grid's own diagnostics sit next to the model's parameters
+        assert abs(doc["grid_mean_doppler_hz"]) < 1e3
+        assert doc["normalization_error"] <= 0.02
         hdr, rows = read_csv(Path(out) / "scattering.csv")
         n_nu = len(hdr) - 1
         n_tau = len(rows)
@@ -328,8 +331,11 @@ def test_cli_imports_without_scipy():
 
 
 @pytest.mark.parametrize("argv", [["reproduce_channel_params.py"],
-                                  ["compare_with_orbit_sim.py", "--snapshots", "2000"]],
-                         ids=["reproduce_channel_params", "compare_with_orbit_sim"])
+                                  ["compare_with_orbit_sim.py", "--snapshots", "2000"],
+                                  ["user_sweep.py", "--incl", "53", "--lat", "60",
+                                   "--mask", "10"]],
+                         ids=["reproduce_channel_params", "compare_with_orbit_sim",
+                              "user_sweep"])
 def test_script_runs(tmp_path, argv):
     # the scripts call the library directly; no other test reaches them
     root = Path(__file__).resolve().parents[1]
