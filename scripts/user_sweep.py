@@ -9,7 +9,8 @@ Usage, from the root of a checkout (SciPy is needed for the oracles):
 Shell inclinations, user latitudes and elevation masks are in degrees; the
 defaults above give 140 users, of which 105 see a satellite. For each
 covered user it runs the seven checks of checks.REGISTRY that need neither
-a Monte Carlo sample nor Walker snapshots, each at its threshold:
+a Monte Carlo sample nor Walker snapshots (checks.ANALYTIC, on the inputs
+of checks.AnalyticInputs), each at its threshold:
 pcap_derivative_fd, gain_pdf_vs_cdf_fd, delay_pdf_vs_cdf_fd,
 dual_path_loss and scattering_normalization (on the default grid),
 doppler_pdf_normalization and doppler_mark_symmetry. RuntimeWarning and
@@ -30,7 +31,6 @@ import os
 import sys
 import time
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -43,31 +43,22 @@ from leo_channel import channel as ch  # noqa: E402
 from leo_channel import checks  # noqa: E402
 from leo_channel.config import RunConfig  # noqa: E402
 from leo_channel.errors import NoVisibleSatellites  # noqa: E402
-from leo_channel.visibility import CapModel  # noqa: E402
-
-ANALYTIC = ("pcap_derivative_fd", "gain_pdf_vs_cdf_fd", "delay_pdf_vs_cdf_fd",
-            "dual_path_loss", "scattering_normalization",
-            "doppler_pdf_normalization", "doppler_mark_symmetry")
 
 
 def sweep_user(cfg: RunConfig):
     """(failed checks as {name: (value, threshold)}, worst check name and
     value / threshold, moment gaps) of one covered user."""
-    shell = cfg.shell()
-    cap = CapModel(shell, cfg.user(shell))
-    rho2 = ch.path_loss_proposition(cap)[0]
-    grid = ch.scattering_function(cap, cfg.nu_step_hz, cfg.tau_step_s)
-    inputs = SimpleNamespace(cap=cap, cfg=cfg, grid=grid, rho2=rho2)
+    inputs = checks.AnalyticInputs(cfg)
     failed, ratios = {}, {}
     for name, check, _ in checks.REGISTRY:
-        if name in ANALYTIC:
+        if name in checks.ANALYTIC:
             value, threshold = check(inputs)
             ratios[name] = value / threshold
             if not value <= threshold:
                 failed[name] = (value, threshold)
-    s = ch.global_params(cap)
+    s = ch.global_params(inputs.cap)
     rule = np.array([s.mean_delay_s, s.rms_delay_spread_s, s.rms_doppler_spread_hz])
-    gaps = np.abs(np.array(grid_moments(grid, rho2)) / rule - 1.0)
+    gaps = np.abs(np.array(grid_moments(inputs.grid, inputs.rho2)) / rule - 1.0)
     worst = max(ratios, key=ratios.get)
     return failed, worst, ratios[worst], gaps
 

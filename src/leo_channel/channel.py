@@ -63,6 +63,11 @@ class ScatteringGrid:
         return max(abs(self.trapezoid_integral() / rho2 - 1.0),
                    self.dual_path_loss_gap(rho2))
 
+    def mean_doppler_hz(self, rho2: float) -> float:
+        """Binned mean Doppler over rho^2: 0 in the model, so binning error."""
+        mass_nu = self.values.sum(axis=0) * (self.nu_step_hz * self.tau_step_s) / rho2
+        return float(np.dot(mass_nu, self.nu_hz))
+
 
 @dataclass(frozen=True)
 class ChannelSummary:
@@ -115,13 +120,14 @@ def scattering_function(model: CapModel, nu_step_hz: float = NU_STEP_HZ,
 
 def _gain_moments(model: CapModel) -> list[float]:
     """E[g], E[g tau], E[g tau^2] and E[g nu^2] of a visible satellite: the
-    polar rule on the cap's band, broken where latitude lines touch the rim
-    or fall inside it, times sine-mapped panels across each slice. One mark
-    suffices, as the mirror identity keeps g and negates nu."""
+    polar rule on the cap's band, broken at sigma_max - phi_u, past which
+    latitude lines fall fully inside the cap, times sine-mapped panels
+    across each slice. One mark suffices, as the mirror identity keeps g
+    and negates nu."""
     shell, user = model.shell, model.user
-    phi_u, sigma = user.user_polar_rad, user.sigma_max_rad
-    lo, hi, _ = _active_band(shell, user, sigma)
-    breaks = sorted(b for b in {phi_u - sigma, phi_u + sigma, sigma - phi_u} if lo < b < hi)
+    sigma = user.sigma_max_rad
+    lo, hi, inner = _active_band(shell, user, sigma)
+    breaks = [inner] if lo < inner < hi else []
     e = np.linspace([lo, *breaks], [*breaks, hi], _MOMENT_SPLIT, endpoint=False, axis=1)
     phi, w_phi = density_nodes(np.append(e, hi), shell, _N_GAIN_NODES)
     h = arc_halfwidth_clamped(user, phi, sigma)

@@ -91,21 +91,29 @@ def mark_symmetry(cap: CapModel) -> float:
                                - (1.0 - dist.doppler_cdf_grid(cap, -nu, -1)))))
 
 
-class _Inputs:
-    """What the checks share. One generator draws the Monte Carlo sample,
-    the snapshot times and the snapshot picks, in order."""
+class AnalyticInputs:
+    """What the checks of ANALYTIC read: the cap, its scattering grid and
+    rho^2 of the proposition."""
 
     def __init__(self, cfg):
         shell = cfg.shell()
-        user = cfg.user(shell)
-        self.cap = cap = CapModel(shell, user)
+        self.cap = CapModel(shell, cfg.user(shell))
         self.cfg = cfg
+        self.grid = ch.scattering_function(self.cap, cfg.nu_step_hz, cfg.tau_step_s)
+        self.rho2 = ch.path_loss_proposition(self.cap)[0]
+
+
+class _Inputs(AnalyticInputs):
+    """What every check reads. One generator draws the Monte Carlo sample,
+    the snapshot times and the snapshot picks, in order."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        cap, shell, user = self.cap, self.cap.shell, self.cap.user
         tables = ks_tables(cap)
         rng = np.random.default_rng(cfg.seed)
         self.mc_ks = ks_triple(cap, tables,
                                *nbpp.sample_visible(shell, user, cfg.mc_samples, rng))
-        self.grid = ch.scattering_function(cap, cfg.nu_step_hz, cfg.tau_step_s)
-        self.rho2 = ch.path_loss_proposition(cap)[0]
         con = osim.build(shell, math.radians(cfg.inter_orbit_phase_deg))
         times = osim.default_snapshot_times(cfg.snapshots, rng, cfg.snapshot_spacing_s)
         orbit = osim.snapshot_sample(con, user, times, rng)
@@ -123,6 +131,11 @@ class _Inputs:
         self.range_tol = (0.10 if low_lat else 0.03) + noise
         self.doppler_tol = (0.10 if low_lat else 0.05) + noise
 
+
+# the checks that need neither a Monte Carlo sample nor Walker snapshots
+ANALYTIC = ("pcap_derivative_fd", "gain_pdf_vs_cdf_fd", "delay_pdf_vs_cdf_fd",
+            "dual_path_loss", "scattering_normalization",
+            "doppler_pdf_normalization", "doppler_mark_symmetry")
 
 # name, (value, threshold) from the inputs, detail formatted with them
 REGISTRY = (

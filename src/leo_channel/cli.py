@@ -129,9 +129,8 @@ def cmd_scattering(cfg: RunConfig) -> list[Path]:
     if norm_err > ch.MAX_NORMALIZATION_ERROR:
         raise ResolutionError(f"scattering grid normalization off by {norm_err:.2%} "
                               f"(budget {ch.MAX_NORMALIZATION_ERROR:.0%}); refine the grid")
-    mass_nu = grid.values.sum(axis=0) * (grid.nu_step_hz * grid.tau_step_s) / rho2
     summary = {**dataclasses.asdict(ch.global_params(cap)), "normalization_error": norm_err,
-               "grid_mean_doppler_hz": float(np.dot(mass_nu, grid.nu_hz))}  # grid diagnostics
+               "grid_mean_doppler_hz": grid.mean_doppler_hz(rho2)}  # grid diagnostics
 
     header = ["tau_s"] + [f"nu_{_fmt(n)}" for n in grid.nu_hz]
     rows = [[t] + list(v) for t, v in zip(grid.tau_s, grid.values)]

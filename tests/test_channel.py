@@ -120,6 +120,13 @@ class TestScatteringGrid:
                                 grid_equator.values.shape)
         assert tau_c[i] < tau_lo + 0.1 * (tau_hi - tau_lo)
 
+    def test_grid_diagnostics(self, cap_equator, grid_equator):
+        # the default grid passes its normalisation check, and its binned
+        # mean Doppler, 0 in the model, stays far below one Doppler step
+        rho2, _ = ch.path_loss_proposition(cap_equator)
+        assert grid_equator.normalization_error(rho2) <= ch.MAX_NORMALIZATION_ERROR
+        assert abs(grid_equator.mean_doppler_hz(rho2)) < 1e3
+
     def test_gain_delay_identity(self, shell, cap_equator):
         c = shell.light_speed_mps
         tau_lo, tau_hi = cap_equator.delay_bounds
@@ -229,7 +236,8 @@ class TestGlobalParams:
     @pytest.mark.parametrize("incl,lat,mask", REFERENCE_USERS)
     def test_grid_moments_converge_to_the_rule(self, incl, lat, mask):
         # the binned grid's moments carry its binning error: at most 2e-4 at
-        # the default steps, and less at half of both steps
+        # the default steps, and less at half of both steps; each grid passes
+        # its own normalisation check
         cap = _cap(incl, lat, mask)
         rho2, _ = ch.path_loss_proposition(cap)
         rule = _moments(ch.global_params(cap))[:3]
@@ -237,19 +245,26 @@ class TestGlobalParams:
         for scale in (1.0, 0.5):
             grid = ch.scattering_function(cap, scale * dist.NU_STEP_HZ,
                                           scale * dist.TAU_STEP_S)
+            assert grid.normalization_error(rho2) <= ch.MAX_NORMALIZATION_ERROR
             gaps.append(np.abs(np.array(grid_moments(grid, rho2)) / rule - 1.0))
         assert np.all(gaps[0] <= 2e-4)
         assert np.all(gaps[1] < gaps[0])
 
     def test_carrier_scaling(self):
         # doubling the carrier doubles the Doppler spread and leaves the
-        # delay moments unchanged
+        # delay moments unchanged; the grid at a Doppler step scaled with
+        # the carrier passes its normalisation check
         base = ShellConfig()
         doubled = ShellConfig(carrier_hz=2 * base.carrier_hz)
         s = {}
         for shell in (base, doubled):
             user = UserGeometry.for_shell(shell, math.pi / 2, math.radians(30))
-            s[shell.carrier_hz] = ch.global_params(CapModel(shell, user))
+            cap = CapModel(shell, user)
+            grid = ch.scattering_function(
+                cap, nu_step_hz=2.61e3 * shell.carrier_hz / base.carrier_hz)
+            assert grid.normalization_error(
+                ch.path_loss_proposition(cap)[0]) <= ch.MAX_NORMALIZATION_ERROR
+            s[shell.carrier_hz] = ch.global_params(cap)
         lo, hi = s[base.carrier_hz], s[2 * base.carrier_hz]
         assert hi.rms_doppler_spread_hz == pytest.approx(
             2 * lo.rms_doppler_spread_hz, rel=1e-3)
@@ -266,7 +281,9 @@ class TestGlobalParams:
         cap = CapModel(shell, user)
         assert cap.nu_max_hz == pytest.approx(max_doppler_scan(shell, user),
                                               abs=1.0)
-        ch.scattering_function(cap, tau_step_s=8.4e-5)
+        grid = ch.scattering_function(cap, tau_step_s=8.4e-5)
+        assert grid.normalization_error(
+            ch.path_loss_proposition(cap)[0]) <= ch.MAX_NORMALIZATION_ERROR
         assert np.all(np.isfinite(_moments(ch.global_params(cap))))
 
     def test_pole_user_without_a_mask(self):

@@ -36,3 +36,15 @@ def test_grid_free_checks_pass_on_any_covered_user(incl, lat, mask):
             if not value <= threshold:
                 failed[name] = (value, threshold)
     assert failed == {}
+
+
+def test_analytic_checks_pass_on_their_own_inputs():
+    # every check of checks.ANALYTIC reads only checks.AnalyticInputs, and
+    # at the equator reference user each passes at its threshold
+    names = [name for name, _, _ in checks.REGISTRY]
+    assert set(GRID_FREE) < set(checks.ANALYTIC) <= set(names)
+    inputs = checks.AnalyticInputs(RunConfig())
+    for name, check, _ in checks.REGISTRY:
+        if name in checks.ANALYTIC:
+            value, threshold = check(inputs)
+            assert value <= threshold, name
