@@ -58,7 +58,7 @@ def sweep_user(cfg: RunConfig):
                 failed[name] = (value, threshold)
     s = ch.global_params(inputs.cap)
     rule = np.array([s.mean_delay_s, s.rms_delay_spread_s, s.rms_doppler_spread_hz])
-    gaps = np.abs(np.array(grid_moments(inputs.grid, inputs.rho2)) / rule - 1.0)
+    gaps = np.abs(np.array(grid_moments(inputs.grid)) / rule - 1.0)
     worst = max(ratios, key=ratios.get)
     return failed, worst, ratios[worst], gaps
 

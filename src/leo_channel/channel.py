@@ -6,8 +6,8 @@ instantaneous gain 1/(c tau)^2 (which equals the gain at the central angle
 reached in delay tau). One kernel pass gives both marks: the descending
 joint density is the ascending one mirrored in Doppler. The global channel
 parameters are read off the model, not off a grid: the path loss from a
-one-dimensional integral in gain, which also checks the grid's cell sum,
-and the delay and Doppler moments from a fixed product rule over the cap.
+one-dimensional integral in gain, rho^2, which a grid carries to check its
+cell sum, and the delay and Doppler moments from a product rule on the cap.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# joint_pdf_grid is looked up here, where a profiler patches it
+# joint_pdf_grid and path_loss_proposition are looked up here: a profiler patches them
 from .distributions import (_N_GAIN_NODES, NU_STEP_HZ, TAU_STEP_S, centers, gain_nodes,
                             joint_pdf_grid, nu_edges, tau_edges)
-from .propagation import _radial_speed
+from .propagation import _doppler_hz
 from .quadrature import density_nodes, sine_mapped_panels
 from .visibility import CapModel, _active_band, arc_halfwidth_clamped
 
@@ -34,14 +34,15 @@ _MOMENT_SPLIT = 2
 
 @dataclass(frozen=True)
 class ScatteringGrid:
-    """Binned scattering function: power density per (s * Hz) cell, with
-    the delay and Doppler centres of its rows and columns."""
+    """Binned scattering function: power density per (s * Hz) cell, the
+    delay and Doppler centres of its rows and columns, and the proposition's rho^2."""
 
     nu_step_hz: float
     tau_step_s: float
     values: np.ndarray  # shape (n_tau_cells, n_nu_cells)
     tau_s: np.ndarray
     nu_hz: np.ndarray
+    rho2: float
 
     def cell_sum(self) -> float:
         """Plain binned integral: sum of values times the cell area."""
@@ -54,18 +55,18 @@ class ScatteringGrid:
         return float(np.trapezoid(np.trapezoid(self.values, self.nu_hz, axis=1),
                                   self.tau_s))
 
-    def dual_path_loss_gap(self, rho2: float) -> float:
-        """Relative gap of the cell sum to rho^2 from the proposition."""
-        return abs(self.cell_sum() / rho2 - 1.0)
+    def dual_path_loss_gap(self) -> float:
+        """Relative gap of the cell sum to rho^2."""
+        return abs(self.cell_sum() / self.rho2 - 1.0)
 
-    def normalization_error(self, rho2: float) -> float:
+    def normalization_error(self) -> float:
         """Larger relative gap to rho^2: trapezoid integral or cell sum."""
-        return max(abs(self.trapezoid_integral() / rho2 - 1.0),
-                   self.dual_path_loss_gap(rho2))
+        return max(abs(self.trapezoid_integral() / self.rho2 - 1.0),
+                   self.dual_path_loss_gap())
 
-    def mean_doppler_hz(self, rho2: float) -> float:
+    def mean_doppler_hz(self) -> float:
         """Binned mean Doppler over rho^2: 0 in the model, so binning error."""
-        mass_nu = self.values.sum(axis=0) * (self.nu_step_hz * self.tau_step_s) / rho2
+        mass_nu = self.values.sum(axis=0) * (self.nu_step_hz * self.tau_step_s) / self.rho2
         return float(np.dot(mass_nu, self.nu_hz))
 
 
@@ -115,7 +116,8 @@ def scattering_function(model: CapModel, nu_step_hz: float = NU_STEP_HZ,
     values = ((p_a / 2.0) * gain_at_tau[:, None]
               * (pdf_up + pdf_up[:, ::-1]))
     return ScatteringGrid(nu_step_hz=nu_step_hz, tau_step_s=tau_step_s, values=values,
-                          tau_s=tau_c, nu_hz=centers(nu_edges(model, nu_step_hz, 0)))
+                          tau_s=tau_c, nu_hz=centers(nu_edges(model, nu_step_hz, 0)),
+                          rho2=path_loss_proposition(model)[0])
 
 
 def _gain_moments(model: CapModel) -> list[float]:
@@ -134,11 +136,9 @@ def _gain_moments(model: CapModel) -> list[float]:
     off, w_off = sine_mapped_panels(np.outer(h, np.linspace(-1.0, 1.0, _MOMENT_SPLIT + 1)),
                                     _N_GAIN_NODES)
     # theta = pi/2 + off, as in the Doppler kernel
-    v, cos_s = _radial_speed(shell, user, np.cos(off), -np.sin(off), phi[:, None], 1)
-    r, big_r, c = shell.earth_radius_m, shell.shell_radius_m, shell.light_speed_mps
-    d2 = (r * r + big_r * big_r) - (2.0 * r * big_r) * cos_s
+    nu, _, d2 = _doppler_hz(shell, user, np.cos(off), -np.sin(off), phi[:, None], 1)
     wg = w_phi[:, None] * w_off / (2.0 * math.pi * model.p_sat * d2)
-    tau, nu = np.sqrt(d2) / c, v * (shell.carrier_hz / c)
+    tau = np.sqrt(d2) / shell.light_speed_mps
     return [float((wg * x).sum()) for x in (1.0, tau, tau * tau, nu * nu)]
 
 

@@ -92,15 +92,13 @@ def mark_symmetry(cap: CapModel) -> float:
 
 
 class AnalyticInputs:
-    """What the checks of ANALYTIC read: the cap, its scattering grid and
-    rho^2 of the proposition."""
+    """What the checks of ANALYTIC read: the cap and its scattering grid."""
 
     def __init__(self, cfg):
         shell = cfg.shell()
         self.cap = CapModel(shell, cfg.user(shell))
         self.cfg = cfg
         self.grid = ch.scattering_function(self.cap, cfg.nu_step_hz, cfg.tau_step_s)
-        self.rho2 = ch.path_loss_proposition(self.cap)[0]
 
 
 class _Inputs(AnalyticInputs):
@@ -146,9 +144,9 @@ REGISTRY = (
      "20 points, d/dcos(sigma)"),
     ("gain_pdf_vs_cdf_fd", lambda x: (pdf_vs_cdf_error(x.cap, "gain"), 1e-3), "20 points"),
     ("delay_pdf_vs_cdf_fd", lambda x: (pdf_vs_cdf_error(x.cap, "delay"), 1e-3), "20 points"),
-    ("dual_path_loss", lambda x: (x.grid.dual_path_loss_gap(x.rho2), 0.01), ""),
+    ("dual_path_loss", lambda x: (x.grid.dual_path_loss_gap(), 0.01), ""),
     ("scattering_normalization",
-     lambda x: (x.grid.normalization_error(x.rho2), ch.MAX_NORMALIZATION_ERROR), ""),
+     lambda x: (x.grid.normalization_error(), ch.MAX_NORMALIZATION_ERROR), ""),
     ("doppler_pdf_normalization", lambda x: (doppler_pdf_normalization(
         x.cap, x.cfg.doppler_nu_step_hz), 1e-3), ""),
     ("doppler_mark_symmetry", lambda x: (mark_symmetry(x.cap), 1e-6), "10 points"),

@@ -124,13 +124,12 @@ def cmd_scattering(cfg: RunConfig) -> list[Path]:
     user = cfg.user(shell)
     cap = CapModel(shell, user)
     grid = ch.scattering_function(cap, cfg.nu_step_hz, cfg.tau_step_s)
-    rho2 = ch.path_loss_proposition(cap)[0]
-    norm_err = grid.normalization_error(rho2)
+    norm_err = grid.normalization_error()
     if norm_err > ch.MAX_NORMALIZATION_ERROR:
         raise ResolutionError(f"scattering grid normalization off by {norm_err:.2%} "
                               f"(budget {ch.MAX_NORMALIZATION_ERROR:.0%}); refine the grid")
     summary = {**dataclasses.asdict(ch.global_params(cap)), "normalization_error": norm_err,
-               "grid_mean_doppler_hz": grid.mean_doppler_hz(rho2)}  # grid diagnostics
+               "grid_mean_doppler_hz": grid.mean_doppler_hz()}  # grid diagnostics
 
     header = ["tau_s"] + [f"nu_{_fmt(n)}" for n in grid.nu_hz]
     rows = [[t] + list(v) for t, v in zip(grid.tau_s, grid.values)]

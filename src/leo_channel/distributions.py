@@ -17,8 +17,9 @@ test suite checks both against independent routes.
 
 Mirroring the azimuth about the user's meridian and flipping the mark
 negates the Doppler shift and keeps the central angle, so each mark-mixed
-quantity takes one ascending pass: F_-(nu) = T - F_+(-nu), T the pass's
-total, and the descending joint grid is the ascending one reversed in nu.
+quantity takes one ascending pass: the descending joint grid is the
+ascending one reversed in nu, and doppler_pdf_grid, which alone builds
+both marks' CDFs, takes F_-(nu) = T - F_+(-nu), T the pass's total.
 
 A grid is given by its steps alone; nu_edges and tau_edges build its edges
 for each user and are the one place a step is checked.
@@ -30,7 +31,8 @@ import math
 
 import numpy as np
 
-from .propagation import _radial_speed, delay_inverse, gain as gain_fn, gain_inverse
+from .errors import DomainError
+from .propagation import _doppler_hz, delay_inverse, gain as gain_fn, gain_inverse
 from . import parallel
 from .quadrature import _N_NODES, density_nodes, sine_mapped_panels
 from .visibility import CapModel, _active_band, _row_blocks, arc_halfwidth_clamped
@@ -251,8 +253,7 @@ def _annulus_pass(model: CapModel, sigmas, nu_edges: np.ndarray, mark: int,
         ring = arc_halfwidth_clamped(user, phi, sigmas)
         off = np.sort(np.concatenate((ring[:, -1:] * t, ring, -ring), axis=1), axis=1)
         # theta = pi/2 + off; a cell's annulus from twice its mean cos(sigma)
-        v, cos_s = _radial_speed(shell, user, np.cos(off), -np.sin(off), phi, mark)
-        v *= shell.carrier_hz / shell.light_speed_mps
+        v, cos_s = _doppler_hz(shell, user, np.cos(off), -np.sin(off), phi, mark)[:2]
         row = np.searchsorted(-2.0 * np.cos(sigmas), -(cos_s[:, 1:] + cos_s[:, :-1]))
         weight = np.diff(off, axis=1)
         del off, cos_s
@@ -276,15 +277,21 @@ def doppler_cdf_grid(model: CapModel, nu_edges, mark: int,
 
     With cap_sigma set, conditions on the sub-cap of that central angle
     while keeping the full-cap normalisation (the joint-CDF convention).
+    From sigma_max on, past which no satellite is visible, it is the
+    full-cap CDF; a NaN cap_sigma gives NaN. A mark other than +-1 is a DomainError.
 
     The one-ring annulus pass over the distinct values, _N_NODES polar
     nodes per panel: the CDF is the running sum of its column totals, so it
     never decreases along ascending nu, not even by rounding. NaN values
     stay out of the pass (np.unique sorts them last) and give NaN.
     """
-    if cap_sigma is None:
-        cap_sigma = model.user.sigma_max_rad
+    if mark not in (1, -1):
+        raise DomainError(f"mark {mark!r} is neither +1 (ascending) nor -1 (descending)")
     nu = np.asarray(nu_edges, dtype=float)
+    if cap_sigma is None or cap_sigma >= model.user.sigma_max_rad:
+        cap_sigma = model.user.sigma_max_rad
+    elif math.isnan(cap_sigma):
+        return np.full(nu.shape, math.nan)
     e, back = np.unique(nu.ravel(), return_inverse=True)
     n = e.size - int(np.isnan(e).sum())
     mass = _annulus_pass(model, [cap_sigma], e[:n], mark, _N_NODES).sum(axis=0)
@@ -299,25 +306,18 @@ def doppler_cdf(model: CapModel, nu_hz: float, mark: int,
     return float(doppler_cdf_grid(model, nu_hz, mark, cap_sigma))
 
 
-def doppler_cdf_marks(model: CapModel, nu_hz) -> tuple[np.ndarray, np.ndarray]:
-    """(ascending, descending) Doppler CDFs at nu_hz (flattened) from one
-    ascending pass over the distinct values of nu_hz, -nu_hz and +inf:
-    F_-(nu) = T - F_+(-nu), T the value at +inf, so F_- is exactly 0 below
-    the support and never negative."""
-    nu = np.asarray(nu_hz, dtype=float).ravel()
-    f = doppler_cdf_grid(model, np.concatenate((nu, -nu, [math.inf])), 1)
-    return f[:nu.size], f[-1] - f[nu.size:-1]
-
-
 def doppler_pdf_grid(model: CapModel, nu_step_hz: float = DOPPLER_NU_STEP_HZ):
     """Doppler CDFs and mark-mixed PDF on the nu edges that pad one cell
     beyond the support: (edges, ascending CDF, descending CDF, pdf).
 
-    The pdf is the forward difference of the mixed CDF over each cell,
-    non-negative because the grid CDF never decreases.
+    One ascending pass over the edges and +inf gives both marks: the edges
+    are exactly antisymmetric, so F_-(nu) = T - F_+(-nu), T the value at
+    +inf, is 0 below the support and never negative. The pdf is the
+    forward difference of the mixed CDF, non-negative as the CDF never falls.
     """
     edges = nu_edges(model, nu_step_hz, 1)
-    up, down = doppler_cdf_marks(model, edges)
+    f = doppler_cdf_grid(model, np.append(edges, math.inf), 1)
+    up, down = f[:-1], f[-1] - f[-2::-1]
     return edges, up, down, np.diff(0.5 * (up + down)) / nu_step_hz
 
 
@@ -337,7 +337,10 @@ def joint_pdf_grid(model: CapModel, nu_step_hz: float = NU_STEP_HZ,
 
     Returns the pdf matrix, shape (n_tau_cells, n_nu_cells), on the cells
     of tau_edges(model, tau_step_s) and nu_edges(model, nu_step_hz, 0).
+    A mark other than +-1 is a DomainError.
     """
+    if mark not in (1, -1):
+        raise DomainError(f"mark {mark!r} is neither +1 (ascending) nor -1 (descending)")
     sigmas = delay_inverse(model.shell, np.clip(tau_edges(model, tau_step_s),
                                                 *model.delay_bounds))
     mass = _annulus_pass(model, sigmas, nu_edges(model, nu_step_hz, 0), mark,
@@ -367,10 +370,11 @@ def pcap_interpolator(model: CapModel):
 
 
 def doppler_mixed_interpolator(model: CapModel):
-    """Vectorised nu -> mark-mixed Doppler CDF via a dense grid pass."""
-    # mirrored edges, so the pass takes each once
-    edges = nu_edges(model, 1.0001 * model.nu_max_hz / (_DOPPLER_TABLE // 2), 0)
-    f = 0.5 * sum(doppler_cdf_marks(model, edges))
+    """Vectorised nu -> mark-mixed Doppler CDF, interpolated in the
+    doppler_pdf_grid table of _DOPPLER_TABLE edges on the support."""
+    edges, up, down, _ = doppler_pdf_grid(model, 1.0001 * model.nu_max_hz
+                                          / (_DOPPLER_TABLE // 2))
+    f = 0.5 * (up + down)
 
     def interp(nu):
         return np.interp(np.asarray(nu, dtype=float), edges, f,
@@ -423,11 +427,13 @@ def rayleigh_gain_cdf_grid(model: CapModel, y: np.ndarray) -> np.ndarray:
     in the tests.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    g_min = model.gain_bounds[0]
+    g_min, g_max = model.gain_bounds
     g, w, pcap = gain_nodes(model)
     out = np.zeros_like(y)  # 0 at y <= 0; a NaN y is a row, and gives NaN
     for r in _row_blocks(~(y <= 0.0), g.size):  # bounds the (rows, nodes) workspace
-        yy = y[r, None]
+        # from y = 800 g_max on every exp(-y/g) is 0 and the CDF 1; the cap
+        # keeps y/g^2 finite, so no term is 0 * inf
+        yy = np.minimum(y[r, None], 800.0 * g_max)
         integ = np.sum(w * pcap * np.exp(-yy / g) * (yy / (g * g)), axis=1)
         out[r] = np.clip(1.0 - np.exp(-yy[:, 0] / g_min) - integ / model.p_sat, 0.0, 1.0)
     return out

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError, NoVisibleSatellites
 from .geometry import ShellConfig, cos_central_angle
 from .quadrature import phi_of_omega
-from .visibility import _active_band, arc_halfwidth_clamped
+from .visibility import _active_band, _check_count, arc_halfwidth_clamped
 
 # sample_visible: points per draw block, and draws allowed per requested
 # sample (the box keeps 0.6-0.8 of its draws at the reference users)
@@ -96,9 +96,11 @@ def sample_visible(shell: ShellConfig, user, count: int, rng: np.random.Generato
     box and keeps those inside the cap. The shell law is uniform in
     (theta, omega), so it stays uniform on the box and the kept points
     follow it exactly. Raises NoVisibleSatellites for an empty box and
-    DomainError when _DRAWS_PER_SAMPLE * count draws (at least one block)
+    DomainError for a count that is no integer (a bool included) or is
+    negative, or when _DRAWS_PER_SAMPLE * count draws (at least one block)
     do not yield `count` samples.
     """
+    _check_count(count)
     box = visible_box(shell, user)
     if count == 0:
         return tuple(np.empty(0, dtype=d) for d in (float, float, float, int))

@@ -5,9 +5,9 @@ are strictly monotone on it, so both carry closed-form inverses. The
 Doppler shift additionally depends on the satellite's travel direction:
 ascending (+1) and descending (-1) passes project differently onto the
 user-satellite line. Positive Doppler means an approaching satellite.
-max_doppler searches the visible, in-band cap as the rectangle of
-(sigma, fraction of the in-band arc) of the rings of
-geometry.ring_bearings.
+_doppler_hz alone builds the Doppler shift in Hz and the cos-sigma range
+law for every caller. max_doppler searches the visible, in-band cap as the
+rectangle of (sigma, fraction of the in-band arc) of geometry.ring_bearings.
 """
 
 from __future__ import annotations
@@ -62,12 +62,12 @@ def delay_inverse(shell: ShellConfig, tau):
     return float(out) if out.ndim == 0 else out
 
 
-def _radial_speed(shell: ShellConfig, user: UserGeometry, sin_t, cos_t, phi, mark):
-    """Speed of approach along the satellite-to-user line (m/s, positive
-    while closing in) and cos of the central angle, vectorised, at polar
-    angle phi and the azimuth with sine sin_t and cosine cos_t. Factors of
-    phi alone, such as the travel direction, take phi's shape: once per
-    row where phi is a column. No band validation: hot path."""
+def _doppler_hz(shell: ShellConfig, user: UserGeometry, sin_t, cos_t, phi, mark):
+    """Doppler shift in Hz (positive while closing in), cos(sigma) and the
+    squared range r^2 + R^2 - 2 r R cos(sigma), vectorised, at polar angle
+    phi and the azimuth with sine sin_t and cosine cos_t. Factors of phi
+    alone, such as the travel direction, take phi's shape: once per row
+    where phi is a column. No band validation: hot path."""
     cu, su = math.cos(user.user_polar_rad), math.sin(user.user_polar_rad)
     sin_phi, cos_phi = np.sin(phi), np.cos(phi)
     # travel direction beta against local east; its sign follows the mark
@@ -76,16 +76,16 @@ def _radial_speed(shell: ShellConfig, user: UserGeometry, sin_t, cos_t, phi, mar
     r, big_r = shell.earth_radius_m, shell.shell_radius_m
     vr = shell.sat_speed_mps * r  # folded into the factors of phi
     cos_sigma = cu * cos_phi + (su * sin_phi) * sin_t
-    dist = np.sqrt((r * r + big_r * big_r) - (2.0 * r * big_r) * cos_sigma)
-    speed = ((vr * su) * cos_beta * cos_t - (vr * su) * sin_beta * cos_phi * sin_t
-             + (vr * cu) * sin_beta * sin_phi)
-    return speed / dist, cos_sigma
+    d2 = (r * r + big_r * big_r) - (2.0 * r * big_r) * cos_sigma
+    nu = ((vr * su) * cos_beta * cos_t - (vr * su) * sin_beta * cos_phi * sin_t
+          + (vr * cu) * sin_beta * sin_phi) / np.sqrt(d2)
+    nu *= shell.carrier_hz / shell.light_speed_mps  # speed to shift, in place
+    return nu, cos_sigma, d2
 
 
 def doppler_hz_arrays(shell: ShellConfig, user: UserGeometry, theta, phi, mark):
     """Vectorised Doppler in Hz over arrays of satellite coordinates."""
-    v = _radial_speed(shell, user, np.sin(theta), np.cos(theta), phi, mark)[0]
-    return shell.carrier_hz / shell.light_speed_mps * v
+    return _doppler_hz(shell, user, np.sin(theta), np.cos(theta), phi, mark)[0]
 
 
 def max_doppler(shell: ShellConfig, user: UserGeometry) -> float:
@@ -131,8 +131,8 @@ def max_doppler(shell: ShellConfig, user: UserGeometry) -> float:
         x = np.sin(sigma) * np.sin(alpha)
         phi = np.arccos(np.clip(c + d * cos_a, -1.0, 1.0))
         rho = np.hypot(x, y)  # > 0: the band holds no pole
-        v = _radial_speed(shell, user, y / rho, np.stack([x, -x]) / rho, phi, 1)[0]
-        return scale * np.abs(v).max(axis=0)
+        v = _doppler_hz(shell, user, y / rho, np.stack([x, -x]) / rho, phi, 1)[0]
+        return np.abs(v).max(axis=0)
 
     lo = np.array([user.sigma_min_rad, 0.0])
     hi = np.array([user.sigma_max_rad, 1.0])

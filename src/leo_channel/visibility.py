@@ -26,6 +26,7 @@ in a table (distributions.pcap_interpolator): they evaluate a CDF at
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -93,6 +94,12 @@ def _row_blocks(rows, width: int):
     return (idx[k:k + step] for k in range(0, idx.size, step))
 
 
+def _check_count(n, top=math.inf) -> None:
+    """DomainError unless n is an integer (a bool is not) in [0, top]."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not 0 <= n <= top:
+        raise DomainError(f"count {n!r} is no integer in [0, {top}]")
+
+
 @dataclass(frozen=True)
 class CapModel:
     """Shell + user with the cap success probability memoized eagerly.
@@ -158,10 +165,10 @@ class CapModel:
 
     def visible_count_pmf(self, n: int) -> float:
         """Binomial probability of n visible satellites, through log-gamma
-        so that the factorials of this satellite count cannot overflow."""
+        so that the factorials of this satellite count cannot overflow. A
+        count that is no integer (a bool included) is a DomainError."""
         n_tot = self.shell.n_sats
-        if n < 0 or n > n_tot:
-            raise DomainError(f"count {n} outside [0, {n_tot}]")
+        _check_count(n, n_tot)
         p = self.p_sat
         if p == 0.0:
             return 1.0 if n == 0 else 0.0

@@ -374,14 +374,14 @@ def mean_root_gain(model: CapModel) -> float:
     return math.sqrt(model.gain_bounds[0]) + float(w @ (p / (2.0 * np.sqrt(g)))) / model.p_sat
 
 
-def grid_moments(grid, rho2: float):
+def grid_moments(grid):
     """(mean delay, rms delay spread, rms doppler spread) of a scattering
-    grid normalised by rho2: its binned moments, the cross-check of
+    grid normalised by its rho^2: its binned moments, the cross-check of
     channel.global_params."""
     cell = grid.nu_step_hz * grid.tau_step_s
     tau_c, nu_c = grid.tau_s, grid.nu_hz
-    mass_tau = grid.values.sum(axis=1) * cell / rho2
-    mass_nu = grid.values.sum(axis=0) * cell / rho2
+    mass_tau = grid.values.sum(axis=1) * cell / grid.rho2
+    mass_nu = grid.values.sum(axis=0) * cell / grid.rho2
     mean_tau = float(np.dot(mass_tau, tau_c))
     var_tau = float(np.dot(mass_tau, (tau_c - mean_tau) ** 2))
     second_nu = float(np.dot(mass_nu, nu_c ** 2))
@@ -549,8 +549,8 @@ def joint_mass_at(model: CapModel, tau_step_s: float, n_nodes: int,
 
 def table_cdf_at(model: CapModel, n_nodes: int, n_theta: int):
     """Full-cap Doppler CDF, mark +1, on the 2001 nu edges of
-    doppler_mixed_interpolator's table at the resolutions of
-    annulus_pass_at."""
+    doppler_mixed_interpolator's table that reach the support (its two
+    padding edges repeat the total) at the resolutions of annulus_pass_at."""
     m = dist._DOPPLER_TABLE // 2
     e = (1.0001 * model.nu_max_hz / m) * np.arange(-m, m + 1)
     mass = annulus_pass_at(model, [model.user.sigma_max_rad], e, n_nodes,

@@ -77,6 +77,7 @@ class TestScatteringGrid:
 
     def test_integral_equals_power_gain(self, cap_equator, grid_equator):
         rho2, _ = ch.path_loss_proposition(cap_equator)
+        assert grid_equator.rho2 == rho2  # the grid carries the proposition's
         assert grid_equator.cell_sum() == pytest.approx(rho2, rel=0.01)
 
     def test_zero_outside_delay_support(self, cap_equator, grid_equator):
@@ -123,9 +124,8 @@ class TestScatteringGrid:
     def test_grid_diagnostics(self, cap_equator, grid_equator):
         # the default grid passes its normalisation check, and its binned
         # mean Doppler, 0 in the model, stays far below one Doppler step
-        rho2, _ = ch.path_loss_proposition(cap_equator)
-        assert grid_equator.normalization_error(rho2) <= ch.MAX_NORMALIZATION_ERROR
-        assert abs(grid_equator.mean_doppler_hz(rho2)) < 1e3
+        assert grid_equator.normalization_error() <= ch.MAX_NORMALIZATION_ERROR
+        assert abs(grid_equator.mean_doppler_hz()) < 1e3
 
     def test_gain_delay_identity(self, shell, cap_equator):
         c = shell.light_speed_mps
@@ -239,14 +239,13 @@ class TestGlobalParams:
         # the default steps, and less at half of both steps; each grid passes
         # its own normalisation check
         cap = _cap(incl, lat, mask)
-        rho2, _ = ch.path_loss_proposition(cap)
         rule = _moments(ch.global_params(cap))[:3]
         gaps = []
         for scale in (1.0, 0.5):
             grid = ch.scattering_function(cap, scale * dist.NU_STEP_HZ,
                                           scale * dist.TAU_STEP_S)
-            assert grid.normalization_error(rho2) <= ch.MAX_NORMALIZATION_ERROR
-            gaps.append(np.abs(np.array(grid_moments(grid, rho2)) / rule - 1.0))
+            assert grid.normalization_error() <= ch.MAX_NORMALIZATION_ERROR
+            gaps.append(np.abs(np.array(grid_moments(grid)) / rule - 1.0))
         assert np.all(gaps[0] <= 2e-4)
         assert np.all(gaps[1] < gaps[0])
 
@@ -262,8 +261,7 @@ class TestGlobalParams:
             cap = CapModel(shell, user)
             grid = ch.scattering_function(
                 cap, nu_step_hz=2.61e3 * shell.carrier_hz / base.carrier_hz)
-            assert grid.normalization_error(
-                ch.path_loss_proposition(cap)[0]) <= ch.MAX_NORMALIZATION_ERROR
+            assert grid.normalization_error() <= ch.MAX_NORMALIZATION_ERROR
             s[shell.carrier_hz] = ch.global_params(cap)
         lo, hi = s[base.carrier_hz], s[2 * base.carrier_hz]
         assert hi.rms_doppler_spread_hz == pytest.approx(
@@ -282,8 +280,7 @@ class TestGlobalParams:
         assert cap.nu_max_hz == pytest.approx(max_doppler_scan(shell, user),
                                               abs=1.0)
         grid = ch.scattering_function(cap, tau_step_s=8.4e-5)
-        assert grid.normalization_error(
-            ch.path_loss_proposition(cap)[0]) <= ch.MAX_NORMALIZATION_ERROR
+        assert grid.normalization_error() <= ch.MAX_NORMALIZATION_ERROR
         assert np.all(np.isfinite(_moments(ch.global_params(cap))))
 
     def test_pole_user_without_a_mask(self):

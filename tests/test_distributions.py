@@ -19,6 +19,7 @@ from oracles import (
 
 from leo_channel import channel as ch
 from leo_channel import distributions as dist
+from leo_channel.errors import DomainError
 from leo_channel.geometry import ShellConfig, UserGeometry, sigma_from_elevation
 from leo_channel.nbpp import sample_visible
 from leo_channel.orbit_sim import ks_distance
@@ -209,8 +210,9 @@ NAN_LAWS = {
     "p_cap": (lambda cap, x: cap.p_cap(x), "sigma"),
     "p_cap_prime": (lambda cap, x: cap.p_cap_prime(x), "sigma"),
     "doppler_cdf_grid": (lambda cap, x: dist.doppler_cdf_grid(cap, x, 1), "nu"),
-    "doppler_cdf_ascending": (lambda cap, x: dist.doppler_cdf_marks(cap, x)[0], "nu"),
-    "doppler_cdf_descending": (lambda cap, x: dist.doppler_cdf_marks(cap, x)[1], "nu"),
+    "doppler_cdf_descending": (lambda cap, x: dist.doppler_cdf_grid(cap, x, -1), "nu"),
+    "doppler_mixed_interpolator": (lambda cap, x: dist.doppler_mixed_interpolator(cap)(x),
+                                   "nu"),
     "rayleigh_gain_cdf_grid": (dist.rayleigh_gain_cdf_grid, "gain"),
 }
 
@@ -276,26 +278,48 @@ class TestDopplerCdf:
         assert np.max(np.abs(grid - scalar)) < 5e-5
 
     def test_mixed_median_at_equator(self, cap_equator):
-        up, down = dist.doppler_cdf_marks(cap_equator, 0.0)
-        assert float(0.5 * (up + down)[0]) == pytest.approx(0.5, abs=1e-9)
+        mixed = dist.doppler_mixed_interpolator(cap_equator)(0.0)
+        assert float(mixed) == pytest.approx(0.5, abs=1e-9)
 
     @pytest.mark.parametrize("cap_name", ["cap_equator", "cap_midlat"])
     def test_two_mark_helper_matches_direct_passes(self, cap_name, request):
-        # the descending CDF is the mirror T - F+(-nu) of one ascending
-        # pass; each mark's direct pass is the independent route
+        # doppler_pdf_grid's descending CDF is the mirror T - F+(-nu) of
+        # one ascending pass; each mark's direct pass is the independent
+        # route. 383 edges, the outermost past the support
         cap = request.getfixturevalue(cap_name)
-        nus = np.linspace(-1.05, 1.05, 401) * cap.nu_max_hz
-        up, down = dist.doppler_cdf_marks(cap, nus)
-        assert np.max(np.abs(up - dist.doppler_cdf_grid(cap, nus, 1))) <= 1e-14
-        assert np.max(np.abs(down - dist.doppler_cdf_grid(cap, nus, -1))) <= 1e-14
+        edges, up, down, _ = dist.doppler_pdf_grid(cap, cap.nu_max_hz / 190)
+        assert edges.size == 383
+        assert np.max(np.abs(up - dist.doppler_cdf_grid(cap, edges, 1))) <= 1e-14
+        assert np.max(np.abs(down - dist.doppler_cdf_grid(cap, edges, -1))) <= 1e-14
         assert np.all(down >= 0.0)
-        assert np.all(down[nus < -cap.nu_max_hz] == 0.0)
+        assert np.all(down[edges < -cap.nu_max_hz] == 0.0)
 
     def test_mixed_monotone(self, cap_midlat):
         nus = np.linspace(-1.05, 1.05, 400) * cap_midlat.nu_max_hz
         f = 0.5 * (dist.doppler_cdf_grid(cap_midlat, nus, 1)
                    + dist.doppler_cdf_grid(cap_midlat, nus, -1))
         assert np.all(np.diff(f) >= -1e-12)
+
+    def test_cap_past_the_rim_is_the_full_cap(self, cap_equator, cap_midlat):
+        # no visible satellite lies past sigma_max, so a sub-cap beyond it
+        # is the full cap, bit for bit (its band reached below the mask, and
+        # the CDF rose to 3.6 at 2 sigma_max); a NaN cap gives NaN
+        for cap, factors in ((cap_equator, (1.0001, 1.2, 2.0)), (cap_midlat, (1.5,))):
+            nus = np.linspace(-1.0, 1.0, 5) * cap.nu_max_hz
+            full = dist.doppler_cdf_grid(cap, nus, 1)
+            for f in factors:
+                sub = dist.doppler_cdf_grid(cap, nus, 1, f * cap.user.sigma_max_rad)
+                assert np.array_equal(sub, full)
+            assert np.all(np.isnan(dist.doppler_cdf_grid(cap, nus, 1, math.nan)))
+
+    def test_mark_must_be_plus_or_minus_one(self, cap_equator):
+        # mark 2 read 0.220 at -nu_max and 0.780 at +nu_max
+        for mark in (2, 0, -2):
+            for cap_sigma in (None, math.nan):
+                with pytest.raises(DomainError):
+                    dist.doppler_cdf_grid(cap_equator, [0.0], mark, cap_sigma)
+            with pytest.raises(DomainError):
+                dist.joint_pdf_grid(cap_equator, mark=mark)
 
     def test_empty_sub_cap_is_zero(self, cap_midlat):
         # no satellite lies within sigma_min of this user: the sub-cap's
@@ -390,7 +414,7 @@ class TestJointDistribution:
         sigma = delay_inverse(cap_equator.shell, cap_equator.delay_bounds[1])
         nus = np.linspace(-0.8, 0.8, 10) * cap_equator.nu_max_hz
         joint = dist.doppler_cdf_grid(cap_equator, nus, 1, cap_sigma=sigma)
-        marg = dist.doppler_cdf_marks(cap_equator, nus)[0]
+        marg = dist.doppler_cdf_grid(cap_equator, nus, 1)
         assert np.max(np.abs(joint - marg)) <= 1e-9
 
     def test_full_doppler_marginal_is_delay(self, cap_equator):
@@ -529,24 +553,22 @@ class TestJointDistribution:
 
 
 def _lookup_edges(kind: int, step: float, m: int, cap) -> np.ndarray:
-    """The kernel's edge sets: the joint nu axis, the mark-mixed Doppler
-    grid's pass edges, the 2001-edge table's and mark_symmetry's 10
-    points, all uniform; kind 4 is quadratically spaced, not uniform, and
-    kind 5 the joint axis between -inf and +inf, as doppler_cdf_marks
-    passes it for infinite values."""
+    """The kernel's edge sets: the joint nu axis, doppler_pdf_grid's pass
+    edges (with +inf) at step and at the step of the table of 2m + 1
+    edges on the support, and mark_symmetry's 10 points, all uniform;
+    kind 4 is quadratically spaced, not uniform, and kind 5 the joint axis
+    between -inf and +inf, as doppler_cdf_grid passes it for infinite
+    values."""
     if kind == 0:
         return dist.nu_edges(cap, step, 0)
-    if kind == 1:
-        nu = dist.nu_edges(cap, step, 1)
-    elif kind == 2:
-        nu = (1.0001 * cap.nu_max_hz / m) * np.arange(-m, m + 1)
-    elif kind == 3:
+    if kind in (1, 2):
+        step = step if kind == 1 else 1.0001 * cap.nu_max_hz / m
+        return np.append(dist.nu_edges(cap, step, 1), math.inf)
+    if kind == 3:
         return np.linspace(-0.9, 0.9, 10) * cap.nu_max_hz
-    elif kind == 4:
+    if kind == 4:
         return step * np.cumsum(np.arange(1.0, 2 * m + 2)) - 1e3
-    else:
-        return np.concatenate(([-math.inf], _lookup_edges(0, step, m, cap)))
-    return np.unique(np.concatenate((nu, -nu, [math.inf])))
+    return np.concatenate(([-math.inf], _lookup_edges(0, step, m, cap)))
 
 
 class TestCellShares:
@@ -694,6 +716,11 @@ class TestRayleighGain:
         assert vals[0] == 0.0 and vals[3] == 0.0
         assert vals[1] == pytest.approx(0.0, abs=1e-4)
         assert vals[2] == pytest.approx(1.0, abs=1e-6)
+
+    def test_one_at_huge_and_infinite_gain(self, cap_equator):
+        # there exp(-y/g) * y/g^2 was 0 * inf: a NaN, with a RuntimeWarning
+        y = np.array([800.0 * cap_equator.gain_bounds[1], 1e300, math.inf])
+        assert np.array_equal(dist.rayleigh_gain_cdf_grid(cap_equator, y), [1.0, 1.0, 1.0])
 
     def test_monotone(self, cap_equator):
         g_max = cap_equator.gain_bounds[1]

@@ -205,6 +205,12 @@ class TestSampleVisible:
         out = sample_visible(shell, equator_user, 0, np.random.default_rng(23))
         assert [x.size for x in out] == [0, 0, 0, 0]
 
+    def test_count_must_be_a_non_negative_integer(self, shell, equator_user):
+        # -1 gave (), 2.5 a TypeError after a block of draws, True one sample
+        for count in (-1, 2.5, True):
+            with pytest.raises(DomainError):
+                sample_visible(shell, equator_user, count, np.random.default_rng(23))
+
     def test_band_grazing_user(self, shell, monkeypatch):
         # the cap of this user touches the band in a single polar angle
         mask = math.radians(10.0)

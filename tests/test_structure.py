@@ -1,13 +1,16 @@
 """The package's import structure: every import sits at module level, the
 modules of the package import each other without a cycle, no module reads
 the environment, every public route has a caller outside the tests, and
-every name the benchmark's tracer patches exists."""
+every name the benchmark's tracer patches exists, and so does every name
+a script reads off the package."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -127,3 +130,47 @@ def test_benchmark_tracer_installs():
     done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def _script_bindings(tree: ast.Module) -> tuple[dict, list[str]]:
+    """The package modules a script binds, by local name, and the names it
+    imports from the package that are missing."""
+    modules, missing = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "leo_channel":
+                    # import a.b binds a; import a.b as c binds c to a.b
+                    importlib.import_module(a.name)
+                    modules[a.asname or "leo_channel"] = importlib.import_module(
+                        a.name if a.asname else "leo_channel")
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and (node.module or "").split(".")[0] == "leo_channel"):
+            owner = importlib.import_module(node.module)
+            for a in node.names:
+                try:  # a submodule the package does not import itself
+                    value = importlib.import_module(f"{node.module}.{a.name}")
+                except ModuleNotFoundError:
+                    value = getattr(owner, a.name, None)
+                if value is None:
+                    missing.append(f"{node.module}.{a.name}")
+                elif isinstance(value, types.ModuleType):
+                    modules[a.asname or a.name] = value
+    return modules, missing
+
+
+def test_scripts_read_existing_package_names():
+    # the scripts too slow for test_cli (bench_layers.py, resolution_budget.py)
+    # still fail here when a name they import, or read off an imported
+    # module, leaves the package
+    missing = []
+    for path in sorted((ROOT / "scripts").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules, gone = _script_bindings(tree)
+        missing += [f"{path.name}: {name}" for name in gone]
+        missing += [f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}"
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules
+                    and not hasattr(modules[node.value.id], node.attr)]
+    assert missing == []

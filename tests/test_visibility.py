@@ -326,6 +326,13 @@ class TestVisibleCounts:
         with pytest.raises(DomainError):
             cap_equator.visible_count_pmf(cap_equator.shell.n_sats + 1)
 
+    def test_count_must_be_an_integer(self, cap_equator):
+        # 2.5 gave 0.004937 and True the value at n = 1
+        for n in (2.5, 3.0, math.nan, True, False, np.bool_(True)):
+            with pytest.raises(DomainError):
+                cap_equator.visible_count_pmf(n)
+        assert cap_equator.visible_count_pmf(np.int64(3)) == cap_equator.visible_count_pmf(3)
+
     def test_avg_visible_equator(self, cap_equator):
         assert cap_equator.avg_visible() == pytest.approx(9.6, rel=0.02)
 
