@@ -10,10 +10,13 @@ user with a 30 degree mask and at the latitude-60 user with a 10 degree
 mask, first on one worker thread and then on as many as the process's CPU
 affinity set allows: the one-thread pass pins the process to one of its
 CPUs and restores the set afterwards. A value is
-the median wall time in seconds over the repeats. With --cli the four
+the median wall time in seconds over the repeats. The Gauss rule layer
+builds the 384-node rule afresh, past its cache. With --cli the four
 commands also run end to end at their default configuration, each in a
-fresh interpreter. The output names the CPU count and the NumPy version;
-timings are only comparable on the same machine.
+fresh interpreter; each gets the median wall time and the median CPU
+seconds of the child process (all its threads, so a helper thread that
+spins shows there). The output names the CPU count and the NumPy
+version; timings are only comparable on the same machine.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -33,6 +37,7 @@ import numpy as np
 from leo_channel import channel as ch
 from leo_channel import distributions as dist
 from leo_channel import orbit_sim as osim
+from leo_channel import quadrature
 from leo_channel.config import load_config
 from leo_channel.geometry import ShellConfig
 from leo_channel.nbpp import sample_visible
@@ -57,6 +62,7 @@ def layers(cap: CapModel):
                              rng)
 
     return [
+        ("Gauss rule, 384 nodes", lambda: quadrature._gauss_rule.__wrapped__(384)),
         ("p_cap x100", lambda: cap.p_cap(sigmas)),
         ("p_cap_prime x100", lambda: cap.p_cap_prime(sigmas)),
         ("pcap_interpolator", lambda: dist.pcap_interpolator(cap)),
@@ -96,14 +102,19 @@ def time_cli(repeat: int) -> dict:
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for command in ("coverage", "distributions", "scattering", "validate"):
-            times = []
+            walls, cpus = [], []
             for _ in range(repeat):
+                before = resource.getrusage(resource.RUSAGE_CHILDREN)
                 start = time.perf_counter()
                 subprocess.run([sys.executable, "-m", "leo_channel", command,
                                 "--out", tmp], check=True,
                                stdout=subprocess.DEVNULL, env=env)
-                times.append(time.perf_counter() - start)
-            out[command] = statistics.median(times)
+                walls.append(time.perf_counter() - start)
+                after = resource.getrusage(resource.RUSAGE_CHILDREN)
+                cpus.append(after.ru_utime + after.ru_stime
+                            - before.ru_utime - before.ru_stime)
+            out[command] = {"wall_s": statistics.median(walls),
+                            "cpu_s": statistics.median(cpus)}
     return out
 
 
@@ -130,7 +141,8 @@ def main() -> None:
             per_user[name] = {layer: round(median_time(fn, args.repeat), 4)
                               for layer, fn in layers(cap)}
         if args.cli:
-            per_user["cli"] = {k: round(v, 3) for k, v in time_cli(args.repeat).items()}
+            per_user["cli"] = {command: {k: round(v, 3) for k, v in times.items()}
+                               for command, times in time_cli(args.repeat).items()}
         result["threads"][str(threads)] = per_user
     os.sched_setaffinity(0, affinity)
     print(json.dumps(result, indent=1))

@@ -27,8 +27,8 @@ from .visibility import CapModel, _active_band, arc_halfwidth_clamped
 # the normalisation budget of a scattering grid (scattering's exit 4, validate)
 MAX_NORMALIZATION_ERROR = 0.02
 # the global-parameter rule cuts each polar panel and each cap slice into this
-# many panels of _N_GAIN_NODES nodes: that Gauss rule is built anyway, and a
-# new size (leggauss) spins the BLAS threads for about 0.1 CPU-s
+# many panels of _N_GAIN_NODES nodes, reusing the Gauss rule that the gain
+# integrals have already built rather than building a third size
 _MOMENT_SPLIT = 2
 
 

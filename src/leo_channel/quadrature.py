@@ -21,6 +21,8 @@ from .geometry import ShellConfig
 
 # Gauss-Legendre nodes per panel of the fixed rule
 _N_NODES = 384
+# Newton steps at most for the Gauss-Legendre nodes (384 nodes take four)
+_NEWTON_STEPS = 10
 
 
 def omega_of_phi(phi, shell: ShellConfig):
@@ -37,8 +39,19 @@ def phi_of_omega(omega, shell: ShellConfig):
 @functools.cache
 def _gauss_rule(n: int):
     """Gauss-Legendre nodes and weights on [-1, 1], read-only and cached:
-    leggauss solves an eigenproblem, too costly to repeat per grid row."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    Newton on P_n's recurrence, w = 2 / ((1 - x^2) P_n'(x)^2), folded symmetric."""
+    x, dx = -np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5)), 0.0
+    for _ in range(_NEWTON_STEPS):
+        x = x - dx
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        dp = n * (p0 - x * p1) / (1.0 - x * x)  # P_n'(x)
+        dx = p1 / dp
+        if np.max(np.abs(dx)) < 0.5 * np.finfo(float).eps:  # no node would move
+            break
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x, w = (x - x[::-1]) / 2, (w + w[::-1]) / 2
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w

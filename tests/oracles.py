@@ -26,9 +26,11 @@ propagate_arrays gives every satellite's (theta, phi, mark), which the
 snapshot loop reads, and positions_cartesian its Cartesian position.
 The global channel parameters are cross-checked by the binned moments of
 the scattering grid and by a tail identity for E[sqrt(g)] on the gain
-rule.
+rule. The package's Gauss-Legendre rule is checked against the same rule
+at 40 digits, by Newton's method in mpmath.
 """
 
+import functools
 import math
 import warnings
 from unittest import mock
@@ -351,6 +353,35 @@ def p_cap_prime_mp(model: CapModel, sigma: float) -> float:
             return -2 * mpmath.sin(phi) / (mpmath.pi * mpmath.sqrt(q * d))
 
         return float(mpmath.quad(integrand, [lo, hi]) / (2 * mpmath.pi))
+
+
+def _legendre_mp(n: int, x):
+    """P_n(x) and P_n'(x) in mpmath, by the three-term recurrence."""
+    p0, p1 = mpmath.mpf(1), x
+    for j in range(2, n + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    return p1, n * (p0 - x * p1) / (1 - x * x)
+
+
+@functools.cache
+def gauss_legendre_mp(n: int):
+    """The n-node Gauss-Legendre rule on [-1, 1] at 40 digits: lists of
+    mpf nodes (ascending) and weights. Each node is Newton's method on
+    P_n from NumPy's leggauss node, the weight 2 / ((1 - x^2) P_n'(x)^2);
+    the upper half mirrors the lower."""
+    with mpmath.workdps(40):
+        half = []
+        for seed in np.polynomial.legendre.leggauss(n)[0][:(n + 1) // 2]:
+            x = mpmath.mpf(float(seed))
+            for _ in range(8):
+                p, dp = _legendre_mp(n, x)
+                x -= p / dp
+                if abs(p / dp) < mpmath.mpf(10) ** -38:
+                    break
+            dp = _legendre_mp(n, x)[1]
+            half.append((x, 2 / ((1 - x * x) * dp * dp)))
+        pairs = half + [(-x, w) for x, w in reversed(half[:n // 2])]
+    return [x for x, _ in pairs], [w for _, w in pairs]
 
 
 def path_loss_rho2_adaptive(model: CapModel) -> float:

@@ -1,8 +1,8 @@
 """The package's import structure: every import sits at module level, the
 modules of the package import each other without a cycle, no module reads
-the environment, every public route has a caller outside the tests, and
-every name the benchmark's tracer patches exists, and so does every name
-a script reads off the package."""
+the environment or names NumPy's LAPACK routes, every public route has a
+caller outside the tests, and every name the benchmark's tracer patches
+exists, and so does every name a script reads off the package."""
 
 import ast
 import importlib
@@ -71,6 +71,30 @@ def test_no_module_reads_the_environment():
              or (isinstance(node, ast.ImportFrom) and node.module == "os"
                  and {a.name for a in node.names} & {"environ", "getenv"})]
     assert reads == []
+
+
+def _names(node: ast.AST) -> set[str]:
+    """The identifiers a node names: an attribute, a name, or every dotted
+    part of what an import statement imports."""
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        dotted = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+        return {part for name in dotted for part in name.split(".")}
+    return set()
+
+
+def test_no_module_calls_into_lapack():
+    # a LAPACK call (leggauss' eigen-solve, say) leaves OpenBLAS's helper
+    # threads spinning for about 0.1 CPU-s; the package builds its Gauss rule
+    # by Newton's method instead (tests/test_quadrature.py)
+    names = [f"{name}:{node.lineno}"
+             for name, tree in _trees().items()
+             for node in ast.walk(tree)
+             if _names(node) & {"linalg", "polynomial", "leggauss"}]
+    assert names == []
 
 
 def _public_routes() -> set[str]:
