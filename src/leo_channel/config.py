@@ -29,8 +29,6 @@ class RunConfig:
                                       math.degrees(ShellConfig.inclination_rad))
     n_sats: int = _setting("shell.n_sats", ShellConfig.n_sats)
     n_per_orbit: int = _setting("shell.n_per_orbit", ShellConfig.n_per_orbit)
-    orbit_spacing_deg: float = _setting("shell.orbit_spacing_deg",
-                                        math.degrees(ShellConfig.orbit_spacing_rad))
     lat_deg: float = _setting("user.lat_deg", 0.0, "--lat-deg")
     min_elev_deg: float = _setting("user.min_elev_deg", 30.0, "--min-elev-deg")
     nu_step_hz: float = _setting("grid.nu_step_hz", NU_STEP_HZ, "--nu-step-hz")
@@ -60,7 +58,6 @@ class RunConfig:
             inclination_rad=math.radians(self.inclination_deg),
             n_sats=self.n_sats,
             n_per_orbit=self.n_per_orbit,
-            orbit_spacing_rad=math.radians(self.orbit_spacing_deg),
         )
 
     def user(self, shell: ShellConfig | None = None) -> UserGeometry:

@@ -22,7 +22,7 @@ ascending one reversed in nu, and doppler_pdf_grid, which alone builds
 both marks' CDFs, takes F_-(nu) = T - F_+(-nu), T the pass's total.
 
 A grid is given by its steps alone; nu_edges and tau_edges build its edges
-for each user and are the one place a step is checked.
+for each user and check library callers' steps (config checks the CLI's).
 """
 
 from __future__ import annotations

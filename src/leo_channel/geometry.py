@@ -9,7 +9,6 @@ throughout the package; only the CLI converts to and from degrees.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +43,6 @@ class ShellConfig:
     inclination_rad: float = math.radians(53.0)
     n_sats: int = 3168
     n_per_orbit: int = 22
-    orbit_spacing_rad: float = math.radians(2.5)
     light_speed_mps: float = field(default=LIGHT_SPEED_MPS, init=False)
 
     def __post_init__(self):
@@ -53,19 +51,10 @@ class ShellConfig:
             raise DomainError("earth radius and altitude must be positive and finite")
         if not (0 < self.sat_speed_mps < math.inf and 0 < self.carrier_hz < math.inf):
             raise DomainError("satellite speed and carrier must be positive and finite")
-        if not 0 < self.orbit_spacing_rad < math.inf:
-            raise DomainError("orbit spacing must be positive and finite")
         if not 0.0 < self.inclination_rad < math.pi / 2:
             raise DomainError("inclination must lie in (0, pi/2)")
         if self.n_sats < 1 or self.n_per_orbit < 1:
             raise DomainError("n_sats and n_per_orbit must be at least 1")
-        expected = round(2.0 * math.pi / self.orbit_spacing_rad) * self.n_per_orbit
-        if expected != self.n_sats:
-            warnings.warn(
-                f"n_sats={self.n_sats} inconsistent with "
-                f"round(2*pi/orbit_spacing)*n_per_orbit={expected}",
-                stacklevel=2,
-            )
 
     @property
     def shell_radius_m(self) -> float:

@@ -37,14 +37,14 @@ class WalkerConstellation:
 
 
 def build(shell: ShellConfig, inter_orbit_phase: float = 0.0) -> WalkerConstellation:
-    """Deterministic layout: orbit k has ascending node k*s_orb; slot j on
-    orbit k starts at argument of latitude j*s_sat + k*inter_orbit_phase."""
-    n_orbits = round(_TWO_PI / shell.orbit_spacing_rad)
-    if n_orbits * shell.n_per_orbit != shell.n_sats:
-        raise ConfigError(
-            f"{n_orbits} orbits x {shell.n_per_orbit} per orbit != {shell.n_sats}"
-        )
-    nodes = shell.orbit_spacing_rad * np.arange(n_orbits)
+    """Walker layout of P = n_sats / n_per_orbit planes (ConfigError unless
+    n_per_orbit divides n_sats): orbit k has ascending node 2*pi*k/P; slot j
+    on orbit k starts at argument of latitude j*s_sat + k*inter_orbit_phase."""
+    n_orbits, rest = divmod(shell.n_sats, shell.n_per_orbit)
+    if rest:
+        raise ConfigError(f"n_sats={shell.n_sats} is not a multiple of "
+                          f"n_per_orbit={shell.n_per_orbit}")
+    nodes = (_TWO_PI / n_orbits) * np.arange(n_orbits)
     s_sat = _TWO_PI / shell.n_per_orbit
     slots = s_sat * np.arange(shell.n_per_orbit)
     phases = (slots[None, :] + inter_orbit_phase * np.arange(n_orbits)[:, None]) % _TWO_PI

@@ -283,6 +283,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "sim.snapshots" in err
 
+    @pytest.mark.parametrize("command", ["coverage", "distributions", "scattering"])
+    def test_count_off_the_plane_layout_runs_silently(self, tmp_path, capsys, command):
+        # the model reads n_sats alone; only validate lays out Walker planes
+        p = tmp_path / "shell.cfg"
+        p.write_text("shell.n_sats = 3000\n")
+        assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_validate_rejects_a_count_off_the_plane_layout(self, tmp_path, capsys):
+        p = tmp_path / "shell.cfg"
+        p.write_text("shell.n_sats = 3000\n")
+        assert main(["validate", "--config", str(p), "--out", str(tmp_path / "o")]
+                    + FAST) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "n_sats=3000" in err and "n_per_orbit=22" in err
+
 
 # the configuration line of `coverage` at default settings; perfbench/checks.py
 # parses these keys and renderings from every artifact
@@ -292,10 +309,10 @@ DEFAULT_HEADER = (
     "out.dir={out} out.format={fmt} shell.altitude_m=550000 "
     "shell.carrier_hz=12700000000 shell.earth_radius_m=6371000 "
     "shell.inclination_deg=53 shell.n_per_orbit=22 shell.n_sats=3168 "
-    "shell.orbit_spacing_deg=2.5 shell.sat_speed_mps=7290 "
-    "sim.inter_orbit_phase_deg=0 sim.snapshot_spacing_s=1 sim.snapshots=20000 "
-    "sweep.lat_start_deg=0 sweep.lat_step_deg=1 sweep.lat_stop_deg=90 "
-    "sweep.min_elev_deg=30,10 user.lat_deg=0 user.min_elev_deg=30")
+    "shell.sat_speed_mps=7290 sim.inter_orbit_phase_deg=0 sim.snapshot_spacing_s=1 "
+    "sim.snapshots=20000 sweep.lat_start_deg=0 sweep.lat_step_deg=1 "
+    "sweep.lat_stop_deg=90 sweep.min_elev_deg=30,10 user.lat_deg=0 "
+    "user.min_elev_deg=30")
 
 
 def test_default_header_is_pinned(tmp_path, monkeypatch):
@@ -357,8 +374,9 @@ def test_config_keys_doc_matches_the_code():
     # the flags every subcommand takes
     text = (Path(__file__).resolve().parents[1] / "docs" / "config-keys.txt"
             ).read_text(encoding="utf-8")
-    rows = [line.split() for line in text.splitlines()
-            if line.split() and line.split()[0] in CONFIG_KEYS]
+    # the key table runs from the dashed rule to the first blank line
+    table = text[text.index("\n-----"):].split("\n\n", 1)[0].splitlines()[2:]
+    rows = [line.split() for line in table]
     assert sorted(r[0] for r in rows) == sorted(CONFIG_KEYS)
     defaults = RunConfig()
     for row in rows:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,9 +30,11 @@ class TestShellConfig:
         assert shell.polar_inclination_rad == pytest.approx(
             math.pi / 2 - shell.inclination_rad, abs=0)
 
-    def test_inconsistent_count_warns(self):
-        with pytest.warns(UserWarning):
-            ShellConfig(n_sats=3000)
+    def test_count_off_the_plane_layout_is_silent(self):
+        # the model reads only n_sats; orbit_sim.build alone checks the layout
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ShellConfig(n_sats=3000).n_sats == 3000
 
     def test_invalid_params_raise(self):
         with pytest.raises(DomainError):
@@ -39,7 +42,7 @@ class TestShellConfig:
         with pytest.raises(DomainError):
             ShellConfig(inclination_rad=2.0)
         for name in ("earth_radius_m", "altitude_m", "sat_speed_mps",
-                     "carrier_hz", "inclination_rad", "orbit_spacing_rad"):
+                     "carrier_hz", "inclination_rad"):
             for value in (math.nan, math.inf):
                 with pytest.raises(DomainError):
                     ShellConfig(**{name: value})

@@ -30,13 +30,15 @@ class TestBuild:
         assert constellation.phase_offsets.size == 3168
 
     def test_inconsistent_shell_rejected(self):
-        import warnings
+        with pytest.raises(ConfigError, match=r"n_sats=3000 .* n_per_orbit=22"):
+            osim.build(ShellConfig(n_sats=3000))
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            bad = ShellConfig(n_sats=3000)
-        with pytest.raises(ConfigError):
-            osim.build(bad)
+    @pytest.mark.parametrize("n_sats,spacing_deg", [(3168, 2.5), (1584, 5.0)])
+    def test_nodes_are_evenly_spaced(self, n_sats, spacing_deg):
+        # P = n_sats / 22 planes at 360/P degrees, bit for bit
+        nodes = osim.build(ShellConfig(n_sats=n_sats)).ascending_nodes
+        expected = math.radians(spacing_deg) * np.arange(n_sats // 22)
+        assert nodes.tobytes() == expected.tobytes()
 
     def test_on_shell_sphere(self, constellation, shell):
         p = positions_cartesian(constellation, 0.0)

@@ -1,8 +1,9 @@
 """The package's import structure: every import sits at module level, the
 modules of the package import each other without a cycle, no module reads
-the environment or names NumPy's LAPACK routes, every public route has a
-caller outside the tests, and every name the benchmark's tracer patches
-exists, and so does every name a script reads off the package."""
+the environment, imports warnings or names NumPy's LAPACK routes, every
+public route has a caller outside the tests, and every name the benchmark's
+tracer patches exists, and so does every name a script reads off the
+package."""
 
 import ast
 import importlib
@@ -95,6 +96,17 @@ def test_no_module_calls_into_lapack():
              for node in ast.walk(tree)
              if _names(node) & {"linalg", "polynomial", "leggauss"}]
     assert names == []
+
+
+def test_no_module_imports_warnings():
+    # an input the program cannot use is an error with an exit code, not a
+    # warning that every command prints and none acts on
+    imports = [f"{name}:{node.lineno}"
+               for name, tree in _trees().items()
+               for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               and "warnings" in _names(node)]
+    assert imports == []
 
 
 def _public_routes() -> set[str]:
