@@ -106,13 +106,14 @@ class _Inputs(AnalyticInputs):
     the snapshot times and the snapshot picks, in order."""
 
     def __init__(self, cfg):
+        # the plane layout is checked before any work; build draws nothing
+        con = osim.build(cfg.shell(), math.radians(cfg.inter_orbit_phase_deg))
         super().__init__(cfg)
         cap, shell, user = self.cap, self.cap.shell, self.cap.user
         tables = ks_tables(cap)
         rng = np.random.default_rng(cfg.seed)
         self.mc_ks = ks_triple(cap, tables,
                                *nbpp.sample_visible(shell, user, cfg.mc_samples, rng))
-        con = osim.build(shell, math.radians(cfg.inter_orbit_phase_deg))
         times = osim.default_snapshot_times(cfg.snapshots, rng, cfg.snapshot_spacing_s)
         orbit = osim.snapshot_sample(con, user, times, rng)
         self.n_obs = orbit[0].size

@@ -139,7 +139,7 @@ def resolved_items(cfg: RunConfig) -> list[tuple[str, str]]:
     for f in fields(cfg):
         val = getattr(cfg, f.name)
         if isinstance(val, tuple):
-            rendered = ",".join(f"{v:g}" for v in val)
+            rendered = ",".join(f"{v:.12g}" for v in val)
         elif isinstance(val, bool):
             rendered = "true" if val else "false"
         elif isinstance(val, float):

@@ -6,8 +6,9 @@ Doppler shift additionally depends on the satellite's travel direction:
 ascending (+1) and descending (-1) passes project differently onto the
 user-satellite line. Positive Doppler means an approaching satellite.
 _doppler_hz alone builds the Doppler shift in Hz and the cos-sigma range
-law for every caller. max_doppler searches the visible, in-band cap as the
-rectangle of (sigma, fraction of the in-band arc) of geometry.ring_bearings.
+law for every caller. max_doppler searches the in-band arc of the cap's
+rim by the fraction of that arc (geometry.ring_bearings), where the
+largest Doppler magnitude lies.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from .errors import DomainError
 from .geometry import (_CLAMP_GRACE, ShellConfig, UserGeometry, ring_bearings,
                        sigma_from_range2, slant_range)
 
-# max_doppler: points per axis of its seed grid and of each zoom grid,
-# and the distance below the maximum it stops at
+# max_doppler: points of its seed grid and of each zoom grid, and the
+# distance below the maximum it stops at
 _MAX_DOPPLER_GRID = 257
 _ZOOM = 9
 _MAX_DOPPLER_TOL_HZ = 1.0
@@ -89,66 +90,54 @@ def doppler_hz_arrays(shell: ShellConfig, user: UserGeometry, theta, phi, mark):
 
 
 def max_doppler(shell: ShellConfig, user: UserGeometry) -> float:
-    """Largest Doppler magnitude over the visible cap.
+    """Largest Doppler magnitude over the visible cap, found on its rim.
 
-    The search runs on the rectangle (sigma, u) in [sigma_min, sigma_1] x
-    [0, 1], with bearing |alpha| = a_in + u (a_out - a_in) on the ring of
-    angle sigma (ring_bearings): exactly the visible, in-band part of the
-    cap. Mirroring alpha and flipping the mark negates the Doppler, so the
+    Take a pass whose closest approach to the user is the central angle c.
+    At along-track angle x, cos(sigma) = cos c cos x and |nu| is
+    proportional to cos c |sin x| / d. Its x-derivative has the sign of
+    A cos x - (B/2)(1 + cos^2 x), with A = r^2 + R^2 and B = 2 r R cos c,
+    which is positive wherever cos c cos x > r/R: above the geometric
+    horizon, which sigma_max never passes. Every cap point lies on an
+    orbit that stays in the band and leaves the cap through the rim, so
+    |nu| is largest on the rim's in-band arc.
+
+    The search runs over u in [0, 1], at bearing |alpha| = a_in +
+    u (a_out - a_in) on the ring sigma = sigma_max (ring_bearings).
+    Mirroring alpha and flipping the mark negates the Doppler, so the
     maximum over both marks is that of |nu| of the ascending mark at
-    +-alpha. A _MAX_DOPPLER_GRID^2 grid seeds the search; each zoom lays a
-    _ZOOM^2 grid on the box one step around the best point, clipped to the
-    rectangle, until both steps are below tol. A ridge slanting across the
-    grid can put the best point more than a step from the maximiser, so
-    where it lies on an inner side of its box and beats every earlier
-    point, the box moves onto it at the same step instead. Moves need a
-    strict gain, so the search ends even where nu is flat.
-
-    The maximiser lies at a corner, on an edge or inside. Every edge (the
-    rim, sigma_min and the band crossings u = 0, 1) is a grid line of any
-    box that touches it, so the grid point nearest the maximiser shares its
-    edges and lies less than a step from it along the rest, where nu is
-    smooth and stationary at the maximiser: the band crossings are
-    latitude lines, along which the travel direction is constant. The
-    shortfall is second order in the step: a last step moves the
-    satellite at most pi * tol radians (tol is 8e-7 at the default shell)
-    and nu curves by at most about scale * speed * (R/h)^2 per rad^2, so
-    it is below 1e-3 Hz, far inside _MAX_DOPPLER_TOL_HZ. Like any zoom
-    search it assumes the seed grid resolves the peak; the tests check it
-    against a brute-force scan.
+    +-alpha. _MAX_DOPPLER_GRID points seed the search; each zoom lays
+    _ZOOM points on the interval one step around the best point, clipped
+    to [0, 1], until the step is below tol. The arc's ends are grid points
+    of any interval that touches them, and inside nu is smooth, so the
+    shortfall is second order in the step: a last step moves the satellite
+    at most pi * tol radians (tol is 8e-7 at the default shell) and nu
+    curves by at most about scale * speed * (R/h)^2 per rad^2, so it is
+    below 1e-3 Hz, far inside _MAX_DOPPLER_TOL_HZ. Like any zoom search it
+    assumes the seed grid resolves the peak; the tests check it against a
+    brute-force scan.
     """
-    phi_u = user.user_polar_rad
+    phi_u, sigma = user.user_polar_rad, user.sigma_max_rad
     cu, su = math.cos(phi_u), math.sin(phi_u)
     scale = shell.carrier_hz / shell.light_speed_mps
     tol = _MAX_DOPPLER_TOL_HZ / (4.0 * scale * shell.sat_speed_mps)
-
-    def nu(sigma, u):
-        c, d, a_in, a_out = ring_bearings(shell, user, sigma)
+    c, d, a_in, a_out = ring_bearings(shell, user, sigma)
+    cos_s, sin_s = np.cos(sigma), np.sin(sigma)
+    lo, hi, n, top = 0.0, 1.0, _MAX_DOPPLER_GRID, -math.inf
+    while True:
+        u = np.linspace(lo, hi, n)
         alpha = a_in + u * (a_out - a_in)
         cos_a = np.cos(alpha)
-        # the ring point at bearing alpha, with theta_u = pi/2
-        y = su * np.cos(sigma) - cu * np.sin(sigma) * cos_a
-        x = np.sin(sigma) * np.sin(alpha)
+        # the rim point at bearing alpha, with theta_u = pi/2
+        y = su * cos_s - cu * sin_s * cos_a
+        x = sin_s * np.sin(alpha)
         phi = np.arccos(np.clip(c + d * cos_a, -1.0, 1.0))
         rho = np.hypot(x, y)  # > 0: the band holds no pole
         v = _doppler_hz(shell, user, y / rho, np.stack([x, -x]) / rho, phi, 1)[0]
-        return np.abs(v).max(axis=0)
-
-    lo = np.array([user.sigma_min_rad, 0.0])
-    hi = np.array([user.sigma_max_rad, 1.0])
-    box_lo, box_hi, n, top = lo, hi, _MAX_DOPPLER_GRID, -math.inf
-    while True:
-        sigma, u = (np.linspace(a, b, n) for a, b in zip(box_lo, box_hi))
-        v = nu(sigma[:, None], u)
-        k = np.unravel_index(np.argmax(v), v.shape)
-        best = np.array([sigma[k[0]], u[k[1]]])
-        step = (box_hi - box_lo) / (n - 1)
-        i = np.array(k)
-        inner = ((i == 0) & (box_lo > lo)) | ((i == n - 1) & (box_hi < hi))
-        moved = inner & (v[k] > top)
+        v = np.abs(v).max(axis=0)
+        k = int(np.argmax(v))
         top = max(top, float(v[k]))
-        if np.all(step < tol) and not moved.any():
+        step = (hi - lo) / (n - 1)
+        if step < tol:
             return top
-        half = np.where(moved, 0.5 * (box_hi - box_lo), step)
-        box_lo, box_hi = np.maximum(lo, best - half), np.minimum(hi, best + half)
+        lo, hi = max(0.0, u[k] - step), min(1.0, u[k] + step)
         n = _ZOOM

@@ -2,12 +2,13 @@
 
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from leo_channel import checks
 from leo_channel.config import RunConfig
-from leo_channel.errors import NoVisibleSatellites
+from leo_channel.errors import ConfigError, NoVisibleSatellites
 from leo_channel.visibility import CapModel
 
 # the checks of checks.REGISTRY that need neither a sample nor the joint grid
@@ -48,3 +49,14 @@ def test_analytic_checks_pass_on_their_own_inputs():
         if name in checks.ANALYTIC:
             value, threshold = check(inputs)
             assert value <= threshold, name
+
+
+def test_plane_layout_is_checked_before_any_work(monkeypatch):
+    # validate rejects a count off the Walker plane layout before it builds
+    # the scattering grid, the KS tables or the Monte Carlo sample
+    def no_work(*args, **kwargs):
+        raise AssertionError("scattering grid built before the layout check")
+
+    monkeypatch.setattr(checks.ch, "scattering_function", no_work)
+    with pytest.raises(ConfigError, match="n_sats=3000.*n_per_orbit=22"):
+        checks.run(RunConfig(n_sats=3000))

@@ -326,6 +326,15 @@ def test_default_header_is_pinned(tmp_path, monkeypatch):
     assert config == dict(item.split("=", 1) for item in pairs)
 
 
+def test_header_records_the_sweep_elevations_that_ran(tmp_path, monkeypatch):
+    # each sweep elevation is written like any float setting, to 12 digits
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sweep.cfg").write_text("sweep.min_elev_deg = 30, 10.1234567\n")
+    assert main(["coverage", "--config", "sweep.cfg", "--out", "c"]) == 0
+    line = (tmp_path / "c" / "coverage.csv").read_text().splitlines()[0]
+    assert "sweep.min_elev_deg=30,10.1234567 " in line
+
+
 def test_registry_names_match_the_benchmark():
     # the benchmark marks every validate run incorrect when a check name
     # it expects is missing; its list is read without importing its module

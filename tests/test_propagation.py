@@ -197,10 +197,32 @@ class TestMaxDoppler:
         assert max_doppler(shell, user) == pytest.approx(
             max_doppler_scan(shell, user, n_grid=1001, n_arc=50001), abs=1.0)
 
+    @given(incl=st.floats(20.0, 89.0), lat=st.floats(0.0, 60.0),
+           mask=st.floats(0.0, 60.0))
+    @example(incl=53.0, lat=0.0, mask=30.0)
+    @example(incl=53.0, lat=53.0, mask=0.0)  # on the band edge
+    @settings(max_examples=100, deadline=None)
+    def test_property_closed_form_inside_the_band(self, incl, lat, mask):
+        # an orbit passes through a user inside the band (sigma_min = 0),
+        # so the largest shift is that of a pass overhead, at the rim
+        from leo_channel.geometry import slant_range
+
+        shell = ShellConfig(inclination_rad=math.radians(incl))
+        try:
+            user = UserGeometry.for_shell(shell, math.pi / 2 - math.radians(lat),
+                                          math.radians(mask))
+        except NoVisibleSatellites:
+            assume(False)
+        assume(user.sigma_min_rad == 0.0)
+        s1 = user.sigma_max_rad
+        closed = (shell.carrier_hz / shell.light_speed_mps * shell.sat_speed_mps
+                  * shell.earth_radius_m * math.sin(s1) / slant_range(shell, s1))
+        assert max_doppler(shell, user) == pytest.approx(closed, rel=1e-9)
+
     @pytest.mark.parametrize("overlap", [1e-12, 1e-9])
     def test_band_grazing_user(self, shell, overlap):
-        # the cap overlaps the band by a sliver on which nu is flat to
-        # rounding: a zoom box that moves without a strict gain never stops
+        # the rim's in-band arc is a sliver on which nu is flat to rounding:
+        # the search must still end, and on the scan's value
         mask = math.radians(10.0)
         phi_u = shell.polar_inclination_rad - sigma_from_elevation(shell, mask)
         user = UserGeometry.for_shell(shell, phi_u + overlap, mask)
@@ -208,8 +230,8 @@ class TestMaxDoppler:
             max_doppler_scan(shell, user), abs=1.0)
 
     def test_rim_peak_with_inward_ridge(self):
-        # the peak lies on the rim and its ridge runs inwards: a zoom box
-        # that never moves along it loses the rim, 2.4e-3 Hz low
+        # the peak lies on the rim at the foot of a ridge of |nu| that runs
+        # inwards: the rim search must not read below the scan
         shell = ShellConfig(inclination_rad=math.radians(25.0))
         user = UserGeometry.for_shell(shell, math.radians(80.0), 0.0)
         assert max_doppler(shell, user) >= max_doppler_scan(
