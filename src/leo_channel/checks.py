@@ -126,7 +126,7 @@ class _Inputs(AnalyticInputs):
         # (few distinct ground tracks cross the small cap), so the
         # continuum-model agreement is structurally looser there
         low_lat = abs(cfg.lat_deg) <= 15.0
-        noise = 1.63 / math.sqrt(max(self.n_obs, 1))
+        noise = 1.63 / math.sqrt(self.n_obs)
         self.range_tol = (0.10 if low_lat else 0.03) + noise
         self.doppler_tol = (0.10 if low_lat else 0.05) + noise
 

@@ -1,6 +1,6 @@
 """Spherical geometry of a user and a circular orbital shell, including
 the ring of central angle sigma around the user by bearing (ring_bearings),
-along which p_cap_prime integrates and max_doppler searches.
+along which p_cap_prime integrates.
 
 Angles are radians, lengths metres, times seconds, frequencies Hz
 throughout the package; only the CLI converts to and from degrees.

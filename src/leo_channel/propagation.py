@@ -6,9 +6,9 @@ Doppler shift additionally depends on the satellite's travel direction:
 ascending (+1) and descending (-1) passes project differently onto the
 user-satellite line. Positive Doppler means an approaching satellite.
 _doppler_hz alone builds the Doppler shift in Hz and the cos-sigma range
-law for every caller. max_doppler searches the in-band arc of the cap's
-rim by the fraction of that arc (geometry.ring_bearings), where the
-largest Doppler magnitude lies.
+law for every caller. max_doppler gives the largest Doppler magnitude
+over the cap in closed form: on the cap's rim, on the pass that comes
+closest to the user.
 """
 
 from __future__ import annotations
@@ -18,14 +18,8 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .geometry import (_CLAMP_GRACE, ShellConfig, UserGeometry, ring_bearings,
+from .geometry import (_CLAMP_GRACE, ShellConfig, UserGeometry,
                        sigma_from_range2, slant_range)
-
-# max_doppler: points of its seed grid and of each zoom grid, and the
-# distance below the maximum it stops at
-_MAX_DOPPLER_GRID = 257
-_ZOOM = 9
-_MAX_DOPPLER_TOL_HZ = 1.0
 
 
 def gain(shell: ShellConfig, sigma):
@@ -90,54 +84,24 @@ def doppler_hz_arrays(shell: ShellConfig, user: UserGeometry, theta, phi, mark):
 
 
 def max_doppler(shell: ShellConfig, user: UserGeometry) -> float:
-    """Largest Doppler magnitude over the visible cap, found on its rim.
+    """Largest Doppler magnitude over the visible cap, in closed form:
+    (f/c) V r sqrt(sin(s1 - s0) sin(s1 + s0)) / d(s1), with s0, s1 the
+    smallest and largest visible central angles.
 
     Take a pass whose closest approach to the user is the central angle c.
-    At along-track angle x, cos(sigma) = cos c cos x and |nu| is
-    proportional to cos c |sin x| / d. Its x-derivative has the sign of
-    A cos x - (B/2)(1 + cos^2 x), with A = r^2 + R^2 and B = 2 r R cos c,
-    which is positive wherever cos c cos x > r/R: above the geometric
-    horizon, which sigma_max never passes. Every cap point lies on an
-    orbit that stays in the band and leaves the cap through the rim, so
-    |nu| is largest on the rim's in-band arc.
-
-    The search runs over u in [0, 1], at bearing |alpha| = a_in +
-    u (a_out - a_in) on the ring sigma = sigma_max (ring_bearings).
-    Mirroring alpha and flipping the mark negates the Doppler, so the
-    maximum over both marks is that of |nu| of the ascending mark at
-    +-alpha. _MAX_DOPPLER_GRID points seed the search; each zoom lays
-    _ZOOM points on the interval one step around the best point, clipped
-    to [0, 1], until the step is below tol. The arc's ends are grid points
-    of any interval that touches them, and inside nu is smooth, so the
-    shortfall is second order in the step: a last step moves the satellite
-    at most pi * tol radians (tol is 8e-7 at the default shell) and nu
-    curves by at most about scale * speed * (R/h)^2 per rad^2, so it is
-    below 1e-3 Hz, far inside _MAX_DOPPLER_TOL_HZ. Like any zoom search it
-    assumes the seed grid resolves the peak; the tests check it against a
-    brute-force scan.
+    At along-track angle x, cos(sigma) = cos c cos x and the range rate is
+    V r cos c sin x / d, so |nu| is proportional to cos c |sin x| / d. Its
+    x-derivative has the sign of A cos x - (B/2)(1 + cos^2 x), with
+    A = r^2 + R^2 and B = 2 r R cos c, which is positive wherever
+    cos c cos x > r/R: above the geometric horizon, which s1 never passes.
+    So |nu| is largest on the rim sigma = s1, where d is fixed and
+    cos c |sin x| = sqrt(cos^2 c - cos^2 s1), largest on the pass with the
+    smallest c. No great circle of the shell's inclination comes closer to
+    the user than s0 (0 inside the band, the gap to the band edge above
+    it), and s0 <= s1, so that pass reaches the rim. The product form of
+    cos^2 s0 - cos^2 s1 keeps its digits for users that graze the band.
     """
-    phi_u, sigma = user.user_polar_rad, user.sigma_max_rad
-    cu, su = math.cos(phi_u), math.sin(phi_u)
-    scale = shell.carrier_hz / shell.light_speed_mps
-    tol = _MAX_DOPPLER_TOL_HZ / (4.0 * scale * shell.sat_speed_mps)
-    c, d, a_in, a_out = ring_bearings(shell, user, sigma)
-    cos_s, sin_s = np.cos(sigma), np.sin(sigma)
-    lo, hi, n, top = 0.0, 1.0, _MAX_DOPPLER_GRID, -math.inf
-    while True:
-        u = np.linspace(lo, hi, n)
-        alpha = a_in + u * (a_out - a_in)
-        cos_a = np.cos(alpha)
-        # the rim point at bearing alpha, with theta_u = pi/2
-        y = su * cos_s - cu * sin_s * cos_a
-        x = sin_s * np.sin(alpha)
-        phi = np.arccos(np.clip(c + d * cos_a, -1.0, 1.0))
-        rho = np.hypot(x, y)  # > 0: the band holds no pole
-        v = _doppler_hz(shell, user, y / rho, np.stack([x, -x]) / rho, phi, 1)[0]
-        v = np.abs(v).max(axis=0)
-        k = int(np.argmax(v))
-        top = max(top, float(v[k]))
-        step = (hi - lo) / (n - 1)
-        if step < tol:
-            return top
-        lo, hi = max(0.0, u[k] - step), min(1.0, u[k] + step)
-        n = _ZOOM
+    s0, s1 = user.sigma_min_rad, user.sigma_max_rad
+    rim = math.sqrt(math.sin(s1 - s0) * math.sin(s1 + s0))
+    return float(shell.carrier_hz / shell.light_speed_mps * shell.sat_speed_mps
+                 * shell.earth_radius_m * rim / slant_range(shell, s1))

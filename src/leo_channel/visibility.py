@@ -187,6 +187,7 @@ class CapModel:
 
     @cached_property
     def nu_max_hz(self) -> float:
+        """Largest Doppler magnitude over the cap, Hz: the Doppler support bound."""
         return prop.max_doppler(self.shell, self.user)
 
     @cached_property

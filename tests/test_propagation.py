@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -194,8 +195,10 @@ class TestMaxDoppler:
                                           math.radians(mask))
         except NoVisibleSatellites:
             assume(False)
-        assert max_doppler(shell, user) == pytest.approx(
-            max_doppler_scan(shell, user, n_grid=1001, n_arc=50001), abs=1.0)
+        scan = max_doppler_scan(shell, user, n_grid=1001, n_arc=50001)
+        assert max_doppler(shell, user) == pytest.approx(scan, abs=1.0)
+        # every scanned point lies in the cap: the scan is a lower bound
+        assert max_doppler(shell, user) >= scan - 1e-6
 
     @given(incl=st.floats(20.0, 89.0), lat=st.floats(0.0, 60.0),
            mask=st.floats(0.0, 60.0))
@@ -221,21 +224,75 @@ class TestMaxDoppler:
 
     @pytest.mark.parametrize("overlap", [1e-12, 1e-9])
     def test_band_grazing_user(self, shell, overlap):
-        # the rim's in-band arc is a sliver on which nu is flat to rounding:
-        # the search must still end, and on the scan's value
+        # the pass closest to the user barely reaches the rim, so
+        # cos^2 s0 - cos^2 s1 is tiny: the closed form must keep its digits
+        # there (a 40-digit evaluation at the same s0, s1, where the
+        # difference of squares in doubles is off by 3.7e-5 at 1e-12) and
+        # agree with the scan
         mask = math.radians(10.0)
         phi_u = shell.polar_inclination_rad - sigma_from_elevation(shell, mask)
         user = UserGeometry.for_shell(shell, phi_u + overlap, mask)
+        with mpmath.workdps(40):
+            s0, s1 = mpmath.mpf(user.sigma_min_rad), mpmath.mpf(user.sigma_max_rad)
+            r, big_r = mpmath.mpf(shell.earth_radius_m), mpmath.mpf(shell.shell_radius_m)
+            exact = (mpmath.mpf(shell.carrier_hz) / shell.light_speed_mps
+                     * shell.sat_speed_mps * r
+                     * mpmath.sqrt(mpmath.cos(s0) ** 2 - mpmath.cos(s1) ** 2)
+                     / mpmath.sqrt(r * r + big_r * big_r - 2 * r * big_r * mpmath.cos(s1)))
+        assert max_doppler(shell, user) == pytest.approx(float(exact), rel=1e-12)
         assert max_doppler(shell, user) == pytest.approx(
             max_doppler_scan(shell, user), abs=1.0)
 
     def test_rim_peak_with_inward_ridge(self):
         # the peak lies on the rim at the foot of a ridge of |nu| that runs
-        # inwards: the rim search must not read below the scan
+        # inwards: no point of the cap, the ridge included, may exceed the
+        # closed form
         shell = ShellConfig(inclination_rad=math.radians(25.0))
         user = UserGeometry.for_shell(shell, math.radians(80.0), 0.0)
         assert max_doppler(shell, user) >= max_doppler_scan(
             shell, user, n_grid=1001, n_arc=50001) - 1e-6
+
+    @given(incl=st.floats(20.0, 89.0), lat=st.floats(0.0, 90.0),
+           mask=st.floats(0.0, 60.0))
+    @example(incl=53.0, lat=0.0, mask=30.0)
+    @example(incl=53.0, lat=60.0, mask=10.0)
+    @example(incl=89.0, lat=90.0, mask=30.0)  # the pole user
+    # band-grazing, 1e-6 rad inside the cutoff: nearer it the pass crosses
+    # the rim next to its apex, where the heading hangs on phi - b_bar and
+    # the rounding of phi alone moves the oracle's Doppler past 1e-9
+    @example(incl=53.0, lat=67.9675233, mask=10.0)
+    @settings(max_examples=100, deadline=None)
+    def test_property_closed_form_is_reached(self, incl, lat, mask):
+        # a satellite on the pass closest to the user, where it crosses the
+        # rim, sees the closed form: it is attained, not only an upper bound
+        shell = ShellConfig(inclination_rad=math.radians(incl))
+        try:
+            user = UserGeometry.for_shell(shell, math.pi / 2 - math.radians(lat),
+                                          math.radians(mask))
+        except NoVisibleSatellites:
+            assume(False)
+        i, pu = shell.inclination_rad, user.user_polar_rad
+        u = np.array([0.0, math.sin(pu), math.cos(pu)])  # theta_u = pi/2
+        if user.sigma_min_rad > 0.0:
+            # the orbit whose normal lies at colatitude i, opposite the user
+            n = np.array([0.0, -math.sin(i), math.cos(i)])
+        else:
+            # an orbit through the user: normal . u = 0
+            ny = -math.cos(i) * math.cos(pu) / math.sin(pu)
+            n = np.array([math.sqrt(max(math.sin(i) ** 2 - ny * ny, 0.0)), ny,
+                          math.cos(i)])
+        p0 = u - np.dot(u, n) * n  # closest approach, at along-track angle 0
+        p0 /= np.linalg.norm(p0)
+        t = np.cross(n, p0)  # direction of travel at p0
+        x = math.acos(math.cos(user.sigma_max_rad) / np.dot(u, p0))
+        nu = []
+        for sign in (1, -1):
+            p = math.cos(x) * p0 + sign * math.sin(x) * t
+            v = -sign * math.sin(x) * p0 + math.cos(x) * t
+            mark = 1 if v[2] >= 0.0 else -1  # northbound is ascending
+            nu.append(doppler_cartesian(shell, user, math.atan2(p[1], p[0]),
+                                        math.acos(p[2]), mark))
+        assert max(map(abs, nu)) == pytest.approx(max_doppler(shell, user), rel=1e-9)
 
 
 @given(sigma=st.floats(1e-6, 0.4))
