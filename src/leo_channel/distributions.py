@@ -6,9 +6,11 @@ cos-sigma derivative; all four take arrays and are exact (the KS checks
 give the CDFs pcap_interpolator's table). The Doppler shift also depends
 on azimuth, so its CDF is a double integral over the cap, taken by a fixed
 rule: sine-mapped Gauss-Legendre nodes in argument-of-latitude space for
-the polar integral, and per node _N_THETA azimuth samples of the cap slice,
-whose cells are uniform laws in nu, each deposited exactly onto the nu
-values it lies below or straddles. The polar rule carries the error.
+the polar integral, and per node uniform azimuth samples of the cap slice
+(_N_THETA for the Doppler CDF, _N_ANNULUS_THETA for the coarser polar rule
+of the joint grid), whose cells are uniform laws in nu, each deposited
+exactly onto the nu values it lies below or straddles. The polar rule
+carries the error.
 
 One pass makes that deposit, _annulus_pass. A delay cell is an annulus of
 the cap: the joint delay-Doppler PDF grid is the pass with a ring at every
@@ -37,13 +39,15 @@ from . import parallel
 from .quadrature import _N_NODES, density_nodes, sine_mapped_panels
 from .visibility import CapModel, _active_band, _row_blocks, arc_halfwidth_clamped
 
-# azimuth samples per cap slice of the Doppler kernel: the smallest power of
+# azimuth samples per cap slice of each annulus pass: the smallest power of
 # two whose error against 4x the samples is at most 1/3 of the polar rule's
-# (64 against 256 nodes per panel, joint pass at tau step 8.4e-5 s; 384
-# against 1536, full-cap CDF on the 2001 table edges) at both reference
-# users. At 512 the ratios are 0.007/0.054 (joint, equator/lat 60) and
-# 0.013/0.21 (CDF); at 256 the lat-60 CDF's is 0.82 (resolution_budget.py).
+# at both reference users (resolution_budget.py). The full-cap CDF (384
+# against 1536 nodes per panel, on the 2001 table edges) needs 512: ratios
+# 0.013/0.21 (equator/lat 60), and 0.82 at lat 60 with 256. The joint pass
+# (64 against 256 nodes per panel) needs 256: at tau step 8.4e-5 s ratios
+# 0.029/0.213, and 0.733 at lat 60 with 128; at 2.8e-5 s 0.060/0.328.
 _N_THETA = 512
+_N_ANNULUS_THETA = 256
 # sine-mapped polar nodes per panel of the joint grid, and per block of
 # every annulus pass
 _N_ANNULUS_NODES = 64
@@ -213,7 +217,7 @@ def _cell_shares(v: np.ndarray, e: np.ndarray, row, n_rows: int,
 
 
 def _annulus_pass(model: CapModel, sigmas, nu_edges: np.ndarray, mark: int,
-                  n_nodes: int) -> np.ndarray:
+                  n_nodes: int, n_theta: int) -> np.ndarray:
     """Masses of the annuli of the rings sigmas on the nu cells, in one
     pass over the cap of the outermost ring.
 
@@ -225,9 +229,13 @@ def _annulus_pass(model: CapModel, sigmas, nu_edges: np.ndarray, mark: int,
     Polar panels break where a ring meets a latitude line tangentially or
     closes it (phi_u +- sigma_j, sigma_j - phi_u), n_nodes sine-mapped
     nodes each; this rule, not the azimuth sampling, sets the error. Each
-    slice is cut at _N_THETA uniform azimuth samples and at the ring
+    slice is cut at n_theta uniform azimuth samples and at the ring
     boundaries +-arc_halfwidth_clamped, so every cell lies in one annulus,
     found from the mean of cos(sigma) at its ends (monotone in |offset|).
+    A block leaves out the ring columns that add only zero-width cells:
+    the outer ring's, which repeats the +-1 samples, those equal to it at
+    every node and all but one of those 0 at every node. One stays because
+    n_theta is even, so no sample is 0, and its +-0 split the middle cell.
     Doppler is taken linear in azimuth across a cell: a uniform law between
     its end values, deposited by _cell_shares, so no mass is negative. A
     point costs two sines, a Doppler value (factors of phi alone per row)
@@ -246,12 +254,17 @@ def _annulus_pass(model: CapModel, sigmas, nu_edges: np.ndarray, mark: int,
     breaks = breaks[(phi_lo < breaks) & (breaks < phi_hi)]
     phi_k, w_k = density_nodes(np.concatenate(([phi_lo], breaks, [phi_hi])), shell,
                                n_nodes)
-    t = np.linspace(-1.0, 1.0, _N_THETA)
+    t = np.linspace(-1.0, 1.0, n_theta)
 
     def block(k: int) -> np.ndarray:
         phi = phi_k[k:k + _N_ANNULUS_NODES, None]
         ring = arc_halfwidth_clamped(user, phi, sigmas)
-        off = np.sort(np.concatenate((ring[:, -1:] * t, ring, -ring), axis=1), axis=1)
+        outer, ring = ring[:, -1:], ring[:, :-1]
+        zero = ~ring.any(axis=0)
+        keep = ~(zero | (ring == outer).all(axis=0))
+        keep[np.flatnonzero(zero)[:1]] = True
+        ring = ring[:, keep]
+        off = np.sort(np.concatenate((outer * t, ring, -ring), axis=1), axis=1)
         # theta = pi/2 + off; a cell's annulus from twice its mean cos(sigma)
         v, cos_s = _doppler_hz(shell, user, np.cos(off), -np.sin(off), phi, mark)[:2]
         row = np.searchsorted(-2.0 * np.cos(sigmas), -(cos_s[:, 1:] + cos_s[:, :-1]))
@@ -281,9 +294,10 @@ def doppler_cdf_grid(model: CapModel, nu_edges, mark: int,
     full-cap CDF; a NaN cap_sigma gives NaN. A mark other than +-1 is a DomainError.
 
     The one-ring annulus pass over the distinct values, _N_NODES polar
-    nodes per panel: the CDF is the running sum of its column totals, so it
-    never decreases along ascending nu, not even by rounding. NaN values
-    stay out of the pass (np.unique sorts them last) and give NaN.
+    nodes per panel and _N_THETA azimuth samples per slice: the CDF is the
+    running sum of its column totals, so it never decreases along
+    ascending nu, not even by rounding. NaN values stay out of the pass
+    (np.unique sorts them last) and give NaN.
     """
     if mark not in (1, -1):
         raise DomainError(f"mark {mark!r} is neither +1 (ascending) nor -1 (descending)")
@@ -294,7 +308,8 @@ def doppler_cdf_grid(model: CapModel, nu_edges, mark: int,
         return np.full(nu.shape, math.nan)
     e, back = np.unique(nu.ravel(), return_inverse=True)
     n = e.size - int(np.isnan(e).sum())
-    mass = _annulus_pass(model, [cap_sigma], e[:n], mark, _N_NODES).sum(axis=0)
+    mass = _annulus_pass(model, [cap_sigma], e[:n], mark, _N_NODES,
+                         _N_THETA).sum(axis=0)
     cdf = np.append(np.cumsum(mass[:-1]), e[n:])
     return cdf[back.ravel()].reshape(nu.shape)
 
@@ -328,12 +343,13 @@ def joint_pdf_grid(model: CapModel, nu_step_hz: float = NU_STEP_HZ,
     Delay is a function of the central angle, so the delay cell between
     two (clipped) edges is the annulus sigma_j < sigma <= sigma_j+1: the
     annulus pass with the rings at the delay edges, _N_ANNULUS_NODES
-    polar nodes per panel. A pdf cell is a deposited mass: none is
-    negative, the padding rows outside the delay support are exactly
-    zero, and the joint CDF, the cumulative sum of the cells, rises in
-    tau and nu by construction. The nu edges pad no cell: trapezoid
-    integrals then lose half the mass a too coarse step leaves in the
-    outer columns, which the normalisation check detects.
+    polar nodes per panel and _N_ANNULUS_THETA azimuth samples per slice.
+    A pdf cell is a deposited mass: none is negative, the padding rows
+    outside the delay support are exactly zero, and the joint CDF, the
+    cumulative sum of the cells, rises in tau and nu by construction. The
+    nu edges pad no cell: trapezoid integrals then lose half the mass a too
+    coarse step leaves in the outer columns, which the normalisation check
+    detects.
 
     Returns the pdf matrix, shape (n_tau_cells, n_nu_cells), on the cells
     of tau_edges(model, tau_step_s) and nu_edges(model, nu_step_hz, 0).
@@ -344,7 +360,7 @@ def joint_pdf_grid(model: CapModel, nu_step_hz: float = NU_STEP_HZ,
     sigmas = delay_inverse(model.shell, np.clip(tau_edges(model, tau_step_s),
                                                 *model.delay_bounds))
     mass = _annulus_pass(model, sigmas, nu_edges(model, nu_step_hz, 0), mark,
-                         _N_ANNULUS_NODES)
+                         _N_ANNULUS_NODES, _N_ANNULUS_THETA)
     return mass[1:-1, 1:-1] / (nu_step_hz * tau_step_s)
 
 

@@ -33,7 +33,6 @@ at 40 digits, by Newton's method in mpmath.
 import functools
 import math
 import warnings
-from unittest import mock
 
 import mpmath
 import numpy as np
@@ -46,7 +45,7 @@ from leo_channel.geometry import (
 from leo_channel.orbit_sim import _arg_of_latitude, _positions
 from leo_channel.parallel import ordered_map
 from leo_channel.propagation import (
-    delay_inverse, doppler_hz_arrays, gain_inverse)
+    _doppler_hz, delay_inverse, doppler_hz_arrays, gain_inverse)
 from leo_channel.quadrature import density_nodes, omega_of_phi, phi_of_omega
 from leo_channel.visibility import CapModel, _active_band, arc_halfwidth_clamped
 
@@ -563,9 +562,41 @@ def joint_pdf_grid_rows(model: CapModel, nu_step_hz: float, tau_step_s: float,
 def annulus_pass_at(model: CapModel, sigmas, e: np.ndarray, n_nodes: int,
                     n_theta: int) -> np.ndarray:
     """The package's annulus pass, mark +1, at n_nodes polar nodes per
-    panel and n_theta azimuth samples per slice (dist._N_THETA patched)."""
-    with mock.patch.object(dist, "_N_THETA", n_theta):
-        return dist._annulus_pass(model, sigmas, e, 1, n_nodes)
+    panel and n_theta azimuth samples per slice."""
+    return dist._annulus_pass(model, sigmas, e, 1, n_nodes, n_theta)
+
+
+def annulus_pass_all_columns(model: CapModel, sigmas, e: np.ndarray, mark: int,
+                             n_nodes: int, n_theta: int) -> np.ndarray:
+    """The annulus pass with every ring column in every block: each slice
+    cut at n_theta uniform azimuth samples of the outer ring's arc and at
+    +-arc_halfwidth_clamped of every ring, zero-width cells included, the
+    blocks of dist._N_ANNULUS_NODES nodes added in order on one thread.
+    The reference for the package's pass, which leaves out the columns
+    that add only zero-width cells."""
+    shell, user = model.shell, model.user
+    phi_u = user.user_polar_rad
+    sigmas = np.asarray(sigmas, dtype=float)
+    n_rows = sigmas.size + 1
+    phi_lo, phi_hi, _ = _active_band(shell, user, float(sigmas[-1]))
+    phi_hi = max(phi_lo, phi_hi)
+    breaks = np.unique(np.concatenate((phi_u - sigmas, phi_u + sigmas,
+                                       sigmas - phi_u)))
+    breaks = breaks[(phi_lo < breaks) & (breaks < phi_hi)]
+    phi_k, w_k = density_nodes(np.concatenate(([phi_lo], breaks, [phi_hi])), shell,
+                               n_nodes)
+    t = np.linspace(-1.0, 1.0, n_theta)
+    mass = np.zeros((n_rows, e.size + 1))
+    for k in range(0, phi_k.size, dist._N_ANNULUS_NODES):
+        phi = phi_k[k:k + dist._N_ANNULUS_NODES, None]
+        ring = arc_halfwidth_clamped(user, phi, sigmas)
+        off = np.sort(np.concatenate((ring[:, -1:] * t, ring, -ring), axis=1), axis=1)
+        v, cos_s = _doppler_hz(shell, user, np.cos(off), -np.sin(off), phi, mark)[:2]
+        row = np.searchsorted(-2.0 * np.cos(sigmas), -(cos_s[:, 1:] + cos_s[:, :-1]))
+        weight = np.diff(off, axis=1)
+        weight *= w_k[k:k + dist._N_ANNULUS_NODES, None] / (2.0 * math.pi * model.p_sat)
+        mass += dist._cell_shares(v, e, row, n_rows, weight)
+    return mass
 
 
 def joint_mass_at(model: CapModel, tau_step_s: float, n_nodes: int,
