@@ -3,11 +3,10 @@
 The second-order description is a scattering function on the delay-Doppler
 plane: the mark-mixed joint density scaled by the availability and by the
 instantaneous gain 1/(c tau)^2 (which equals the gain at the central angle
-reached in delay tau). One kernel pass gives both marks: the descending
-joint density is the ascending one mirrored in Doppler. The global channel
-parameters are read off the model, not off a grid: the path loss from a
-one-dimensional integral in gain, rho^2, which a grid carries to check its
-cell sum, and the delay and Doppler moments from a product rule on the cap.
+reached in delay tau). The global channel parameters are read off the
+model, not off a grid: the path loss from a one-dimensional integral in
+gain, rho^2, which a grid carries to check its cell sum, and the delay and
+Doppler moments from a product rule on the cap.
 """
 
 from __future__ import annotations
@@ -107,14 +106,9 @@ def scattering_function(model: CapModel, nu_step_hz: float = NU_STEP_HZ,
     gain law (distributions.rayleigh_gain_cdf_grid) keeps the mean gain
     of path_loss_proposition.
     """
-    pdf_up = joint_pdf_grid(model, nu_step_hz, tau_step_s, mark=1)
-    p_a = model.availability
-    c = model.shell.light_speed_mps
     tau_c = centers(tau_edges(model, tau_step_s))
-    gain_at_tau = 1.0 / (c * tau_c) ** 2
-    # the descending grid is the ascending one reversed in nu
-    values = ((p_a / 2.0) * gain_at_tau[:, None]
-              * (pdf_up + pdf_up[:, ::-1]))
+    scale = model.availability / (model.shell.light_speed_mps * tau_c) ** 2  # p_A g(tau)
+    values = scale[:, None] * joint_pdf_grid(model, nu_step_hz, tau_step_s)
     return ScatteringGrid(nu_step_hz=nu_step_hz, tau_step_s=tau_step_s, values=values,
                           tau_s=tau_c, nu_hz=centers(nu_edges(model, nu_step_hz, 0)),
                           rho2=path_loss_proposition(model)[0])

@@ -3,25 +3,27 @@
 Gain and delay depend on the central angle alone, so their CDFs are
 reparameterisations of the cap probability and their PDFs follow from its
 cos-sigma derivative; all four take arrays and are exact (the KS checks
-give the CDFs pcap_interpolator's table). The Doppler shift also depends
-on azimuth, so its CDF is a double integral over the cap, taken by a fixed
-rule: sine-mapped Gauss-Legendre nodes in argument-of-latitude space for
-the polar integral, and per node uniform azimuth samples of the cap slice
-(_N_THETA for the Doppler CDF, _N_ANNULUS_THETA for the coarser polar rule
-of the joint grid), whose cells are uniform laws in nu, each deposited
-exactly onto the nu values it lies below or straddles. The polar rule
-carries the error.
+give the CDFs pcap_interpolator's table).
 
-One pass makes that deposit, _annulus_pass. A delay cell is an annulus of
-the cap: the joint delay-Doppler PDF grid is the pass with a ring at every
-delay edge, the Doppler CDF of a (sub-)cap the pass with one ring. The
-test suite checks both against independent routes.
-
-Mirroring the azimuth about the user's meridian and flipping the mark
-negates the Doppler shift and keeps the central angle, so each mark-mixed
-quantity takes one ascending pass: the descending joint grid is the
-ascending one reversed in nu, and doppler_pdf_grid, which alone builds
-both marks' CDFs, takes F_-(nu) = T - F_+(-nu), T the pass's total.
+The NBPP is uniform in (node, argument of latitude), so every visible
+satellite rides the pass of one orbit plane, and along it the Doppler
+shift is closed form. On the plane at node offset psi (psi and pi - psi
+pass alike) the user lies c off the orbit, sin c = cos i cos phi_u +
+sin i sin phi_u sin psi; at along-track angle x, cos sigma = cos c cos x
+and nu = -K cos c sin x / d (K = (f/c) V r, d the range) falls with x
+across the cap. A cell sigma_j < sigma <= sigma_j+1, nu_k < nu <= nu_k+1
+is then two intervals of x per plane, split into the marks by where the
+argument of latitude turns. Only the integral over psi is numeric:
+_plane_cells takes it per cell on sine-mapped Gauss-Legendre panels
+broken at the kinks of the cell's length: (1) a ring's arc ends,
+sin c = +-sin sigma; (2) a ring end's shift is a level,
+sin^2 c = sin^2 sigma - (nu d_sigma / K)^2; and, per mark, (3) an orbit
+vertex lies on a ring and (4) a vertex's shift is a level. A pass's
+largest shift lies on or beyond the horizon, so it puts no kink in a
+cell. The joint grid is the cells of the delay rings, the Doppler CDF of
+a (sub-)cap the running sum of one ring's cells: no cell is negative, and
+on exactly antisymmetric edges the mark-mixed cells are their own
+nu-mirror.
 
 A grid is given by its steps alone; nu_edges and tau_edges build its edges
 for each user and check library callers' steps (config checks the CLI's).
@@ -34,28 +36,20 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .propagation import _doppler_hz, delay_inverse, gain as gain_fn, gain_inverse
-from . import parallel
-from .quadrature import _N_NODES, density_nodes, sine_mapped_panels
-from .visibility import CapModel, _active_band, _row_blocks, arc_halfwidth_clamped
+from .propagation import delay_inverse, gain as gain_fn, gain_inverse
+from .quadrature import sine_mapped_panels
+from .visibility import CapModel, _row_blocks
 
-# azimuth samples per cap slice of each annulus pass: the smallest power of
-# two whose error against 4x the samples is at most 1/3 of the polar rule's
-# at both reference users (resolution_budget.py). The full-cap CDF (384
-# against 1536 nodes per panel, on the 2001 table edges) needs 512: ratios
-# 0.013/0.21 (equator/lat 60), and 0.82 at lat 60 with 256. The joint pass
-# (64 against 256 nodes per panel) needs 256: at tau step 8.4e-5 s ratios
-# 0.029/0.213, and 0.733 at lat 60 with 128; at 2.8e-5 s 0.060/0.328.
-_N_THETA = 512
-_N_ANNULUS_THETA = 256
-# sine-mapped polar nodes per panel of the joint grid, and per block of
-# every annulus pass
-_N_ANNULUS_NODES = 64
+# sine-mapped Gauss-Legendre nodes per panel of the per-plane rule: the
+# smallest n of 8, 12, 16, 24 and 32 with which, at the nine users of
+# scripts/resolution_budget.py, each mark's and the mixed Doppler CDF on
+# the 2001 edges of the KS table, and the joint grid at both of its tau
+# steps (as a fraction of the peak cell), are within 1e-7 of the rule at 2n
+_N_PLANE_NODES = 16
+# node values that one block of cells holds, breaks included
+_PLANE_WORKSPACE = 1 << 14
 # Gauss-Legendre nodes per panel of the gain-support rule
 _N_GAIN_NODES = 64
-# (cell, straddled nu edge) pairs that _cell_shares holds at once, plus at
-# most one edge's cells; its result does not depend on this bound
-_MAX_PAIRS = 1 << 16
 # sizes of the tables behind the KS checks
 _PCAP_TABLE = 2001
 _DOPPLER_TABLE = 2001
@@ -73,7 +67,7 @@ DOPPLER_NU_STEP_HZ = 2.65e3
 
 def nu_edges(model: CapModel, step: float, pad: int) -> np.ndarray:
     """nu edges step * k for |k| <= ceil(nu_max / step) + pad: exactly
-    antisymmetric, so one mark's grid is the other's nu-mirror."""
+    antisymmetric, so a mark-mixed grid is its own nu-mirror."""
     if not 0 < step < math.inf:
         raise ValueError("nu step must be positive and finite")
     m = math.ceil(model.nu_max_hz / step) + pad
@@ -151,137 +145,155 @@ def delay_pdf(model: CapModel, tau):
 # ---------------------------------------------------------------------------
 # Doppler
 
-def _edge_index(e: np.ndarray, v: np.ndarray):
-    """searchsorted(e, v, "right") and "left", exactly, for strictly ascending e:
-    a floor division fixed up by one step where e is uniform within step/4."""
-    n = int(np.isfinite(e).sum())  # a trailing +inf may follow
-    pad = np.concatenate(([np.nan], e, [np.nan]))  # compares false
-    step = (e[n - 1] - e[0]) / (n - 1) if n > 1 else 0.0  # inf after a -inf
-    if 0.0 < step < math.inf and np.all(np.abs(e[:n] - (e[0] + step * np.arange(n))) <= step / 4):
-        k = np.clip((v - e[0]) / step + 1.0, 0, n).astype(np.intp)  # >= 0: floor
-        k += pad[1:][k] <= v
-        k -= pad[k] > v
-    else:
-        k = np.searchsorted(e, v, "right")
-    return k, k - (pad[k] == v)
+def _arcsin_in(s):
+    """arcsin of s where |s| <= 1, NaN elsewhere: the node offset psi at
+    sin psi = s, where a plane has it."""
+    return np.arcsin(np.where(np.abs(s) <= 1.0, s, np.nan))
 
 
-def _cell_shares(v: np.ndarray, e: np.ndarray, row, n_rows: int,
-                 weight=1.0) -> np.ndarray:
-    """Deposit the cells of v onto strictly ascending edges, per output row.
-
-    Row i of v holds Doppler values along one cap slice; each pair of
-    neighbours bounds a cell, a uniform law between its two values that
-    carries weight (a scalar or one value per cell). row gives the output
-    row of each cell (broadcast to the cells' shape). Column k of the
-    result covers (e[k-1], e[k]], the last column everything above e[-1].
-    A straddled edge takes the law's mass since the previous edge (all of
-    it below the first), the bin holding hi the rest: each share reads the
-    cell's CDF at its own two edges, is non-negative when the weight is and
-    depends on no other share. Runs of edges, split where the running count
-    of (cell, straddled edge) pairs passes each multiple of _MAX_PAIRS,
-    bound the memory; a bin takes all its terms in one run, in cell order,
-    so the bound changes no bit.
-    """
-    first, last = _edge_index(e, v)  # per value: edges at or below, below
-    first = np.minimum(first[:, :-1], first[:, 1:]).ravel()  # first edge above lo
-    last = np.maximum(last[:, :-1], last[:, 1:]).ravel()  # first edge at or above hi
-    lo = np.minimum(v[:, :-1], v[:, 1:]).ravel()
-    span = np.maximum(v[:, :-1], v[:, 1:]).ravel() - lo
-    weight = np.broadcast_to(weight, v[:, 1:].shape).ravel()
-    width = e.size + 1
-    row = np.broadcast_to(row, v[:, 1:].shape).ravel() * width
-
-    def cdf(k, c):  # the law of cell c below an edge k that it straddles
-        return (e[k] - lo[c]) / span[c]
-
-    cut = np.flatnonzero(last > first)  # the cells that straddle edges
-    fc, lc = first[cut], last[cut]
-    rest = np.ones_like(lo)
-    rest[cut] -= cdf(lc - 1, cut)
-    share = np.bincount(row + last, weights=rest * weight, minlength=n_rows * width)
-    pairs = np.cumsum(np.cumsum(np.bincount(fc, minlength=width)
-                                - np.bincount(lc, minlength=width)))  # up to an edge
-    runs = np.searchsorted(pairs, np.arange(0, pairs[-1], _MAX_PAIRS), "right")
-    runs = np.unique(np.append(runs, e.size))  # no cell straddles an edge below runs[0]
-    for k0, k1 in zip(runs[:-1], runs[1:]):
-        a = np.maximum(fc, k0)
-        n = np.maximum(np.minimum(lc, k1) - a, 0)
-        cell = np.repeat(cut, n)
-        edge = np.repeat(a - np.cumsum(n) + n, n) + np.arange(cell.size)
-        step = cdf(edge, cell)
-        np.subtract(step, cdf(edge - 1, cell), out=step, where=edge > first[cell])
-        step *= weight[cell]
-        share += np.bincount(row[cell] + edge, weights=step, minlength=n_rows * width)
-    return share.reshape(n_rows, width)
+def _fold(u):
+    """arcsin(sin u), by wrapping u into [-pi, pi] and reflecting it into
+    [-pi/2, pi/2], so that no sine is rounded next to +-1."""
+    t = u - (2.0 * math.pi) * np.round(u / (2.0 * math.pi))
+    return np.where(t > 0.5 * math.pi, math.pi - t,
+                    np.where(t < -0.5 * math.pi, -math.pi - t, t))
 
 
-def _annulus_pass(model: CapModel, sigmas, nu_edges: np.ndarray, mark: int,
-                  n_nodes: int, n_theta: int) -> np.ndarray:
-    """Masses of the annuli of the rings sigmas on the nu cells, in one
-    pass over the cap of the outermost ring.
+@np.errstate(divide="ignore", invalid="ignore")  # NaN: a break that no plane has
+def _plane_cells(model: CapModel, sigmas, nu, marks: bool = False,
+                 n_nodes: int = _N_PLANE_NODES) -> np.ndarray:
+    """Masses of the cells sigma_j < sigma <= sigma_j+1, nu_k < nu <= nu_k+1,
+    shape (sigmas.size - 1, nu.size - 1): mark-mixed, or with marks on a
+    leading axis of two, the ascending mark's and the descending mark's.
 
-    sigmas ascend (repeats allowed) and nu_edges strictly ascend. Row j of
-    the result holds the annulus sigma_j-1 < sigma <= sigma_j (row 0 the
-    cap of sigma_0, the last row what lies beyond sigma_-1); column k
-    covers (e[k-1], e[k]], the last column everything above e[-1].
-
-    Polar panels break where a ring meets a latitude line tangentially or
-    closes it (phi_u +- sigma_j, sigma_j - phi_u), n_nodes sine-mapped
-    nodes each; this rule, not the azimuth sampling, sets the error. Each
-    slice is cut at n_theta uniform azimuth samples and at the ring
-    boundaries +-arc_halfwidth_clamped, so every cell lies in one annulus,
-    found from the mean of cos(sigma) at its ends (monotone in |offset|).
-    A block leaves out the ring columns that add only zero-width cells:
-    the outer ring's, which repeats the +-1 samples, those equal to it at
-    every node and all but one of those 0 at every node. One stays because
-    n_theta is even, so no sample is 0, and its +-0 split the middle cell.
-    Doppler is taken linear in azimuth across a cell: a uniform law between
-    its end values, deposited by _cell_shares, so no mass is negative. A
-    point costs two sines, a Doppler value (factors of phi alone per row)
-    and a nu lookup. A block is _N_ANNULUS_NODES polar nodes, whose cells
-    are summed into each bin in turn: up to 33k terms with one ring and few
-    nu edges.
+    sigmas and nu ascend, repeats allowed, and nu may hold +-inf. A cell's
+    mass is its length on the pass integrated over the node offsets psi
+    that its outer ring reaches, on panels of n_nodes nodes broken at the
+    kinks that the module docstring lists, so it is a sum of non-negative
+    terms. Cells of rings without mass, or past the outer ring's largest
+    shift (max_doppler's closed form), hold 0 without work. Blocks of
+    cells bound the node values of the panels, and of their breaks, to
+    _PLANE_WORKSPACE.
     """
     shell, user = model.shell, model.user
-    phi_u = user.user_polar_rad
-    sigmas = np.asarray(sigmas, dtype=float)
-    n_rows = sigmas.size + 1
-    phi_lo, phi_hi, _ = _active_band(shell, user, float(sigmas[-1]))
-    phi_hi = max(phi_lo, phi_hi)  # an empty cap: one panel of zero weights
-    breaks = np.unique(np.concatenate((phi_u - sigmas, phi_u + sigmas,
-                                       sigmas - phi_u)))
-    breaks = breaks[(phi_lo < breaks) & (breaks < phi_hi)]
-    phi_k, w_k = density_nodes(np.concatenate(([phi_lo], breaks, [phi_hi])), shell,
-                               n_nodes)
-    t = np.linspace(-1.0, 1.0, n_theta)
+    rho = shell.earth_radius_m / shell.shell_radius_m
+    # shifts over (f/c) V r / R, in which nu = -cos c sin x / d with d the
+    # range over R. No shift reaches 1 / (1 - rho): the clip keeps every
+    # level crossing and makes +-inf a level that no pass reaches
+    lim = 2.0 / (1.0 - rho)
+    w = np.clip(np.asarray(nu, dtype=float) / (shell.carrier_hz / shell.light_speed_mps
+                                               * shell.sat_speed_mps * rho), -lim, lim)
+    w2 = w * w
+    sig = np.asarray(sigmas, dtype=float)
+    ss, cs = np.sin(sig), np.cos(sig)
+    d2 = (1.0 - rho) ** 2 + (4.0 * rho) * np.sin(0.5 * sig) ** 2
+    s_i, c_i = math.sin(shell.inclination_rad), math.cos(shell.inclination_rad)
+    s_u, c_u = math.sin(user.user_polar_rad), math.cos(user.user_polar_rad)
+    a, b = s_i * s_u, c_i * c_u  # sin c = b + a sin psi; at the pole a = 0
 
-    def block(k: int) -> np.ndarray:
-        phi = phi_k[k:k + _N_ANNULUS_NODES, None]
-        ring = arc_halfwidth_clamped(user, phi, sigmas)
-        outer, ring = ring[:, -1:], ring[:, :-1]
-        zero = ~ring.any(axis=0)
-        keep = ~(zero | (ring == outer).all(axis=0))
-        keep[np.flatnonzero(zero)[:1]] = True
-        ring = ring[:, keep]
-        off = np.sort(np.concatenate((outer * t, ring, -ring), axis=1), axis=1)
-        # theta = pi/2 + off; a cell's annulus from twice its mean cos(sigma)
-        v, cos_s = _doppler_hz(shell, user, np.cos(off), -np.sin(off), phi, mark)[:2]
-        row = np.searchsorted(-2.0 * np.cos(sigmas), -(cos_s[:, 1:] + cos_s[:, :-1]))
-        weight = np.diff(off, axis=1)
-        del off, cos_s
-        weight *= w_k[k:k + _N_ANNULUS_NODES, None] / (2.0 * math.pi * model.p_sat)
-        return _cell_shares(v, nu_edges, row, n_rows, weight)
+    def at(t):  # psi where sin c = t (at the pole, no t has one)
+        return _arcsin_in((t - b) / a)
 
-    # blocks go to the worker threads eight at a time, which bounds the
-    # partial sums held at once; they are added in block order, so the
-    # result does not depend on the thread count
-    starts = range(0, phi_k.size, _N_ANNULUS_NODES)
-    mass = np.zeros((n_rows, nu_edges.size + 1))
-    for k in range(0, len(starts), 8):
-        for part in parallel.ordered_map(block, starts[k:k + 8]):
-            mass += part
-    return mass
+    # the interval of psi whose pass meets ring j, |sin c| < sin sigma_j: all
+    # planes or none at the pole. Its ends are ring j's breaks 1
+    z = np.stack((ss + b, ss - b)) / a  # -+sin psi at the ring's ends
+    reach = np.arcsin(np.clip(z, -1.0, 1.0)) * np.array([[-1.0], [1.0]])
+    # the arc end's square root has a second branch point past each reach
+    # end, beyond the fold psi = -+pi/2: the ring end's mirror at twice its
+    # distance from the fold, or at arccosh z off the fold if the ring end
+    # lies past it. Breaks at 1 and 4 times that distance inside grade the
+    # panels towards it
+    fold = np.where(z <= 1.0, 2.0 * np.arccos(np.clip(z, -1.0, 1.0)),
+                    np.arccosh(np.maximum(z, 1.0)))
+    grade = np.multiply.outer(fold, [1.0, 4.0])
+    ends = at(np.stack((-ss, ss), axis=1))
+    # a cap's cells (inner ring 0) hold the passes near the zenith, whose
+    # closest range h_c has its complex zeros at sin c = +-i eps: breaks
+    # at +-eps, where h_c^2 is twice h^2, keep them at the panels' scale
+    eps = (1.0 - rho * rho) / (2.0 * rho)
+    zenith = np.where(sig[:, None] > 0.0, math.nan, at(np.array([-eps, eps])))
+    if marks:  # breaks 3 and 4: an orbit vertex on ring j, or at level k
+        g = np.array([1.0, -1.0])  # the northern and the southern vertex
+        vertex = _arcsin_in((c_u * s_i - np.multiply.outer(cs, g)) / (s_u * c_i))
+        # s_u^2 s^2 + p s + q = 0 in s = sin psi, per vertex
+        p = np.multiply.outer(w2, 2.0 * rho * s_u * c_i * g)
+        q = np.multiply.outer(w2, 1.0 + rho * rho - 2.0 * rho * c_u * s_i * g) - s_u * s_u
+        root = np.sqrt(p * p - (4.0 * s_u * s_u) * q)
+        shift = _arcsin_in(np.concatenate((-p - root, root - p), axis=1) / (2.0 * s_u * s_u))
+    top = np.sqrt(np.maximum(np.sin(sig - user.sigma_min_rad)
+                             * np.sin(sig + user.sigma_min_rad), 0.0) / d2)[1:, None]
+    live = ((sig[1:] > np.maximum(sig[:-1], user.sigma_min_rad))
+            & (reach[1, 1:] > reach[0, 1:]))[:, None]
+    cells = np.flatnonzero(live & (w[1:] > -top) & (w[:-1] < top))
+    out = np.zeros((2 if marks else 1, sig.size - 1, w.size - 1))
+    flat = out.reshape(out.shape[0], -1)
+    step = max(1, _PLANE_WORKSPACE // ((29 if marks else 17) * n_nodes))  # 28 or 16 breaks
+    for block in (cells[i:i + step] for i in range(0, cells.size, step)):
+        j, k = np.divmod(block, w.size - 1)
+        # breaks 2: where the shift at a ring end of the cell is one of its levels
+        rj, lk = np.stack((j, j, j + 1, j + 1), axis=1), np.stack((k, k + 1, k, k + 1), axis=1)
+        t2 = np.sqrt(ss[rj] * ss[rj] - w2[lk] * d2[rj])
+        br = [ends[j], at(t2), at(-t2), zenith[j]]
+        if marks:
+            br += [vertex[j], vertex[j + 1], shift[k], shift[k + 1]]
+        # psi = mid + half sin t over the outer ring's reach: its arc end, a
+        # square root of the distance to the reach's ends, is analytic in t
+        lo, hi = reach[0, j + 1], reach[1, j + 1]
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        br += [lo[:, None] + grade[0, j + 1], hi[:, None] - grade[1, j + 1]]
+        br = (np.concatenate(br, axis=1) - mid[:, None]) / half[:, None]
+        inside = np.abs(br) < 1.0  # NaN is not
+        br = np.sort(np.where(inside, np.arcsin(np.where(inside, br, 0.0)), 0.5 * math.pi))
+        edges = np.pad(br, ((0, 0), (1, 1)), constant_values=(-0.5 * math.pi, 0.5 * math.pi))
+        keep = edges[:, 1:] > edges[:, :-1]
+        cell = np.nonzero(keep)[0]
+        t, weight = sine_mapped_panels(np.stack((edges[:, :-1][keep], edges[:, 1:][keep]),
+                                                axis=-1), n_nodes)
+        weight *= (2.0 * half[cell, None]) * np.cos(t)  # 2: x is halved below
+        psi = mid[cell, None] + half[cell, None] * np.sin(t)
+        sin_psi = np.sin(psi)
+        sc = b + a * sin_psi
+        cc2 = (1.0 - sc) * (1.0 + sc)
+        cc = np.sqrt(cc2)
+        h2 = (1.0 - rho) ** 2 + (2.0 * rho) * (sc * sc) / (1.0 + cc)  # (closest range / R)^2
+
+        # along-track angles are halved from here on: the weights double the
+        # lengths, and the marks' folds double the angles
+        def arc_end(i):  # where the pass leaves ring i, or 0
+            x = (ss[i] - sc) * (ss[i] + sc) / ((2.0 * cc) * (cc + cs[i]))
+            return np.arcsin(np.sqrt(np.clip(x, 0.0, 1.0)))
+
+        def crossing(i):  # where the shift falls through level i, or -+pi
+            v2 = w2[i]
+            disc = cc2 - v2 * (1.0 + rho * rho - rho * rho * v2)
+            p = cc - rho * v2
+            q = (0.5 * v2) * h2 / (cc * (p + np.sqrt(np.maximum(disc, 0.0))))
+            # no root: the pass never reaches the level
+            x = np.where((disc >= 0.0) & (p > 0.0), np.arcsin(np.sqrt(np.minimum(q, 1.0))),
+                         0.5 * math.pi)
+            return -np.sign(w[i]) * x
+
+        rows, levels = j[cell, None], k[cell, None]
+        x_in, x_out = arc_end(rows), arc_end(rows + 1)
+        x_lo, x_hi = crossing(levels + 1), crossing(levels)  # the shift falls with x
+        parts = []
+        for r0, r1 in ((x_in, x_out), (-x_out, -x_in)):
+            x0 = np.maximum(x_lo, r0)
+            parts.append((x0, np.maximum(x0, np.minimum(x_hi, r1))))
+        length = (parts[0][1] - parts[0][0]) + (parts[1][1] - parts[1][0])
+        values = [length]
+        if marks:
+            # ascending minus descending length on plane psi (u0 + x) and on
+            # plane pi - psi (u0 - x), each clipped to [-length, length]
+            u0 = np.arctan2(s_i * c_u - (c_i * s_u) * sin_psi, s_u * np.cos(psi))
+            tilt = sum(np.clip(sum(_fold(u0 + g * x1) - _fold(u0 + g * x0) for x0, x1 in parts),
+                               -2.0 * length, 2.0 * length) for g in (2.0, -2.0))
+            values = [length + 0.25 * tilt, length - 0.25 * tilt]
+        first = np.flatnonzero(np.diff(cell, prepend=-1))
+        for o, v in enumerate(values):
+            flat[o, block] = np.add.reduceat((v * weight).sum(axis=1), first)
+    out /= 2.0 * math.pi ** 2 * model.p_sat
+    return out if marks else out[0]
 
 
 def doppler_cdf_grid(model: CapModel, nu_edges, mark: int,
@@ -293,11 +305,10 @@ def doppler_cdf_grid(model: CapModel, nu_edges, mark: int,
     From sigma_max on, past which no satellite is visible, it is the
     full-cap CDF; a NaN cap_sigma gives NaN. A mark other than +-1 is a DomainError.
 
-    The one-ring annulus pass over the distinct values, _N_NODES polar
-    nodes per panel and _N_THETA azimuth samples per slice: the CDF is the
-    running sum of its column totals, so it never decreases along
-    ascending nu, not even by rounding. NaN values stay out of the pass
-    (np.unique sorts them last) and give NaN.
+    The running sum of the per-plane cells of the cap between -inf and the
+    distinct values, in one pass that gives both marks: it never decreases
+    along ascending nu, not even by rounding. NaN values stay out of the
+    pass (np.unique sorts them last) and give NaN.
     """
     if mark not in (1, -1):
         raise DomainError(f"mark {mark!r} is neither +1 (ascending) nor -1 (descending)")
@@ -308,9 +319,8 @@ def doppler_cdf_grid(model: CapModel, nu_edges, mark: int,
         return np.full(nu.shape, math.nan)
     e, back = np.unique(nu.ravel(), return_inverse=True)
     n = e.size - int(np.isnan(e).sum())
-    mass = _annulus_pass(model, [cap_sigma], e[:n], mark, _N_NODES,
-                         _N_THETA).sum(axis=0)
-    cdf = np.append(np.cumsum(mass[:-1]), e[n:])
+    cells = _plane_cells(model, [0.0, cap_sigma], np.append(-math.inf, e[:n]), marks=True)
+    cdf = np.append(np.cumsum(cells[(1 - mark) // 2, 0]), e[n:])
     return cdf[back.ravel()].reshape(nu.shape)
 
 
@@ -325,43 +335,36 @@ def doppler_pdf_grid(model: CapModel, nu_step_hz: float = DOPPLER_NU_STEP_HZ):
     """Doppler CDFs and mark-mixed PDF on the nu edges that pad one cell
     beyond the support: (edges, ascending CDF, descending CDF, pdf).
 
-    One ascending pass over the edges and +inf gives both marks: the edges
-    are exactly antisymmetric, so F_-(nu) = T - F_+(-nu), T the value at
-    +inf, is 0 below the support and never negative. The pdf is the
-    forward difference of the mixed CDF, non-negative as the CDF never falls.
+    One per-plane pass over the full cap gives both marks' cells. The pdf
+    is the forward difference of the mixed CDF, non-negative as the CDF
+    never falls.
     """
     edges = nu_edges(model, nu_step_hz, 1)
-    f = doppler_cdf_grid(model, np.append(edges, math.inf), 1)
-    up, down = f[:-1], f[-1] - f[-2::-1]
+    up, down = np.cumsum(_plane_cells(model, [0.0, model.user.sigma_max_rad],
+                                      np.append(-math.inf, edges), marks=True)[:, 0], axis=1)
     return edges, up, down, np.diff(0.5 * (up + down)) / nu_step_hz
 
 
 def joint_pdf_grid(model: CapModel, nu_step_hz: float = NU_STEP_HZ,
-                   tau_step_s: float = TAU_STEP_S, mark: int = 1) -> np.ndarray:
-    """Joint delay-Doppler PDF for one mark, in one pass over the cap.
+                   tau_step_s: float = TAU_STEP_S) -> np.ndarray:
+    """Mark-mixed joint delay-Doppler PDF, in one per-plane pass.
 
-    Delay is a function of the central angle, so the delay cell between
-    two (clipped) edges is the annulus sigma_j < sigma <= sigma_j+1: the
-    annulus pass with the rings at the delay edges, _N_ANNULUS_NODES
-    polar nodes per panel and _N_ANNULUS_THETA azimuth samples per slice.
-    A pdf cell is a deposited mass: none is negative, the padding rows
-    outside the delay support are exactly zero, and the joint CDF, the
-    cumulative sum of the cells, rises in tau and nu by construction. The
-    nu edges pad no cell: trapezoid integrals then lose half the mass a too
-    coarse step leaves in the outer columns, which the normalisation check
-    detects.
+    Delay is a function of the central angle, so a delay cell is the
+    annulus sigma_j < sigma <= sigma_j+1 of its (clipped) edges: a row of
+    per-plane cells. No pdf cell is negative, the padding rows are exactly
+    zero and the joint CDF rises in tau and nu. The nu edges are exactly
+    antisymmetric, so the cells above nu = 0 mirror those below, and pad no
+    cell: trapezoid integrals then lose half the mass a too coarse step
+    leaves in the outer columns, which the normalisation check detects.
 
     Returns the pdf matrix, shape (n_tau_cells, n_nu_cells), on the cells
     of tau_edges(model, tau_step_s) and nu_edges(model, nu_step_hz, 0).
-    A mark other than +-1 is a DomainError.
     """
-    if mark not in (1, -1):
-        raise DomainError(f"mark {mark!r} is neither +1 (ascending) nor -1 (descending)")
     sigmas = delay_inverse(model.shell, np.clip(tau_edges(model, tau_step_s),
                                                 *model.delay_bounds))
-    mass = _annulus_pass(model, sigmas, nu_edges(model, nu_step_hz, 0), mark,
-                         _N_ANNULUS_NODES, _N_ANNULUS_THETA)
-    return mass[1:-1, 1:-1] / (nu_step_hz * tau_step_s)
+    e = nu_edges(model, nu_step_hz, 0)
+    half = _plane_cells(model, sigmas, e[:e.size // 2 + 1])  # the cells below nu = 0
+    return np.hstack((half, half[:, ::-1])) / (nu_step_hz * tau_step_s)
 
 
 # ---------------------------------------------------------------------------
@@ -386,11 +389,12 @@ def pcap_interpolator(model: CapModel):
 
 
 def doppler_mixed_interpolator(model: CapModel):
-    """Vectorised nu -> mark-mixed Doppler CDF, interpolated in the
-    doppler_pdf_grid table of _DOPPLER_TABLE edges on the support."""
-    edges, up, down, _ = doppler_pdf_grid(model, 1.0001 * model.nu_max_hz
-                                          / (_DOPPLER_TABLE // 2))
-    f = 0.5 * (up + down)
+    """Vectorised nu -> mark-mixed Doppler CDF, interpolated in a table of
+    _DOPPLER_TABLE edges on the support (and one padding edge each side):
+    one mixed per-plane pass, without the marks' vertex breaks."""
+    edges = nu_edges(model, 1.0001 * model.nu_max_hz / (_DOPPLER_TABLE // 2), 1)
+    f = np.cumsum(_plane_cells(model, [0.0, model.user.sigma_max_rad],
+                               np.append(-math.inf, edges)))
 
     def interp(nu):
         return np.interp(np.asarray(nu, dtype=float), edges, f,

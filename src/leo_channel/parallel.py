@@ -1,8 +1,9 @@
-"""Worker-count control for embarrassingly parallel grid loops.
+"""Worker-count control for the benchmark's threaded spans.
 
-The number of worker threads is the number of CPUs the process may run on,
-so a process pinned to one core (taskset -c 0) runs one worker. Results are
-collected in submission order, so parallel runs are deterministic.
+No pass of the package runs on threads; perfbench/spans.py wraps
+ordered_map. The number of worker threads is the number of CPUs the
+process may run on, so a process pinned to one core (taskset -c 0) runs
+one worker. Results are collected in submission order.
 """
 
 from __future__ import annotations

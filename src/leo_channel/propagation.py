@@ -5,10 +5,10 @@ are strictly monotone on it, so both carry closed-form inverses. The
 Doppler shift additionally depends on the satellite's travel direction:
 ascending (+1) and descending (-1) passes project differently onto the
 user-satellite line. Positive Doppler means an approaching satellite.
-_doppler_hz alone builds the Doppler shift in Hz and the cos-sigma range
-law for every caller. max_doppler gives the largest Doppler magnitude
-over the cap in closed form: on the cap's rim, on the pass that comes
-closest to the user.
+_doppler_hz builds the Doppler shift in Hz at a point of the cap (the
+Doppler laws take it along a pass, in distributions). max_doppler gives
+the largest Doppler magnitude over the cap in closed form: on the cap's
+rim, on the pass that comes closest to the user.
 """
 
 from __future__ import annotations

@@ -5,15 +5,18 @@ rebuilt from Cartesian vectors and from the central difference of the
 slant range along the satellite's great circle, the cap arc length from
 a brute-force azimuth scan, and the Doppler CDF from a naive
 two-dimensional Riemann sum over the cap, from an adaptive route that
-locates each sublevel set by scan plus bisection and from a loop over
-cap slices that shares no code with the annulus pass but the cell
-deposit, and the pass itself at finer polar and azimuth resolutions for
-its error budget; the joint delay-Doppler grid from one such sub-cap row per
-delay edge, the annulus of each of the pass's azimuth cells from the
-central angle at the cell's midpoint, and the largest Doppler shift by a
-brute-force scan of the cap. The cap probability, its derivative, the
-path-loss integral and the Rayleigh-faded gain CDF are recomputed by
-adaptive QUADPACK quadrature in place of the package's fixed rule, and
+locates each sublevel set by scan plus bisection, and from the annulus
+pass: the latitude-by-azimuth route that the package ran before its
+per-plane rule (annulus_pass, its cell deposit cell_shares and the nu
+lookup edge_index), itself checked against a loop over cap slices that
+shares only the deposit with it, the deposit against a loop over cells
+and each azimuth cell's annulus against the central angle at its
+midpoint. The joint delay-Doppler grid comes from one such sub-cap row
+per delay edge, the per-plane rule's error budget from the same rule at
+other node counts, and the largest Doppler shift from a brute-force scan
+of the cap. The cap probability, its derivative, the path-loss integral
+and the Rayleigh-faded gain CDF are recomputed by adaptive QUADPACK
+quadrature in place of the package's fixed rule, and
 the derivative also by a 30-digit mpmath integral in polar angle, which
 shares no formula with the package's bearing form. The visible-cap
 sampler is checked against whole-shell rejection, and the Walker
@@ -51,6 +54,14 @@ from leo_channel.visibility import CapModel, _active_band, arc_halfwidth_clamped
 
 _DOPPLER_SCAN = 512
 _BISECT_ITERS = 48
+# azimuth samples per cap slice of the annulus pass's full-cap Doppler CDF
+# and of its joint grid, polar nodes per block, and the (cell, straddled nu
+# edge) pairs that cell_shares holds at once: the resolutions at which the
+# package ran the annulus pass before the per-plane route replaced it
+_N_THETA = 512
+_N_ANNULUS_THETA = 256
+_N_ANNULUS_NODES = 64
+_MAX_PAIRS = 1 << 16
 # bound on the (polar nodes x nu values) shares one block of the slice
 # loop of _doppler_cdf_row holds
 _WORKSPACE = 1 << 20
@@ -492,9 +503,137 @@ def doppler_cdf_adaptive(model: CapModel, nu_hz: float, mark: int,
     return val / (2.0 * math.pi * model.p_sat)
 
 
+def edge_index(e: np.ndarray, v: np.ndarray):
+    """searchsorted(e, v, "right") and "left", exactly, for strictly ascending e:
+    a floor division fixed up by one step where e is uniform within step/4."""
+    n = int(np.isfinite(e).sum())  # a trailing +inf may follow
+    pad = np.concatenate(([np.nan], e, [np.nan]))  # compares false
+    step = (e[n - 1] - e[0]) / (n - 1) if n > 1 else 0.0  # inf after a -inf
+    if 0.0 < step < math.inf and np.all(np.abs(e[:n] - (e[0] + step * np.arange(n))) <= step / 4):
+        k = np.clip((v - e[0]) / step + 1.0, 0, n).astype(np.intp)  # >= 0: floor
+        k += pad[1:][k] <= v
+        k -= pad[k] > v
+    else:
+        k = np.searchsorted(e, v, "right")
+    return k, k - (pad[k] == v)
+
+
+def cell_shares(v: np.ndarray, e: np.ndarray, row, n_rows: int,
+                 weight=1.0) -> np.ndarray:
+    """Deposit the cells of v onto strictly ascending edges, per output row.
+
+    Row i of v holds Doppler values along one cap slice; each pair of
+    neighbours bounds a cell, a uniform law between its two values that
+    carries weight (a scalar or one value per cell). row gives the output
+    row of each cell (broadcast to the cells' shape). Column k of the
+    result covers (e[k-1], e[k]], the last column everything above e[-1].
+    A straddled edge takes the law's mass since the previous edge (all of
+    it below the first), the bin holding hi the rest: each share reads the
+    cell's CDF at its own two edges, is non-negative when the weight is and
+    depends on no other share. Runs of edges, split where the running count
+    of (cell, straddled edge) pairs passes each multiple of _MAX_PAIRS,
+    bound the memory; a bin takes all its terms in one run, in cell order,
+    so the bound changes no bit.
+    """
+    first, last = edge_index(e, v)  # per value: edges at or below, below
+    first = np.minimum(first[:, :-1], first[:, 1:]).ravel()  # first edge above lo
+    last = np.maximum(last[:, :-1], last[:, 1:]).ravel()  # first edge at or above hi
+    lo = np.minimum(v[:, :-1], v[:, 1:]).ravel()
+    span = np.maximum(v[:, :-1], v[:, 1:]).ravel() - lo
+    weight = np.broadcast_to(weight, v[:, 1:].shape).ravel()
+    width = e.size + 1
+    row = np.broadcast_to(row, v[:, 1:].shape).ravel() * width
+
+    def cdf(k, c):  # the law of cell c below an edge k that it straddles
+        return (e[k] - lo[c]) / span[c]
+
+    cut = np.flatnonzero(last > first)  # the cells that straddle edges
+    fc, lc = first[cut], last[cut]
+    rest = np.ones_like(lo)
+    rest[cut] -= cdf(lc - 1, cut)
+    share = np.bincount(row + last, weights=rest * weight, minlength=n_rows * width)
+    pairs = np.cumsum(np.cumsum(np.bincount(fc, minlength=width)
+                                - np.bincount(lc, minlength=width)))  # up to an edge
+    runs = np.searchsorted(pairs, np.arange(0, pairs[-1], _MAX_PAIRS), "right")
+    runs = np.unique(np.append(runs, e.size))  # no cell straddles an edge below runs[0]
+    for k0, k1 in zip(runs[:-1], runs[1:]):
+        a = np.maximum(fc, k0)
+        n = np.maximum(np.minimum(lc, k1) - a, 0)
+        cell = np.repeat(cut, n)
+        edge = np.repeat(a - np.cumsum(n) + n, n) + np.arange(cell.size)
+        step = cdf(edge, cell)
+        np.subtract(step, cdf(edge - 1, cell), out=step, where=edge > first[cell])
+        step *= weight[cell]
+        share += np.bincount(row[cell] + edge, weights=step, minlength=n_rows * width)
+    return share.reshape(n_rows, width)
+
+
+def annulus_pass(model: CapModel, sigmas, nu_edges: np.ndarray, mark: int,
+                 n_nodes: int, n_theta: int) -> np.ndarray:
+    """Masses of the annuli of the rings sigmas on the nu cells, in one
+    pass over the cap of the outermost ring, for one mark.
+
+    sigmas ascend (repeats allowed) and nu_edges strictly ascend. Row j of
+    the result holds the annulus sigma_j-1 < sigma <= sigma_j (row 0 the
+    cap of sigma_0, the last row what lies beyond sigma_-1); column k
+    covers (e[k-1], e[k]], the last column everything above e[-1].
+
+    Polar panels break where a ring meets a latitude line tangentially or
+    closes it (phi_u +- sigma_j, sigma_j - phi_u), n_nodes sine-mapped
+    nodes each; this rule, not the azimuth sampling, sets the error. Each
+    slice is cut at n_theta uniform azimuth samples and at the ring
+    boundaries +-arc_halfwidth_clamped, so every cell lies in one annulus,
+    found from the mean of cos(sigma) at its ends (monotone in |offset|).
+    A block leaves out the ring columns that add only zero-width cells:
+    the outer ring's, which repeats the +-1 samples, those equal to it at
+    every node and all but one of those 0 at every node. One stays because
+    n_theta is even, so no sample is 0, and its +-0 split the middle cell.
+    Doppler is taken linear in azimuth across a cell: a uniform law between
+    its end values, deposited by cell_shares, so no mass is negative. A
+    point costs two sines, a Doppler value (factors of phi alone per row)
+    and a nu lookup. A block is _N_ANNULUS_NODES polar nodes, whose cells
+    are summed into each bin in turn: up to 33k terms with one ring and few
+    nu edges.
+    """
+    shell, user = model.shell, model.user
+    phi_u = user.user_polar_rad
+    sigmas = np.asarray(sigmas, dtype=float)
+    n_rows = sigmas.size + 1
+    phi_lo, phi_hi, _ = _active_band(shell, user, float(sigmas[-1]))
+    phi_hi = max(phi_lo, phi_hi)  # an empty cap: one panel of zero weights
+    breaks = np.unique(np.concatenate((phi_u - sigmas, phi_u + sigmas,
+                                       sigmas - phi_u)))
+    breaks = breaks[(phi_lo < breaks) & (breaks < phi_hi)]
+    phi_k, w_k = density_nodes(np.concatenate(([phi_lo], breaks, [phi_hi])), shell,
+                               n_nodes)
+    t = np.linspace(-1.0, 1.0, n_theta)
+
+    def block(k: int) -> np.ndarray:
+        phi = phi_k[k:k + _N_ANNULUS_NODES, None]
+        ring = arc_halfwidth_clamped(user, phi, sigmas)
+        outer, ring = ring[:, -1:], ring[:, :-1]
+        zero = ~ring.any(axis=0)
+        keep = ~(zero | (ring == outer).all(axis=0))
+        keep[np.flatnonzero(zero)[:1]] = True
+        ring = ring[:, keep]
+        off = np.sort(np.concatenate((outer * t, ring, -ring), axis=1), axis=1)
+        # theta = pi/2 + off; a cell's annulus from twice its mean cos(sigma)
+        v, cos_s = _doppler_hz(shell, user, np.cos(off), -np.sin(off), phi, mark)[:2]
+        row = np.searchsorted(-2.0 * np.cos(sigmas), -(cos_s[:, 1:] + cos_s[:, :-1]))
+        weight = np.diff(off, axis=1)
+        del off, cos_s
+        weight *= w_k[k:k + _N_ANNULUS_NODES, None] / (2.0 * math.pi * model.p_sat)
+        return cell_shares(v, nu_edges, row, n_rows, weight)
+
+    mass = np.zeros((n_rows, nu_edges.size + 1))
+    for k in range(0, phi_k.size, _N_ANNULUS_NODES):  # in block order
+        mass += block(k)
+    return mass
+
+
 def cell_shares_loop(v: np.ndarray, e: np.ndarray, row, n_rows: int,
                      weight=1.0) -> np.ndarray:
-    """The deposit of dist._cell_shares by a loop over cells: bin k,
+    """The deposit of cell_shares by a loop over cells: bin k,
     (e[k-1], e[k]], takes w (F(e[k]) - F(e[k-1])) of the cell's uniform
     law F, clipped to [0, 1], where bin 0 starts at -inf and the last bin
     ends at +inf; a zero-width cell puts all of w in the bin that holds it."""
@@ -518,8 +657,8 @@ def _doppler_cdf_row(model: CapModel, e: np.ndarray, mark: int,
     over cap slices with n_nodes polar nodes per panel: each slice's
     _N_THETA uniform azimuth samples make cells of equal width, deposited
     slice by slice on the distinct edges. The reference route for the
-    annulus pass of doppler_cdf_grid, which at 384 nodes matches it up to
-    summation order."""
+    one-ring annulus pass, which at 384 nodes matches it up to summation
+    order."""
     shell, user = model.shell, model.user
     phi_lo, phi_hi, edge = _active_band(shell, user, cap_sigma)
     if phi_lo >= phi_hi:
@@ -528,7 +667,7 @@ def _doppler_cdf_row(model: CapModel, e: np.ndarray, mark: int,
     inner = [edge] if phi_lo < edge < phi_hi else []
     phi_k, w_k = density_nodes([phi_lo, *inner, phi_hi], shell, n_nodes)
     half = arc_halfwidth_clamped(user, phi_k, cap_sigma)
-    n_theta = dist._N_THETA
+    n_theta = _N_THETA
     cell_mass = (w_k * half * (2.0 / (n_theta - 1))
                  / (2.0 * math.pi * model.p_sat))
     t = np.linspace(-1.0, 1.0, n_theta)
@@ -538,8 +677,7 @@ def _doppler_cdf_row(model: CapModel, e: np.ndarray, mark: int,
         rows = slice(k, k + block)
         theta = user.user_azimuth_rad + half[rows, None] * t
         v = doppler_hz_arrays(shell, user, theta, phi_k[rows, None], mark)
-        shares = dist._cell_shares(v, e, np.arange(v.shape[0])[:, None],
-                                   v.shape[0])
+        shares = cell_shares(v, e, np.arange(v.shape[0])[:, None], v.shape[0])
         mass += (cell_mass[rows, None] * shares).sum(axis=0)
     return np.cumsum(mass[:-1])[back.ravel()]
 
@@ -547,8 +685,8 @@ def _doppler_cdf_row(model: CapModel, e: np.ndarray, mark: int,
 def joint_pdf_grid_rows(model: CapModel, nu_step_hz: float, tau_step_s: float,
                         mark: int = 1, n_nodes: int = 384):
     """Joint delay-Doppler PDF grid from one nested sub-cap Doppler CDF row
-    per distinct delay edge, differenced in delay and then in Doppler; the
-    reference for the one-pass annulus kernel of joint_pdf_grid."""
+    per distinct delay edge, differenced in delay and then in Doppler: one
+    mark of the annulus route's joint grid, the reference for joint_pdf_grid."""
     nu_edges = dist.nu_edges(model, nu_step_hz, 0)
     tau_edges = np.clip(dist.tau_edges(model, tau_step_s), *model.delay_bounds)
     sigmas, row_of_edge = np.unique(delay_inverse(model.shell, tau_edges),
@@ -559,21 +697,14 @@ def joint_pdf_grid_rows(model: CapModel, nu_step_hz: float, tau_step_s: float,
     return np.diff(np.diff(cdf, axis=0), axis=1) / (nu_step_hz * tau_step_s)
 
 
-def annulus_pass_at(model: CapModel, sigmas, e: np.ndarray, n_nodes: int,
-                    n_theta: int) -> np.ndarray:
-    """The package's annulus pass, mark +1, at n_nodes polar nodes per
-    panel and n_theta azimuth samples per slice."""
-    return dist._annulus_pass(model, sigmas, e, 1, n_nodes, n_theta)
-
-
 def annulus_pass_all_columns(model: CapModel, sigmas, e: np.ndarray, mark: int,
                              n_nodes: int, n_theta: int) -> np.ndarray:
     """The annulus pass with every ring column in every block: each slice
     cut at n_theta uniform azimuth samples of the outer ring's arc and at
     +-arc_halfwidth_clamped of every ring, zero-width cells included, the
-    blocks of dist._N_ANNULUS_NODES nodes added in order on one thread.
-    The reference for the package's pass, which leaves out the columns
-    that add only zero-width cells."""
+    blocks of _N_ANNULUS_NODES nodes added in order. The reference for
+    annulus_pass, which leaves out the columns that add only zero-width
+    cells."""
     shell, user = model.shell, model.user
     phi_u = user.user_polar_rad
     sigmas = np.asarray(sigmas, dtype=float)
@@ -587,37 +718,36 @@ def annulus_pass_all_columns(model: CapModel, sigmas, e: np.ndarray, mark: int,
                                n_nodes)
     t = np.linspace(-1.0, 1.0, n_theta)
     mass = np.zeros((n_rows, e.size + 1))
-    for k in range(0, phi_k.size, dist._N_ANNULUS_NODES):
-        phi = phi_k[k:k + dist._N_ANNULUS_NODES, None]
+    for k in range(0, phi_k.size, _N_ANNULUS_NODES):
+        phi = phi_k[k:k + _N_ANNULUS_NODES, None]
         ring = arc_halfwidth_clamped(user, phi, sigmas)
         off = np.sort(np.concatenate((ring[:, -1:] * t, ring, -ring), axis=1), axis=1)
         v, cos_s = _doppler_hz(shell, user, np.cos(off), -np.sin(off), phi, mark)[:2]
         row = np.searchsorted(-2.0 * np.cos(sigmas), -(cos_s[:, 1:] + cos_s[:, :-1]))
         weight = np.diff(off, axis=1)
-        weight *= w_k[k:k + dist._N_ANNULUS_NODES, None] / (2.0 * math.pi * model.p_sat)
-        mass += dist._cell_shares(v, e, row, n_rows, weight)
+        weight *= w_k[k:k + _N_ANNULUS_NODES, None] / (2.0 * math.pi * model.p_sat)
+        mass += cell_shares(v, e, row, n_rows, weight)
     return mass
 
 
-def joint_mass_at(model: CapModel, tau_step_s: float, n_nodes: int,
-                  n_theta: int) -> np.ndarray:
-    """Cell masses of joint_pdf_grid (mark +1, default nu step) at the
-    resolutions of annulus_pass_at."""
+def joint_mass_at(model: CapModel, tau_step_s: float, n_nodes: int) -> np.ndarray:
+    """Cell masses of joint_pdf_grid (default nu step) with n_nodes nodes
+    per panel of the per-plane rule."""
     tau_edges = np.clip(dist.tau_edges(model, tau_step_s), *model.delay_bounds)
-    mass = annulus_pass_at(model, delay_inverse(model.shell, tau_edges),
-                           dist.nu_edges(model, dist.NU_STEP_HZ, 0), n_nodes, n_theta)
-    return mass[1:-1, 1:-1]
+    return dist._plane_cells(model, delay_inverse(model.shell, tau_edges),
+                             dist.nu_edges(model, dist.NU_STEP_HZ, 0), n_nodes=n_nodes)
 
 
-def table_cdf_at(model: CapModel, n_nodes: int, n_theta: int):
-    """Full-cap Doppler CDF, mark +1, on the 2001 nu edges of
-    doppler_mixed_interpolator's table that reach the support (its two
-    padding edges repeat the total) at the resolutions of annulus_pass_at."""
+def table_cdf_at(model: CapModel, n_nodes: int) -> np.ndarray:
+    """Both marks' full-cap Doppler CDFs, shape (2, 2001), on the nu edges
+    of doppler_mixed_interpolator's table that reach the support (its two
+    padding edges repeat the totals), with n_nodes nodes per panel of the
+    per-plane rule."""
     m = dist._DOPPLER_TABLE // 2
     e = (1.0001 * model.nu_max_hz / m) * np.arange(-m, m + 1)
-    mass = annulus_pass_at(model, [model.user.sigma_max_rad], e, n_nodes,
-                           n_theta)
-    return np.cumsum(mass.sum(axis=0)[:-1])
+    cells = dist._plane_cells(model, [0.0, model.user.sigma_max_rad],
+                              np.append(-math.inf, e), marks=True, n_nodes=n_nodes)
+    return np.cumsum(cells[:, 0], axis=1)
 
 
 def max_doppler_scan(shell: ShellConfig, user: UserGeometry,

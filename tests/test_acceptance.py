@@ -229,7 +229,7 @@ def test_criterion_10_normalization_suite(cap_equator, cap_midlat):
         if checks.doppler_pdf_normalization(cap, dist.DOPPLER_NU_STEP_HZ) > 1e-3:
             problems.append("doppler pdf grid normalization")
 
-        jpdf = dist.joint_pdf_grid(cap, mark=1)
+        jpdf = dist.joint_pdf_grid(cap)
         mass = float(jpdf.sum()) * dist.NU_STEP_HZ * dist.TAU_STEP_S
         if abs(mass - 1.0) > 5e-3:
             problems.append(f"joint pdf mass {mass:.4f}")

@@ -1,25 +1,26 @@
 import functools
 import logging
 import math
-import os
 import tracemalloc
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import oracles
 from oracles import (
-    _doppler_cdf_row, annulus_pass_all_columns, cell_shares_loop,
-    doppler_cdf_adaptive, doppler_cdf_riemann, joint_mass_at, joint_pdf_grid_rows,
-    p_cap_adaptive, rayleigh_gain_cdf, ring_index_midpoint, table_cdf_at)
+    _N_ANNULUS_NODES, _N_ANNULUS_THETA, _N_THETA, annulus_pass, annulus_pass_all_columns,
+    cell_shares, cell_shares_loop, doppler_cdf_adaptive, doppler_cdf_riemann, edge_index,
+    joint_mass_at, joint_pdf_grid_rows, p_cap_adaptive, rayleigh_gain_cdf,
+    ring_index_midpoint, table_cdf_at)
 
 from leo_channel import channel as ch
 from leo_channel import distributions as dist
-from leo_channel.errors import DomainError
+from leo_channel.errors import DomainError, NoVisibleSatellites
 from leo_channel.geometry import ShellConfig, UserGeometry, sigma_from_elevation
 from leo_channel.nbpp import sample_visible
 from leo_channel.orbit_sim import ks_distance
@@ -283,9 +284,9 @@ class TestDopplerCdf:
 
     @pytest.mark.parametrize("cap_name", ["cap_equator", "cap_midlat"])
     def test_two_mark_helper_matches_direct_passes(self, cap_name, request):
-        # doppler_pdf_grid's descending CDF is the mirror T - F+(-nu) of
-        # one ascending pass; each mark's direct pass is the independent
-        # route. 383 edges, the outermost past the support
+        # doppler_pdf_grid takes both marks from one per-plane pass; each
+        # mark's doppler_cdf_grid on the same edges reads the same cells.
+        # 383 edges, the outermost past the support
         cap = request.getfixturevalue(cap_name)
         edges, up, down, _ = dist.doppler_pdf_grid(cap, cap.nu_max_hz / 190)
         assert edges.size == 383
@@ -318,8 +319,6 @@ class TestDopplerCdf:
             for cap_sigma in (None, math.nan):
                 with pytest.raises(DomainError):
                     dist.doppler_cdf_grid(cap_equator, [0.0], mark, cap_sigma)
-            with pytest.raises(DomainError):
-                dist.joint_pdf_grid(cap_equator, mark=mark)
 
     def test_empty_sub_cap_is_zero(self, cap_midlat):
         # no satellite lies within sigma_min of this user: the sub-cap's
@@ -369,13 +368,29 @@ class TestDopplerCdf:
         single = [dist.doppler_cdf(cap, float(n), mark, cap_sigma=cap_sigma)
                   for n in nus]
         assert np.max(np.abs(f - single)) <= 1e-12
-        # the one-ring annulus pass is the slice loop up to summation order.
-        # Its deposit sums a block's cells into each nu bin one after the
-        # other, up to 33k terms where the loop sums a slice's 511: with
-        # 1-6 edges the two differ by up to 1.4e-13 (measured over 150
-        # draws), with 401 edges by under 5e-15
-        row = _doppler_cdf_row(cap, nus[order], mark, cap_sigma, 384)
-        assert np.max(np.abs(f[order] - row)) <= 2e-12
+        # the adaptive oracle at the first value: it takes about 0.4 s a value
+        want = doppler_cdf_adaptive(cap, float(nus[0]), mark, cap_sigma)
+        assert abs(f[0] - want) <= 1e-5
+
+    @settings(max_examples=4, deadline=None)
+    @given(incl=st.floats(20.0, 89.0), lat=st.floats(0.0, 90.0),
+           mask=st.floats(0.0, 60.0),
+           fracs=st.lists(st.floats(-0.99, 0.99), min_size=1, max_size=2))
+    # near-polar shells and low masks: where the marks' vertices sit in the
+    # cap and where passes graze the horizon
+    @example(incl=89.0, lat=90.0, mask=30.0, fracs=[-0.55, 0.35])
+    @example(incl=88.94, lat=22.1, mask=39.1, fracs=[-0.55, 0.35])
+    @example(incl=53.0, lat=53.0, mask=0.0, fracs=[-0.55, 0.35])
+    @example(incl=20.0, lat=0.0, mask=6.0, fracs=[-0.55, 0.35])
+    def test_both_marks_match_the_adaptive_oracle(self, incl, lat, mask, fracs):
+        try:
+            cap = _shell_cap(incl, lat, mask)
+        except NoVisibleSatellites:
+            assume(False)
+        nus = np.array(fracs) * cap.nu_max_hz
+        for mark in (1, -1):
+            want = [doppler_cdf_adaptive(cap, float(v), mark) for v in nus]
+            assert np.max(np.abs(dist.doppler_cdf_grid(cap, nus, mark) - want)) <= 1e-5
 
 
 class TestDopplerPdfGrid:
@@ -427,7 +442,7 @@ class TestJointDistribution:
             assert joint == pytest.approx(marg, abs=1e-6)
 
     def test_pdf_grid_normalizes(self, cap_equator):
-        pdf = dist.joint_pdf_grid(cap_equator, mark=1)
+        pdf = dist.joint_pdf_grid(cap_equator)
         mass = float(pdf.sum()) * dist.NU_STEP_HZ * dist.TAU_STEP_S
         assert mass == pytest.approx(1.0, abs=5e-3)
 
@@ -436,7 +451,7 @@ class TestJointDistribution:
         # support edge carries the average of a partially covered interval
         # and cannot match the point density there
         step = dist.TAU_STEP_S
-        pdf = dist.joint_pdf_grid(cap_equator, mark=1)
+        pdf = dist.joint_pdf_grid(cap_equator)
         marg = pdf.sum(axis=1) * dist.NU_STEP_HZ
         tau_c = dist.centers(dist.tau_edges(cap_equator, step))
         tau_lo, tau_hi = cap_equator.delay_bounds
@@ -449,53 +464,65 @@ class TestJointDistribution:
     def test_pdf_grid_needs_no_clamping(self, cap_name, request, caplog):
         cap = request.getfixturevalue(cap_name)
         with caplog.at_level(logging.INFO, logger=dist.__name__):
-            for mark in (1, -1):
-                pdf = dist.joint_pdf_grid(cap, tau_step_s=8.4e-5, mark=mark)
-                # the padding rows lie outside the delay support
-                assert np.all(pdf[0] == 0.0) and np.all(pdf[-1] == 0.0)
+            pdf = dist.joint_pdf_grid(cap, tau_step_s=8.4e-5)
+            # the padding rows lie outside the delay support
+            assert np.all(pdf[0] == 0.0) and np.all(pdf[-1] == 0.0)
         assert not [r for r in caplog.records if "clamped" in r.getMessage()]
 
     @pytest.mark.parametrize("cap_name", ["cap_equator", "cap_midlat"])
     def test_descending_grid_is_the_mirror(self, cap_name, request):
-        # scattering_function takes the descending grid as the ascending
-        # one reversed in nu; a direct descending pass checks that
+        # mirroring the azimuth about the user's meridian and flipping the
+        # mark negates the shift and keeps the central angle: the mixed
+        # cells are their own nu-mirror, bit for bit on the antisymmetric
+        # edges, so the grid, which mirrors the cells below nu = 0, equals
+        # the pass over every cell; and each mark's sub-cap CDF is the
+        # adaptive oracle's
         cap = request.getfixturevalue(cap_name)
-        up = dist.joint_pdf_grid(cap, mark=1)
         e = dist.nu_edges(cap, dist.NU_STEP_HZ, 0)
         assert np.array_equal(e, -e[::-1])
-        down = dist.joint_pdf_grid(cap, mark=-1)
-        assert np.max(np.abs(down - up[:, ::-1])) <= 1e-12 * float(up.max())
+        sigmas = delay_inverse(cap.shell, np.clip(dist.tau_edges(cap, dist.TAU_STEP_S),
+                                                  *cap.delay_bounds))
+        every = dist._plane_cells(cap, sigmas, e) / (dist.NU_STEP_HZ * dist.TAU_STEP_S)
+        assert np.array_equal(dist.joint_pdf_grid(cap), every)
+        lo, hi = cap.user.sigma_min_rad, cap.user.sigma_max_rad
+        cap_sigma = 0.5 * (lo + hi)
+        nus = np.array([-0.4, 0.25]) * cap.nu_max_hz
+        for mark in (1, -1):
+            want = [doppler_cdf_adaptive(cap, float(v), mark, cap_sigma) for v in nus]
+            got = dist.doppler_cdf_grid(cap, nus, mark, cap_sigma=cap_sigma)
+            assert np.max(np.abs(got - want)) <= 1e-5
 
     @pytest.mark.parametrize("cap_name", ["cap_equator", "cap_midlat"])
     @pytest.mark.parametrize("tau_step_s", [8.4e-5, 2.8e-5])
     def test_matches_row_route_at_four_times_the_nodes(self, cap_name,
                                                        tau_step_s, request):
-        # reference: one nested sub-cap row per delay edge with 4x the
-        # polar nodes per panel. Mark -1 is checked against the mirror
-        # nu -> -nu of the mark +1 reference: mirroring the azimuth about
+        # reference: the annulus route's nested sub-cap rows, one per delay
+        # edge, with 4x the polar nodes per panel, mark-mixed as the mean of
+        # the mark +1 grid and its nu-mirror (mirroring the azimuth about
         # the user's and flipping the mark negates the Doppler shift and
-        # keeps the central angle, so the two grids are mirror images
-        # (to 2e-13 of the peak for the row route at lat 60)
+        # keeps the central angle)
         cap = request.getfixturevalue(cap_name)
-        ref = joint_pdf_grid_rows(cap, dist.NU_STEP_HZ, tau_step_s, 1,
-                                  n_nodes=4 * 384)
-        rows = joint_pdf_grid_rows(cap, dist.NU_STEP_HZ, tau_step_s, 1)
+
+        def mixed(grid):
+            return 0.5 * (grid + grid[:, ::-1])
+
+        ref = mixed(joint_pdf_grid_rows(cap, dist.NU_STEP_HZ, tau_step_s, 1,
+                                        n_nodes=4 * 384))
+        rows = mixed(joint_pdf_grid_rows(cap, dist.NU_STEP_HZ, tau_step_s, 1))
         peak = float(ref.max())
-        for mark, want in ((1, ref), (-1, ref[:, ::-1])):
-            pdf = dist.joint_pdf_grid(cap, dist.NU_STEP_HZ, tau_step_s, mark)
-            err = float(np.max(np.abs(pdf - want))) / peak
-            assert err < 1e-2
-            # no worse than the row route at its own 384 nodes per panel
-            assert err <= float(np.max(np.abs(rows - ref))) / peak
+        err = float(np.max(np.abs(dist.joint_pdf_grid(cap, dist.NU_STEP_HZ, tau_step_s)
+                                  - ref))) / peak
+        assert err < 1e-2
+        # no worse than the row route at its own 384 nodes per panel
+        assert err <= float(np.max(np.abs(rows - ref))) / peak
 
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(mask=st.floats(0.0, 60.0), reach=st.floats(0.0, 0.999),
-           mark=st.sampled_from([1, -1]))
-    @example(mask=10.0, reach=0.999, mark=1)
-    @example(mask=30.0, reach=0.999, mark=-1)
-    @example(mask=0.0, reach=0.7, mark=1)  # lat 53.2: the cap crosses a band edge
-    def test_grid_properties(self, shell, caplog, mask, reach, mark):
+    @given(mask=st.floats(0.0, 60.0), reach=st.floats(0.0, 0.999))
+    @example(mask=10.0, reach=0.999)
+    @example(mask=30.0, reach=0.999)
+    @example(mask=0.0, reach=0.7)  # lat 53.2: the cap crosses a band edge
+    def test_grid_properties(self, shell, caplog, mask, reach):
         # reach runs the latitude from the equator to the coverage cutoff
         sigma1 = sigma_from_elevation(shell, math.radians(mask))
         cutoff = math.pi / 2 - shell.polar_inclination_rad + sigma1
@@ -504,28 +531,31 @@ class TestJointDistribution:
         tau_lo, tau_hi = cap.delay_bounds
         nu_step, tau_step = cap.nu_max_hz / 20, (tau_hi - tau_lo) / 12
         with caplog.at_level(logging.DEBUG, logger=dist.__name__):
-            pdf = dist.joint_pdf_grid(cap, nu_step, tau_step, mark)
+            pdf = dist.joint_pdf_grid(cap, nu_step, tau_step)
         assert not [r for r in caplog.records if "clamped" in r.getMessage()]
         assert np.all(pdf >= 0.0)
-        # the other mark is this grid's nu-mirror, on exactly mirrored edges
+        # the mixed cells are their own nu-mirror on exactly mirrored edges,
+        # so the grid, which mirrors the cells below nu = 0, is the same bits
+        # as the pass over every cell
         e = dist.nu_edges(cap, nu_step, 0)
         assert np.array_equal(e, -e[::-1])
-        other = dist.joint_pdf_grid(cap, nu_step, tau_step, -mark)
-        assert np.max(np.abs(other - pdf[:, ::-1])) <= 1e-12 * float(pdf.max())
+        sigmas = delay_inverse(cap.shell, np.clip(dist.tau_edges(cap, tau_step),
+                                                  *cap.delay_bounds))
+        assert np.array_equal(pdf, dist._plane_cells(cap, sigmas, e) / (nu_step * tau_step))
         cdf = np.cumsum(np.cumsum(pdf, axis=0), axis=1) * nu_step * tau_step
         assert np.all(np.diff(cdf, axis=0) >= 0.0)
         assert np.all(np.diff(cdf, axis=1) >= 0.0)
         want = dist.delay_cdf(cap, dist.tau_edges(cap, tau_step)[1:])
         assert np.max(np.abs(cdf[:, -1] - want)) <= 1e-9
-        # two fixed-rule grids; with masks down to 0 deg each is within
-        # 3.3e-4 of the adaptive Doppler CDF (measured)
-        full = dist.doppler_cdf_grid(cap, e[1:], mark)
+        # the last row against the mean of both marks' 1-D CDFs
+        full = 0.5 * (dist.doppler_cdf_grid(cap, e[1:], 1)
+                      + dist.doppler_cdf_grid(cap, e[1:], -1))
         assert np.max(np.abs(cdf[-1] - full)) <= 1e-3
 
     def test_u_shaped_support(self, cap_equator):
         # no mass at (short delay, extreme Doppler): the near cap cannot
         # produce large radial speeds
-        pdf = dist.joint_pdf_grid(cap_equator, mark=1)
+        pdf = dist.joint_pdf_grid(cap_equator)
         nu_c = dist.centers(dist.nu_edges(cap_equator, dist.NU_STEP_HZ, 0))
         tau_c = dist.centers(dist.tau_edges(cap_equator, dist.TAU_STEP_S))
         tau_lo, tau_hi = cap_equator.delay_bounds
@@ -536,19 +566,28 @@ class TestJointDistribution:
         assert float(pdf.max()) > 0.0
 
     def test_pair_bound_keeps_the_values(self, cap_equator, monkeypatch):
-        # a bound of 64 pairs splits each block's straddled edges into
-        # many runs; every bin still takes its terms in the same order
-        nu = np.linspace(-1.05, 1.05, 401) * cap_equator.nu_max_hz
+        # the annulus oracle's deposit: a bound of 64 pairs splits each
+        # block's straddled edges into many runs; every bin still takes its
+        # terms in the same order, in a one-ring pass and in a joint pass
+        cap = cap_equator
+        nu = np.linspace(-1.05, 1.05, 401) * cap.nu_max_hz
+        sigmas = delay_inverse(cap.shell, np.clip(dist.tau_edges(cap, dist.TAU_STEP_S),
+                                                  *cap.delay_bounds))
         runs = []
         inner = np.bincount
         monkeypatch.setattr(np, "bincount",
                             lambda *a, **k: runs.append(1) or inner(*a, **k))
-        cdf = dist.doppler_cdf_grid(cap_equator, nu, 1)
-        pdf = dist.joint_pdf_grid(cap_equator)
+
+        def passes():
+            return (annulus_pass(cap, [cap.user.sigma_max_rad], nu, 1, 384, _N_THETA),
+                    annulus_pass(cap, sigmas, dist.nu_edges(cap, dist.NU_STEP_HZ, 0), 1,
+                                 _N_ANNULUS_NODES, _N_ANNULUS_THETA))
+
+        row, joint = passes()
         whole = len(runs)
-        monkeypatch.setattr(dist, "_MAX_PAIRS", 64)
-        assert np.array_equal(dist.doppler_cdf_grid(cap_equator, nu, 1), cdf)
-        assert np.array_equal(dist.joint_pdf_grid(cap_equator), pdf)
+        monkeypatch.setattr(oracles, "_MAX_PAIRS", 64)
+        again = passes()
+        assert np.array_equal(again[0], row) and np.array_equal(again[1], joint)
         assert len(runs) > 10 * whole
 
 
@@ -572,6 +611,8 @@ def _lookup_edges(kind: int, step: float, m: int, cap) -> np.ndarray:
 
 
 class TestCellShares:
+    """The annulus oracle's deposit, cell_shares, against a loop over cells."""
+
     @settings(max_examples=80, deadline=None)
     @given(n_edges=st.integers(1, 30), uniform=st.booleans(), inf_tail=st.booleans(),
            spread=st.floats(0.0, 4.0), scalar=st.booleans(),
@@ -599,9 +640,9 @@ class TestCellShares:
             sizes.append(np.size(x))
             return bincount(x, *args, **kwargs)
 
-        with mock.patch.object(dist, "_MAX_PAIRS", 16), \
+        with mock.patch.object(oracles, "_MAX_PAIRS", 16), \
                 mock.patch.object(np, "bincount", spy):
-            got = dist._cell_shares(v, e, row, 3, weight)
+            got = cell_shares(v, e, row, 3, weight)
         want = cell_shares_loop(v, e, row, 3, weight)
         assert np.all(got >= 0.0)
         assert np.all(np.abs(got - want) <= 1e-14 * want.sum(axis=1, keepdims=True))
@@ -610,56 +651,47 @@ class TestCellShares:
 
 
 class TestResolutionBudget:
-    """The azimuth sampling adds at most a third of the polar rule's error.
+    """The per-plane rule's node count against twice as many nodes.
 
-    The azimuth error is the pass at its azimuth count per slice against
-    4x the samples, the polar error the pass at its node count per panel
-    against 4x the nodes, both at the same other resolution.
+    The bounds are those of the rule that set _N_PLANE_NODES
+    (scripts/resolution_budget.py): 1e-7 of the peak cell for the joint
+    grid at both of its tau steps, and 1e-7 for each mark's Doppler CDF on
+    the 2001 edges of the KS table.
     """
 
     @pytest.mark.parametrize("cap_name", ["cap_equator", "cap_midlat"])
     def test_budget_measures_the_shipped_joint_pass(self, cap_name, request):
         cap = request.getfixturevalue(cap_name)
-        mass = joint_mass_at(cap, 8.4e-5, 64, dist._N_ANNULUS_THETA)
+        mass = joint_mass_at(cap, 8.4e-5, dist._N_PLANE_NODES)
         want = dist.joint_pdf_grid(cap, tau_step_s=8.4e-5)
         assert np.array_equal(mass / (dist.NU_STEP_HZ * 8.4e-5), want)
 
     @staticmethod
-    def _joint_errors(cap, tau_step_s):
-        # 64 polar nodes per panel and _N_ANNULUS_THETA samples, as
-        # joint_pdf_grid: (azimuth error, polar error)
-        n = dist._N_ANNULUS_THETA
-        base = joint_mass_at(cap, tau_step_s, 64, n)
-        polar = np.max(np.abs(joint_mass_at(cap, tau_step_s, 4 * 64, n) - base))
-        azimuth = np.max(np.abs(joint_mass_at(cap, tau_step_s, 64, 4 * n) - base))
-        return azimuth, polar
+    def _joint_error(cap, tau_step_s):
+        n = dist._N_PLANE_NODES
+        base = joint_mass_at(cap, tau_step_s, n)
+        return float(np.max(np.abs(joint_mass_at(cap, tau_step_s, 2 * n) - base))
+                     / base.max())
 
     @pytest.mark.parametrize("cap_name", ["cap_equator", "cap_midlat"])
     def test_joint_pass(self, cap_name, request):
-        cap = request.getfixturevalue(cap_name)
-        azimuth, polar = self._joint_errors(cap, 8.4e-5)
-        assert 0.0 < azimuth <= polar / 3  # > 0: the count reaches the pass
+        assert self._joint_error(request.getfixturevalue(cap_name), 8.4e-5) <= 1e-7
 
     @pytest.mark.parametrize("cap_name", ["cap_equator", "cap_midlat"])
     def test_joint_pass_at_the_default_tau_step(self, cap_name, request):
-        # the tightest budget: 0.33 of the polar error at lat 60
         cap = request.getfixturevalue(cap_name)
-        azimuth, polar = self._joint_errors(cap, dist.TAU_STEP_S)
-        assert 0.0 < azimuth <= polar / 3
+        assert self._joint_error(cap, dist.TAU_STEP_S) <= 1e-7
 
     @pytest.mark.parametrize("cap_name", ["cap_equator", "cap_midlat"])
     def test_full_cap_cdf(self, cap_name, request):
-        # 384 polar nodes per panel and _N_THETA samples, as
-        # doppler_cdf_grid, on the KS table
         cap = request.getfixturevalue(cap_name)
-        n = dist._N_THETA
-        base = table_cdf_at(cap, 384, n)
-        polar = np.max(np.abs(table_cdf_at(cap, 4 * 384, n) - base))
-        azimuth = np.max(np.abs(table_cdf_at(cap, 384, 4 * n) - base))
-        assert 0.0 < azimuth <= polar / 3  # > 0: the count reaches the pass
+        n = dist._N_PLANE_NODES
+        assert np.max(np.abs(table_cdf_at(cap, 2 * n) - table_cdf_at(cap, n))) <= 1e-7
 
 
 class TestKernelLookups:
+    """The annulus oracle's nu lookup, ring lookup and column drop."""
+
     @settings(max_examples=40, deadline=None)
     @given(kind=st.sampled_from([0, 1, 2, 3, 4, 5]), step=st.floats(500.0, 2e4),
            m=st.integers(2, 1000), seed=st.integers(0, 2 ** 32 - 1))
@@ -681,7 +713,7 @@ class TestKernelLookups:
         with mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as spy, \
                 warnings.catch_warnings():
             warnings.simplefilter("error")  # no spurious RuntimeWarning
-            right, left = dist._edge_index(e, v[None])
+            right, left = edge_index(e, v[None])
         assert np.array_equal(right[0], np.searchsorted(e, v, "right"))
         assert np.array_equal(left[0], np.searchsorted(e, v, "left"))
         # uniform edge sets take the floor division, the rest searchsorted
@@ -695,12 +727,11 @@ class TestKernelLookups:
     def test_ring_index_matches_midpoint_lookup(self, monkeypatch, incl, lat,
                                                 mask):
         # every cell of positive width of every block of the joint pass and
-        # of a one-ring pass gets the annulus of its midpoint; on one thread
-        # each block's ring half-widths pair with its deposit
+        # of a one-ring pass gets the annulus of its midpoint; the blocks run
+        # in order, so each block's ring half-widths pair with its deposit
         cap = _shell_cap(incl, lat, mask)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         rings, deposits = [], []
-        arc, shares = dist.arc_halfwidth_clamped, dist._cell_shares
+        arc, shares = oracles.arc_halfwidth_clamped, oracles.cell_shares
 
         def spy_arc(user, phi, sigmas):
             rings.append((phi, sigmas, arc(user, phi, sigmas)))
@@ -710,16 +741,18 @@ class TestKernelLookups:
             deposits.append((row, weight))
             return shares(v, e, row, n_rows, weight)
 
-        monkeypatch.setattr(dist, "arc_halfwidth_clamped", spy_arc)
-        monkeypatch.setattr(dist, "_cell_shares", spy_shares)
-        dist.joint_pdf_grid(cap)
+        monkeypatch.setattr(oracles, "arc_halfwidth_clamped", spy_arc)
+        monkeypatch.setattr(oracles, "cell_shares", spy_shares)
+        taus = np.clip(dist.tau_edges(cap, dist.TAU_STEP_S), *cap.delay_bounds)
+        annulus_pass(cap, delay_inverse(cap.shell, taus), dist.nu_edges(cap, dist.NU_STEP_HZ, 0),
+                     1, _N_ANNULUS_NODES, _N_ANNULUS_THETA)
         n_joint = len(rings)
         lo, hi = cap.user.sigma_min_rad, cap.user.sigma_max_rad
-        dist.doppler_cdf_grid(cap, np.linspace(-1.0, 1.0, 11) * cap.nu_max_hz, 1,
-                              cap_sigma=0.5 * (lo + hi))
+        annulus_pass(cap, [0.5 * (lo + hi)], np.linspace(-1.0, 1.0, 11) * cap.nu_max_hz, 1,
+                     384, _N_THETA)
         assert 0 < n_joint < len(rings) == len(deposits)
         for i, ((phi, sigmas, ring), (row, weight)) in enumerate(zip(rings, deposits)):
-            n_theta = dist._N_ANNULUS_THETA if i < n_joint else dist._N_THETA
+            n_theta = _N_ANNULUS_THETA if i < n_joint else _N_THETA
             # the block's cell ends, as the pass sorts them: the outer ring's
             # samples and the inner rings that are neither 0 nor the outer
             # half-width at every node, plus one that is 0 at every node
@@ -750,15 +783,15 @@ class TestKernelLookups:
         taus = np.clip(dist.tau_edges(cap, dist.TAU_STEP_S), *cap.delay_bounds)
         sigmas = delay_inverse(cap.shell, taus)
         e = dist.nu_edges(cap, dist.NU_STEP_HZ, 0)
-        n = dist._N_ANNULUS_THETA
-        got = dist._annulus_pass(cap, sigmas, e, 1, dist._N_ANNULUS_NODES, n)
-        want = annulus_pass_all_columns(cap, sigmas, e, 1, dist._N_ANNULUS_NODES, n)
+        n = _N_ANNULUS_THETA
+        got = annulus_pass(cap, sigmas, e, 1, _N_ANNULUS_NODES, n)
+        want = annulus_pass_all_columns(cap, sigmas, e, 1, _N_ANNULUS_NODES, n)
         assert np.array_equal(got, want)
         lo, hi = cap.user.sigma_min_rad, cap.user.sigma_max_rad
         e = np.linspace(-1.0001, 1.0001, 2001) * cap.nu_max_hz
         for cap_sigma in (hi, 0.5 * (lo + hi)):
-            got = dist._annulus_pass(cap, [cap_sigma], e, -1, 384, dist._N_THETA)
-            want = annulus_pass_all_columns(cap, [cap_sigma], e, -1, 384, dist._N_THETA)
+            got = annulus_pass(cap, [cap_sigma], e, -1, 384, _N_THETA)
+            want = annulus_pass_all_columns(cap, [cap_sigma], e, -1, 384, _N_THETA)
             assert np.array_equal(got, want)
 
 

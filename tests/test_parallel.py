@@ -21,8 +21,8 @@ def test_without_affinity_follows_cpu_count(monkeypatch):
 def test_scattering_does_not_depend_on_the_thread_count(cap_equator,
                                                         cap_midlat,
                                                         monkeypatch):
-    # the joint grid and a Doppler CDF row: both are annulus passes whose
-    # blocks are summed in block order
+    # the joint grid and a Doppler CDF row: no package pass is threaded,
+    # so the affinity set changes no bit
     for cap in (cap_equator, cap_midlat):
         nus = np.linspace(-1.05, 1.05, 50) * cap.nu_max_hz
         grids, rows = [], []

@@ -100,7 +100,7 @@ class TestDoppler:
     ])
     def test_row_broadcast_matches_finite_difference(self, incl_deg, lat_deg,
                                                      mask_deg):
-        # the annulus pass's shapes: phi a column, theta a matrix, so the
+        # the moment rule's shapes: phi a column, theta a matrix, so the
         # factors of phi alone are taken once per row
         shell = ShellConfig(inclination_rad=math.radians(incl_deg))
         user = UserGeometry.for_shell(shell, math.pi / 2 - math.radians(lat_deg),

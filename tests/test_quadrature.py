@@ -50,7 +50,7 @@ def test_rule_integrates_even_monomials_to_degree_2n_minus_2(n):
 def test_no_helper_thread_spins_after_the_rule_is_built():
     # import numpy wakes the BLAS helper threads by itself; 0.5 s of idling
     # lets that end. The CapModel builds the 384-node rule and the joint grid
-    # the 64-node one; a helper thread that spins after either burns CPU in
+    # the per-plane rule's; a helper thread that spins after either burns CPU in
     # the idle 0.3 s that follows it, unless the work outlasts the spin
     code = """if True:
         import math
